@@ -10,7 +10,6 @@
 ///
 ///   {"bench": ..., "subject": ..., "execs_per_sec": ...,
 ///    "wall_ms": ..., "resume_hit_rate": ..., "resume_rung_depth": ...,
-///    "locality_batch": ..., "sched_tasks": ..., "sched_steal_rate": ...,
 ///    "queue_bytes_peak": ..., "rescore_ns_per_exec": ...,
 ///    "shards": ..., "shard_deltas": ..., "shard_migrations": ...,
 ///    "shard_frontier_lag": ...}
@@ -25,7 +24,7 @@
 /// Benches fill a BenchJsonRecord by designated initializer — each
 /// measurement names exactly the fields it has, everything else stays at
 /// its documented zero — and hand it to add(). The old positional
-/// overload (14 defaulted doubles, where adding a field in the middle
+/// overload (defaulted doubles, where adding a field in the middle
 /// silently re-bound every later call site) is gone on purpose.
 ///
 //===----------------------------------------------------------------------===//
@@ -53,13 +52,6 @@ struct BenchJsonRecord {
   /// Average ladder-rung depth of resume-cache hits (0 when the ladder
   /// is off or never hit).
   double ResumeRungDepth = 0;
-  /// Locality batch size the measurement ran with (0 = batching off).
-  double LocalityBatch = 0;
-  /// Tasks submitted to the work-stealing scheduler during the
-  /// measurement (0 = the scheduler never engaged).
-  double SchedTasks = 0;
-  /// Fraction of idle-worker steal probes that yielded a task.
-  double SchedStealRate = 0;
   /// Peak sampled candidate-queue bytes (0 = not a pFuzzer measurement).
   double QueueBytesPeak = 0;
   /// Queue-rescore wall time amortized per execution, in nanoseconds.
@@ -148,15 +140,13 @@ public:
                    "  {\"bench\": \"%s\", \"subject\": \"%s\","
                    " \"execs_per_sec\": %.1f, \"wall_ms\": %.3f,"
                    " \"resume_hit_rate\": %.4f, \"resume_rung_depth\": %.4f,"
-                   " \"locality_batch\": %.0f, \"sched_tasks\": %.0f,"
-                   " \"sched_steal_rate\": %.4f, \"queue_bytes_peak\": %.0f,"
+                   " \"queue_bytes_peak\": %.0f,"
                    " \"rescore_ns_per_exec\": %.4f, \"shards\": %.0f,"
                    " \"shard_deltas\": %.0f, \"shard_migrations\": %.0f,"
                    " \"shard_frontier_lag\": %.0f}%s\n",
                    benchJsonEscape(R.Bench).c_str(),
                    benchJsonEscape(R.Subject).c_str(), R.ExecsPerSec, R.WallMs,
-                   R.ResumeHitRate, R.ResumeRungDepth, R.LocalityBatch,
-                   R.SchedTasks, R.SchedStealRate, R.QueueBytesPeak,
+                   R.ResumeHitRate, R.ResumeRungDepth, R.QueueBytesPeak,
                    R.RescoreNsPerExec, R.Shards, R.ShardDeltas,
                    R.ShardMigrations, R.ShardFrontierLag,
                    I + 1 == Records.size() ? "" : ",");

@@ -25,7 +25,7 @@
 #include "core/PFuzzer.h"
 #include "eval/TableWriter.h"
 #include "support/CommandLine.h"
-#include "support/Scheduler.h"
+#include "support/Parallel.h"
 #include "tokens/TokenCoverage.h"
 
 #include <cstdio>
@@ -66,10 +66,12 @@ std::unique_ptr<Fuzzer> makePFuzzer() { return std::make_unique<PFuzzer>(); }
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t AflExecs = static_cast<uint64_t>(Cli.getInt("afl-execs", 150000));
-  uint64_t PfExecs = static_cast<uint64_t>(Cli.getInt("pf-execs", 60000));
+  uint64_t AflExecs =
+      static_cast<uint64_t>(Cli.getCount("afl-execs", 150000, /*Min=*/1));
+  uint64_t PfExecs =
+      static_cast<uint64_t>(Cli.getCount("pf-execs", 60000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Jobs = static_cast<int>(Cli.getInt("jobs", 1));
+  size_t Jobs = static_cast<size_t>(Cli.getCount("jobs", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     std::fprintf(stderr, "usage: ablation_aflctp [--afl-execs=N]"
                          " [--pf-execs=N] [--seed=N] [--jobs=N]\n");
@@ -119,13 +121,7 @@ int main(int Argc, char **Argv) {
       Outcomes[Idx] = {Tokens.found().size(), Long,
                        R.coverageRatio(*S) * 100};
     };
-    if (Jobs == 1) {
-      for (size_t Idx = 0; Idx != NumVariants; ++Idx)
-        RunVariant(Idx);
-    } else {
-      Scheduler::global().parallelFor(0, NumVariants, RunVariant,
-                                      Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
-    }
+    parallelFor(0, NumVariants, RunVariant, Jobs);
 
     for (size_t Idx = 0; Idx != NumVariants; ++Idx) {
       char Cov[32];

@@ -22,7 +22,7 @@
 #include "eval/TableWriter.h"
 #include "support/CommandLine.h"
 #include "support/StringUtils.h"
-#include "support/Scheduler.h"
+#include "support/Parallel.h"
 #include "tokens/TokenCoverage.h"
 
 #include <algorithm>
@@ -69,10 +69,11 @@ std::vector<Variant> variants() {
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 20000));
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("execs", 20000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Runs = static_cast<int>(Cli.getInt("runs", 3));
-  int Jobs = static_cast<int>(Cli.getInt("jobs", 1));
+  int Runs = static_cast<int>(Cli.getCount("runs", 3, /*Min=*/1));
+  size_t Jobs = static_cast<size_t>(Cli.getCount("jobs", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     std::fprintf(stderr, "usage: ablation_heuristic [--execs=N] [--seed=N]"
                          " [--runs=N] [--jobs=N]\n");
@@ -90,12 +91,12 @@ int main(int Argc, char **Argv) {
     TableWriter Table({"Variant", "Valid inputs", "Coverage %",
                        "Tokens", "Long tokens"});
     // PFuzzer instances carry custom heuristics, so this bench cannot go
-    // through runCampaignGrid; it fans (variant, seed) tasks over the
-    // pool itself and reduces in index order (means stay deterministic).
+    // through runCampaignGrid; it fans (variant, seed) tasks out itself
+    // and reduces in index order (means stay deterministic).
     struct RunOutcome {
       double Valid = 0, Cov = 0, Tokens = 0, Long = 0;
     };
-    size_t NumRuns = static_cast<size_t>(std::max(Runs, 0));
+    size_t NumRuns = static_cast<size_t>(Runs);
     std::vector<RunOutcome> Outcomes(Vars.size() * NumRuns);
     auto RunTask = [&](size_t TaskIdx) {
       const Variant &V = Vars[TaskIdx / NumRuns];
@@ -117,13 +118,7 @@ int main(int Argc, char **Argv) {
                            static_cast<double>(Tokens.found().size()),
                            static_cast<double>(Long)};
     };
-    if (Jobs == 1) {
-      for (size_t TaskIdx = 0; TaskIdx != Outcomes.size(); ++TaskIdx)
-        RunTask(TaskIdx);
-    } else {
-      Scheduler::global().parallelFor(0, Outcomes.size(), RunTask,
-                                      Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
-    }
+    parallelFor(0, Outcomes.size(), RunTask, Jobs);
     for (size_t VarIdx = 0; VarIdx != Vars.size(); ++VarIdx) {
       double SumValid = 0, SumCov = 0, SumTokens = 0, SumLong = 0;
       for (size_t Run = 0; Run != NumRuns; ++Run) {

@@ -20,8 +20,8 @@
 #include "core/PFuzzer.h"
 #include "eval/TableWriter.h"
 #include "support/CommandLine.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
-#include "support/Scheduler.h"
 
 #include <cstdio>
 
@@ -29,9 +29,10 @@ using namespace pfuzz;
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 40000));
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("execs", 40000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Jobs = static_cast<int>(Cli.getInt("jobs", 1));
+  size_t Jobs = static_cast<size_t>(Cli.getCount("jobs", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     std::fprintf(stderr, "usage: ablation_semantics [--execs=N] [--seed=N]"
                          " [--jobs=N]\n");
@@ -53,13 +54,7 @@ int main(int Argc, char **Argv) {
     PFuzzer Tool;
     Reports[Idx] = Tool.run(*Subjects[Idx], Opts);
   };
-  if (Jobs == 1) {
-    RunCampaign(0);
-    RunCampaign(1);
-  } else {
-    Scheduler::global().parallelFor(0, 2, RunCampaign,
-                                    Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
-  }
+  parallelFor(0, 2, RunCampaign, Jobs);
   FuzzReport &Plain = Reports[0];
   FuzzReport &Sem = Reports[1];
   uint64_t SurviveSemantics = 0;

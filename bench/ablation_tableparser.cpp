@@ -30,9 +30,10 @@ using namespace pfuzz;
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 20000));
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("execs", 20000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Jobs = static_cast<int>(Cli.getInt("jobs", 1));
+  int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     std::fprintf(stderr, "usage: ablation_tableparser [--execs=N]"
                          " [--seed=N] [--jobs=N]\n");

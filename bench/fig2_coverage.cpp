@@ -12,9 +12,8 @@
 /// advantage — scale everything with --budget-scale=N for longer runs).
 ///
 /// --subject=NAME and --tools=LIST cut the grid down to one cell — CI's
-/// perf smoke runs `--tools=pfuzzer --subject=json --json=...` twice,
-/// with and without --locality, and compares throughput. The paper
-/// shape checks only run on the full grid.
+/// shard perf smoke runs `--tools=pfuzzer --subject=json --shards=4
+/// --json=...`. The paper shape checks only run on the full grid.
 ///
 /// Expected shape (paper Section 5.2): AFL ahead on ini and csv, AFL
 /// clearly ahead on mjs, pFuzzer ahead on tinyC, KLEE near zero on mjs.
@@ -25,7 +24,7 @@
 #include "eval/Campaign.h"
 #include "eval/TableWriter.h"
 #include "support/CommandLine.h"
-#include "support/Scheduler.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
@@ -38,18 +37,16 @@ using namespace pfuzz;
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
   CampaignBudgets Budgets;
-  Budgets.scale(static_cast<uint64_t>(Cli.getInt("budget-scale", 1)));
-  int Runs = static_cast<int>(Cli.getInt("runs", 1));
+  Budgets.scale(
+      static_cast<uint64_t>(Cli.getCount("budget-scale", 1, /*Min=*/1)));
+  int Runs = static_cast<int>(Cli.getCount("runs", 1, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   ToolOptions ToolCfg;
   ToolCfg.PFuzzerRunCache =
       static_cast<uint32_t>(Cli.getCount("run-cache", ToolCfg.PFuzzerRunCache));
-  ToolCfg.PFuzzerSpeculation = static_cast<int>(
-      Cli.getCount("speculate", ToolCfg.PFuzzerSpeculation, /*Min=*/-1));
   ToolCfg.PFuzzerResumeCache = static_cast<uint32_t>(
       Cli.getCount("resume-cache", ToolCfg.PFuzzerResumeCache));
-  ToolCfg.PFuzzerLocality = Cli.getBool("locality", false) ? 64 : 0;
   ToolCfg.PFuzzerShards = static_cast<uint32_t>(
       Cli.getCount("shards", ToolCfg.PFuzzerShards, /*Min=*/1));
   std::string SubjectFilter = Cli.getString("subject", "");
@@ -100,7 +97,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: fig2_coverage [--budget-scale=N]"
                          " [--runs=N] [--seed=N] [--jobs=N] [--run-cache=N]"
-                         " [--resume-cache=N] [--locality] [--speculate=N]"
+                         " [--resume-cache=N]"
                          " [--shards=N] [--subject=NAME] [--tools=LIST]"
                          " [--timeline] [--telemetry=FILE] [--heartbeat=N]"
                          " [--json=PATH]\n");
@@ -112,8 +109,7 @@ int main(int Argc, char **Argv) {
               " %llu, AFL %llu execs, best of %d run(s), %d job(s))\n\n",
               static_cast<unsigned long long>(Budgets.PFuzzerExecs),
               static_cast<unsigned long long>(Budgets.AflExecs), Runs,
-              Jobs <= 0 ? static_cast<int>(Scheduler::hardwareThreads())
-                        : Jobs);
+              Jobs <= 0 ? static_cast<int>(hardwareThreads()) : Jobs);
 
   size_t NumTools = Tools.size();
   // One flat grid: every (tool, subject, seed) run is an independent task,
@@ -123,10 +119,8 @@ int main(int Argc, char **Argv) {
     for (ToolKind Tool : Tools)
       Grid.push_back({Tool, S, Budgets.executionsFor(Tool)});
   auto GridStart = std::chrono::steady_clock::now();
-  SchedulerStats SchedBefore = Scheduler::globalStats();
   std::vector<CampaignResult> Results =
       runCampaignGrid(Grid, Seed, Runs, Jobs, ToolCfg);
-  SchedulerStats Sched = Scheduler::globalStats().minus(SchedBefore);
   double GridSeconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - GridStart)
                            .count();
@@ -165,11 +159,6 @@ int main(int Argc, char **Argv) {
            .WallMs = R.WallSeconds * 1000.0,
            .ResumeHitRate = R.Resume.hitRate(),
            .ResumeRungDepth = R.Resume.avgHitRungDepth(),
-           .LocalityBatch = Tools[T] == ToolKind::PFuzzer
-                                ? static_cast<double>(ToolCfg.PFuzzerLocality)
-                                : 0,
-           .SchedTasks = static_cast<double>(Sched.submitted()),
-           .SchedStealRate = Sched.stealSuccessRate(),
            .QueueBytesPeak = static_cast<double>(R.Queue.PeakBytes),
            .RescoreNsPerExec =
                static_cast<double>(R.Queue.RescoreNanos) /
@@ -208,12 +197,6 @@ int main(int Argc, char **Argv) {
               formatSeconds(GridSeconds).c_str(),
               formatSeconds(CpuSeconds).c_str(),
               formatExecsPerSec(GridExecs, GridSeconds).c_str());
-  if (Sched.submitted() > 0)
-    std::printf("scheduler: %llu tasks, %llu stolen, steal success %.1f%%,"
-                " idle %.2fs\n",
-                static_cast<unsigned long long>(Sched.submitted()),
-                static_cast<unsigned long long>(Sched.Stolen),
-                100 * Sched.stealSuccessRate(), Sched.IdleSeconds);
 
   std::printf("\nCoverage by each tool:\n");
   for (const BarRow &Row : Bars) {

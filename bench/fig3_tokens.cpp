@@ -31,15 +31,14 @@ using namespace pfuzz;
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
   CampaignBudgets Budgets;
-  Budgets.scale(static_cast<uint64_t>(Cli.getInt("budget-scale", 1)));
-  int Runs = static_cast<int>(Cli.getInt("runs", 1));
+  Budgets.scale(
+      static_cast<uint64_t>(Cli.getCount("budget-scale", 1, /*Min=*/1)));
+  int Runs = static_cast<int>(Cli.getCount("runs", 1, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   ToolOptions ToolCfg;
   ToolCfg.PFuzzerRunCache =
       static_cast<uint32_t>(Cli.getCount("run-cache", ToolCfg.PFuzzerRunCache));
-  ToolCfg.PFuzzerSpeculation = static_cast<int>(
-      Cli.getCount("speculate", ToolCfg.PFuzzerSpeculation, /*Min=*/-1));
   ToolCfg.PFuzzerResumeCache = static_cast<uint32_t>(
       Cli.getCount("resume-cache", ToolCfg.PFuzzerResumeCache));
   std::string TelemetryPath = Cli.getString("telemetry", "");
@@ -51,7 +50,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: fig3_tokens [--budget-scale=N] [--runs=N]"
                          " [--seed=N] [--jobs=N] [--run-cache=N]"
-                         " [--resume-cache=N] [--speculate=N]"
+                         " [--resume-cache=N]"
                          " [--telemetry=FILE] [--heartbeat=N]"
                          " [--json=PATH]\n");
     return 1;

@@ -12,18 +12,13 @@
 /// *Set* and *Bitmap* pairs run the same workload, so their ratio is the
 /// speedup of the dense representation.
 ///
-/// `--sweep` switches to the campaign sweeps instead. First the
-/// scheduler contention sweep: a mixed Jobs + speculation campaign grid
-/// at 1/2/4/8 workers, run twice per worker count — once on the unified
-/// work-stealing scheduler (one pool for both layers) and once on the
-/// legacy static split (mutex-FIFO ThreadPool for Jobs, a dedicated
-/// per-campaign pool for speculation). Then the queue representation
-/// sweep: each cell re-run sequentially on the compact candidate store
-/// and on the string-backed reference queue, recording peak queue bytes
-/// and amortized rescore time per execution for both. Everything goes to
-/// --json; every configuration is checked byte-identical against a
-/// sequential reference, so the sweep doubles as an end-to-end
-/// determinism gate (exit 1 on any divergence).
+/// `--sweep` switches to the queue representation sweep instead: each
+/// cell runs sequentially on the compact candidate store and on the
+/// string-backed reference queue, recording peak queue bytes and
+/// amortized rescore time per execution for both. Everything goes to
+/// --json; the two representations are checked byte-identical against
+/// each other, so the sweep doubles as an end-to-end identity gate (exit
+/// 1 on any divergence).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,14 +27,10 @@
 #include "eval/Campaign.h"
 #include "runtime/ExecutionContext.h"
 #include "support/CommandLine.h"
-#include "support/Scheduler.h"
-#include "support/StringUtils.h"
-#include "support/ThreadPool.h"
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -222,13 +213,13 @@ static void BM_RescoreEpochSkip(benchmark::State &State) {
 BENCHMARK(BM_RescoreEpochSkip);
 
 //===----------------------------------------------------------------------===//
-// Scheduler contention sweep (--sweep)
+// Queue representation sweep (--sweep)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Deterministic-result equality: everything in a CampaignResult except
-/// timing must match the sequential reference bit for bit.
+/// timing must match bit for bit.
 bool identicalResults(const CampaignResult &A, const CampaignResult &B) {
   return A.Report.Executions == B.Report.Executions &&
          A.TotalExecutions == B.TotalExecutions &&
@@ -238,192 +229,28 @@ bool identicalResults(const CampaignResult &A, const CampaignResult &B) {
          A.TokensFound == B.TokensFound;
 }
 
-/// Folds per-seed single-run results into one best-run cell result, in
-/// seed order — the same reduction eval/Campaign.cpp performs, repeated
-/// here so the static-split baseline can fan (cell, seed) tasks out over
-/// a plain ThreadPool without touching the unified scheduler.
-CampaignResult foldBest(std::vector<CampaignResult> &Seeds) {
-  CampaignResult Best = std::move(Seeds.front());
-  for (size_t I = 1; I < Seeds.size(); ++I) {
-    CampaignResult &Out = Seeds[I];
-    Best.WallSeconds += Out.WallSeconds;
-    Best.TotalExecutions += Out.TotalExecutions;
-    bool Better =
-        Out.Report.ValidBranches.size() > Best.Report.ValidBranches.size() ||
-        (Out.Report.ValidBranches.size() ==
-             Best.Report.ValidBranches.size() &&
-         Out.TokensFound.size() > Best.TokensFound.size());
-    if (Better) {
-      Best.Report = std::move(Out.Report);
-      Best.TokensFound = std::move(Out.TokensFound);
-    }
-  }
-  return Best;
-}
-
-uint64_t totalExecs(const std::vector<CampaignResult> &Results) {
-  uint64_t Sum = 0;
-  for (const CampaignResult &R : Results)
-    Sum += R.TotalExecutions;
-  return Sum;
-}
-
 int runSweep(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
   Cli.getBool("sweep", false); // the mode switch that got us here
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("sweep-execs", 2500));
-  int Runs = static_cast<int>(Cli.getInt("sweep-runs", 3));
-  std::string WorkersList = Cli.getString("workers", "1,2,4,8");
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("sweep-execs", 2500, /*Min=*/1));
+  int Runs = static_cast<int>(Cli.getCount("sweep-runs", 3, /*Min=*/1));
   BenchJsonWriter Json(Cli.getString("json", ""));
-  bool FlagsOk = Cli.ok() && Cli.unqueried().empty();
-  std::vector<unsigned> WorkerGrid;
-  for (const std::string &Tok : splitString(WorkersList, ',')) {
-    int W = std::atoi(Tok.c_str());
-    if (W < 1) {
-      std::fprintf(stderr, "error: bad worker count '%s'\n", Tok.c_str());
-      FlagsOk = false;
-      break;
-    }
-    WorkerGrid.push_back(static_cast<unsigned>(W));
-  }
-  if (!FlagsOk) {
+  if (!Cli.ok() || !Cli.unqueried().empty()) {
     for (const std::string &Err : Cli.errors())
       std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: micro_queue --sweep [--sweep-execs=N]"
-                         " [--sweep-runs=N] [--workers=LIST]"
-                         " [--json=PATH]\n");
+                         " [--sweep-runs=N] [--json=PATH]\n");
     return 1;
   }
-
-  // Mixed load: two pFuzzer cells, every campaign speculating — Jobs,
-  // speculation, and (in the unified mode) their interleavings all hit
-  // the same queues.
-  std::vector<CampaignCell> Cells = {
-      {ToolKind::PFuzzer, &dyckSubject(), Execs},
-      {ToolKind::PFuzzer, &jsonSubject(), Execs},
-  };
   constexpr uint64_t Seed = 1;
-  constexpr int SpecHint = 2;
-
-  std::printf("== Scheduler contention sweep: unified vs static split ==\n");
-  std::printf("(%zu cells x %d seed runs, %llu execs each, speculation"
-              " hint %d)\n\n",
-              Cells.size(), Runs, static_cast<unsigned long long>(Execs),
-              SpecHint);
-
-  // The sequential reference: Jobs=1, no speculation, no pools. Every
-  // parallel configuration below must reproduce it byte for byte.
-  std::vector<CampaignResult> Ref =
-      runCampaignGrid(Cells, Seed, Runs, /*Jobs=*/1, ToolOptions());
-
-  std::printf("%-9s %8s %9s %11s %7s %7s %6s  %s\n", "mode", "workers",
-              "wall[s]", "execs/s", "tasks", "stolen", "steal%", "reports");
   bool AllIdentical = true;
-  for (unsigned W : WorkerGrid) {
-    // Unified: one work-stealing pool carries the Jobs layer and every
-    // campaign's speculation, at descending priority.
-    auto T0 = std::chrono::steady_clock::now();
-    SchedulerStats St;
-    std::vector<CampaignResult> Unified;
-    {
-      Scheduler Sched(W);
-      ToolOptions Tools;
-      Tools.Sched = &Sched;
-      Tools.PFuzzerSpeculation = SpecHint;
-      Unified = runCampaignGrid(Cells, Seed, Runs, static_cast<int>(W),
-                                Tools);
-      St = Sched.stats();
-    }
-    double UnifiedWall = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - T0)
-                             .count();
-    bool UnifiedSame = Unified.size() == Ref.size();
-    for (size_t I = 0; UnifiedSame && I != Ref.size(); ++I)
-      UnifiedSame = identicalResults(Ref[I], Unified[I]);
-    AllIdentical &= UnifiedSame;
-    double UnifiedRate =
-        UnifiedWall > 0 ? static_cast<double>(totalExecs(Unified)) /
-                              UnifiedWall
-                        : 0;
-    std::printf("%-9s %8u %9.3f %11.0f %7llu %7llu %5.1f%%  %s\n", "unified",
-                W, UnifiedWall, UnifiedRate,
-                static_cast<unsigned long long>(St.submitted()),
-                static_cast<unsigned long long>(St.Stolen),
-                100 * St.stealSuccessRate(),
-                UnifiedSame ? "identical" : "MISMATCH");
-    Json.add({.Bench = "micro_queue",
-              .Subject = "sweep-unified/w" + std::to_string(W),
-              .ExecsPerSec = UnifiedRate,
-              .WallMs = UnifiedWall * 1000.0,
-              .SchedTasks = static_cast<double>(St.submitted()),
-              .SchedStealRate = St.stealSuccessRate()});
-
-    // Static split: the pre-scheduler world. A mutex-FIFO ThreadPool
-    // fans the (cell, seed) tasks out, and every campaign owns a
-    // dedicated speculation pool — thread counts multiply and idle
-    // speculation workers cannot help other campaigns.
-    T0 = std::chrono::steady_clock::now();
-    size_t NumRuns = static_cast<size_t>(Runs);
-    std::vector<std::vector<CampaignResult>> PerSeed(
-        Cells.size(), std::vector<CampaignResult>(NumRuns));
-    // Summed over every short-lived private pool, so the JSON row carries
-    // the split world's real task traffic, comparable with the unified
-    // row above.
-    std::atomic<uint64_t> StaticTasks{0};
-    std::atomic<uint64_t> StaticStealAttempts{0};
-    std::atomic<uint64_t> StaticStealHits{0};
-    {
-      ThreadPool Pool(W);
-      Pool.parallelFor(0, Cells.size() * NumRuns, [&](size_t Idx) {
-        size_t C = Idx / NumRuns, R = Idx % NumRuns;
-        Scheduler Private(SpecHint); // per-campaign dedicated pool
-        ToolOptions Tools;
-        Tools.Sched = &Private;
-        Tools.PFuzzerSpeculation = SpecHint;
-        PerSeed[C][R] =
-            runCampaign(Cells[C].Tool, *Cells[C].S, Cells[C].Executions,
-                        Seed + R, /*Runs=*/1, /*Jobs=*/1, Tools);
-        SchedulerStats PSt = Private.stats();
-        StaticTasks += PSt.submitted();
-        StaticStealAttempts += PSt.StealAttempts;
-        StaticStealHits += PSt.StealHits;
-      });
-    }
-    std::vector<CampaignResult> Static;
-    Static.reserve(Cells.size());
-    for (std::vector<CampaignResult> &Seeds : PerSeed)
-      Static.push_back(foldBest(Seeds));
-    double StaticWall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - T0)
-                            .count();
-    bool StaticSame = Static.size() == Ref.size();
-    for (size_t I = 0; StaticSame && I != Ref.size(); ++I)
-      StaticSame = identicalResults(Ref[I], Static[I]);
-    AllIdentical &= StaticSame;
-    double StaticRate =
-        StaticWall > 0 ? static_cast<double>(totalExecs(Static)) / StaticWall
-                       : 0;
-    std::printf("%-9s %8u %9.3f %11.0f %7s %7s %6s  %s\n", "static", W,
-                StaticWall, StaticRate, "-", "-", "-",
-                StaticSame ? "identical" : "MISMATCH");
-    uint64_t Attempts = StaticStealAttempts.load();
-    Json.add({.Bench = "micro_queue",
-              .Subject = "sweep-static/w" + std::to_string(W),
-              .ExecsPerSec = StaticRate,
-              .WallMs = StaticWall * 1000.0,
-              .SchedTasks = static_cast<double>(StaticTasks.load()),
-              .SchedStealRate =
-                  Attempts == 0
-                      ? 0
-                      : static_cast<double>(StaticStealHits.load()) /
-                            static_cast<double>(Attempts)});
-  }
 
   // Queue representation sweep: sequential campaigns run twice, once on
   // the compact candidate store and once on the by-value string queue,
-  // compared byte for byte against each other. The dyck/json cells reuse
-  // the contention budget (short-input regime, where the string queue
-  // rides the small-string optimization); json-deep runs a 32x budget at
+  // compared byte for byte against each other. The dyck/json cells run
+  // the base budget (short-input regime, where the string queue rides
+  // the small-string optimization); json-deep runs a 32x budget at
   // the default queue cap, filling the queue with ~100k candidates whose
   // inputs have outgrown SSO — the O(candidates x input-length) regime
   // the compact store targets, and where the headline memory ratio is
@@ -439,7 +266,7 @@ int runSweep(int Argc, char **Argv) {
       {"json", &jsonSubject(), Execs, 0},
       {"json-deep", &jsonSubject(), Execs * 32, 0},
   };
-  std::printf("\n== Queue representation: compact store vs string queue ==\n");
+  std::printf("== Queue representation: compact store vs string queue ==\n");
   std::printf("%-9s %-10s %9s %11s %12s %11s  %s\n", "mode", "cell",
               "wall[s]", "execs/s", "peak[B]", "resc[ns/e]", "reports");
   for (const RepCell &Cell : RepCells) {
@@ -451,14 +278,12 @@ int runSweep(int Argc, char **Argv) {
       ToolOptions Tools;
       Tools.PFuzzerReferenceQueue = Mode == 1;
       Tools.PFuzzerMaxQueue = Cell.MaxQueue;
-      SchedulerStats SchedBefore = Scheduler::globalStats();
       auto T0 = std::chrono::steady_clock::now();
       Results[Mode] = runCampaign(ToolKind::PFuzzer, *Cell.S, Cell.Execs,
                                   Seed, Runs, /*Jobs=*/1, Tools);
       double Wall = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - T0)
                         .count();
-      SchedulerStats SchedDelta = Scheduler::globalStats().minus(SchedBefore);
       const CampaignResult &R = Results[Mode];
       bool Same = Mode == 0 || identicalResults(Results[0], Results[1]);
       AllIdentical &= Same;
@@ -477,8 +302,6 @@ int runSweep(int Argc, char **Argv) {
                            Cell.Label,
                 .ExecsPerSec = Rate[Mode],
                 .WallMs = Wall * 1000.0,
-                .SchedTasks = static_cast<double>(SchedDelta.submitted()),
-                .SchedStealRate = SchedDelta.stealSuccessRate(),
                 .QueueBytesPeak = PeakBytes[Mode],
                 .RescoreNsPerExec = RescoreNs});
     }
@@ -489,8 +312,8 @@ int runSweep(int Argc, char **Argv) {
   }
 
   if (!AllIdentical) {
-    std::fprintf(stderr, "error: a parallel configuration diverged from"
-                         " the sequential reference\n");
+    std::fprintf(stderr, "error: the compact store diverged from the"
+                         " string queue\n");
     return 1;
   }
   return Json.write() ? 0 : 1;
@@ -498,8 +321,9 @@ int runSweep(int Argc, char **Argv) {
 
 } // namespace
 
-/// Custom main instead of benchmark_main: `--sweep` runs the scheduler
-/// contention sweep; anything else goes to google-benchmark untouched.
+/// Custom main instead of benchmark_main: `--sweep` runs the queue
+/// representation sweep; anything else goes to google-benchmark
+/// untouched.
 int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I)
     if (std::string_view(Argv[I]).rfind("--sweep", 0) == 0)

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Measures the prefix-resumption engine (PFuzzerOptions::ResumeCacheSize)
-/// two ways, each doubling as a byte-identical self-check (exit code 1 on
+/// three ways, each doubling as a byte-identical self-check (exit code 1 on
 /// any divergence from cold execution):
 ///
 /// 1. The growth sweep — Algorithm 1's access pattern: grow a long JSON
@@ -21,7 +21,18 @@
 ///    ladder rungs sit at shared stride positions that every sibling
 ///    re-hits and every resumed run re-mints.
 ///
-/// 2. Whole campaigns on every evaluation subject: end-to-end wall-clock,
+/// 2. The rung sweep: a sibling-only splice wave — substitution
+///    candidates of one long parent at hash-spread depths, the pattern of
+///    a search parked at a frontier — executed against engines with 0, 1,
+///    2 and 4 ladder rungs per run over one tight checkpoint cache. The
+///    resume rate (fraction of submitted bytes skipped) and the average
+///    hit rung depth must rise strictly with the rung count, and any rung
+///    must beat the rungless hit rate (exit code 1 otherwise). With no
+///    rungs the wave scores zero: a sibling's past-end checkpoint embeds
+///    its own suffix, so only rungs put pure parent prefixes back in the
+///    cache.
+///
+/// 3. Whole campaigns on every evaluation subject: end-to-end wall-clock,
 ///    hit rate and bytes skipped. Campaign inputs within small budgets
 ///    are dominated by short strings the engine deliberately bypasses
 ///    (see PFuzzerOptions::ResumeMinLength), so expect ~1x here on the
@@ -36,7 +47,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "RunResultCompare.h"
 #include "core/PFuzzer.h"
 #include "subjects/Subject.h"
 #include "support/CommandLine.h"
@@ -47,6 +57,37 @@
 using namespace pfuzz;
 
 namespace {
+
+/// Full-depth RunResult equality — every trace, every comparison
+/// operand, every taint set: a resumed or laddered execution must record
+/// exactly what a cold execution of the same input records.
+bool sameRunResult(const RunResult &A, const RunResult &B) {
+  if (A.ExitCode != B.ExitCode || A.BranchTrace != B.BranchTrace ||
+      A.EventChars != B.EventChars || A.FunctionNames != B.FunctionNames ||
+      A.EofAccesses.size() != B.EofAccesses.size() ||
+      A.CallTrace.size() != B.CallTrace.size() ||
+      A.Comparisons.size() != B.Comparisons.size())
+    return false;
+  for (size_t I = 0; I != A.EofAccesses.size(); ++I)
+    if (A.EofAccesses[I].AccessIndex != B.EofAccesses[I].AccessIndex)
+      return false;
+  for (size_t I = 0; I != A.CallTrace.size(); ++I)
+    if (A.CallTrace[I].NameId != B.CallTrace[I].NameId ||
+        A.CallTrace[I].Cursor != B.CallTrace[I].Cursor)
+      return false;
+  for (size_t I = 0; I != A.Comparisons.size(); ++I) {
+    const ComparisonEvent &EA = A.Comparisons[I];
+    const ComparisonEvent &EB = B.Comparisons[I];
+    if (EA.Kind != EB.Kind || EA.Matched != EB.Matched ||
+        EA.OnEof != EB.OnEof || EA.Implicit != EB.Implicit ||
+        EA.StackDepth != EB.StackDepth ||
+        EA.TracePosition != EB.TracePosition ||
+        A.expected(EA) != B.expected(EB) || A.actual(EA) != B.actual(EB) ||
+        !(EA.Taint == EB.Taint))
+      return false;
+  }
+  return true;
+}
 
 struct RunOutcome {
   FuzzReport Report;
@@ -169,11 +210,93 @@ bool sweepRun(const Subject &S, const std::vector<std::string> &Steps,
   return Identical;
 }
 
+/// The rung sweep's input: \p N substitution candidates of \p Doc,
+/// spliced at hash-spread depths in [L/4, L) with the suffixes
+/// sweepInputs uses, so every deep re-entry has to come from a rung.
+std::vector<std::string> waveInputs(const std::string &Doc, size_t N) {
+  static const char *Suffixes[] = {"8", "9]", "5e8", "6.5", "98, ", "5678"};
+  std::vector<std::string> Steps;
+  Steps.reserve(N);
+  size_t L = Doc.size();
+  for (size_t I = 0; I != N; ++I) {
+    uint64_t R = (I + 1) * 6364136223846793005ULL;
+    R ^= R >> 29;
+    size_t Lo = L / 4;
+    size_t K = Lo + (R >> 33) % (L - Lo);
+    Steps.push_back(Doc.substr(0, K) + Suffixes[I % 6]);
+  }
+  return Steps;
+}
+
+/// Runs the rung sweep (see the file comment) over \p Doc with a
+/// \p CacheSize-entry checkpoint cache. Returns false on a divergence
+/// from cold execution or a non-monotone resume rate or rung depth.
+bool rungSweep(const std::string &Doc, size_t CacheSize, uint32_t Stride,
+               BenchJsonWriter &Json) {
+  const Subject &J = jsonSubject();
+  const std::vector<std::string> Steps = waveInputs(Doc, 4000);
+  std::vector<RunResult> Reference;
+  Reference.reserve(Steps.size());
+  sweepRun(J, Steps, nullptr, &Reference, /*Check=*/false);
+  uint64_t WaveBytes = 0;
+  for (const std::string &In : Steps)
+    WaveBytes += In.size();
+  const int Rounds = 6;
+  bool Ok = true, Monotone = true;
+  uint64_t PrevSkipped = 0;
+  double RunglessHitRate = 0, PrevDepth = -1;
+  std::printf("\nrung sweep (json, %zu-byte parent, %zu siblings/round,"
+              " %d rounds, cache %zu, stride %u):\n",
+              Doc.size(), Steps.size(), Rounds, CacheSize, Stride);
+  std::printf("  %6s %9s %11s %7s %9s %9s  %s\n", "rungs", "wall[s]",
+              "execs/s", "hit%", "resume%", "avg-rung", "report");
+  for (uint32_t Rungs : {0u, 1u, 2u, 4u}) {
+    PrefixResumeEngine Engine([&J](ExecutionContext &C) { return J.run(C); },
+                              CacheSize, /*MinInput=*/0, Stride, Rungs);
+    bool Identical = true;
+    auto T0 = std::chrono::steady_clock::now();
+    for (int R = 0; R != Rounds; ++R)
+      Identical &= sweepRun(J, Steps, &Engine, &Reference, /*Check=*/true);
+    double Secs = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - T0)
+                      .count();
+    const ResumeStats &St = Engine.stats();
+    double ResumeRate =
+        static_cast<double>(St.BytesSkipped) / (Rounds * double(WaveBytes));
+    double Rate = Secs > 0 ? Rounds * Steps.size() / Secs : 0;
+    std::printf("  %6u %9.3f %11.0f %6.1f%% %8.1f%% %9.2f  %s\n", Rungs, Secs,
+                Rate, 100 * St.hitRate(), 100 * ResumeRate,
+                St.avgHitRungDepth(), Identical ? "identical" : "MISMATCH");
+    Ok &= Identical;
+    // Strictly more bytes resumed and strictly deeper hits with every
+    // added rung; any rung at all must beat the rungless hit rate.
+    if (Rungs != 0 && St.BytesSkipped <= PrevSkipped)
+      Monotone = false;
+    if (St.avgHitRungDepth() <= PrevDepth)
+      Monotone = false;
+    if (Rungs == 0)
+      RunglessHitRate = St.hitRate();
+    else if (St.hitRate() <= RunglessHitRate)
+      Monotone = false;
+    PrevSkipped = St.BytesSkipped;
+    PrevDepth = St.avgHitRungDepth();
+    Json.add({.Bench = "micro_resume",
+              .Subject = "json/rungs-" + std::to_string(Rungs),
+              .ExecsPerSec = Rate,
+              .WallMs = Secs * 1000.0,
+              .ResumeHitRate = St.hitRate(),
+              .ResumeRungDepth = St.avgHitRungDepth()});
+  }
+  std::printf("  resume rate and rung depth %s with rung count\n",
+              Monotone ? "strictly increasing" : "NOT MONOTONE");
+  return Ok && Monotone;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 30000));
+  uint64_t Execs = static_cast<uint64_t>(Cli.getCount("execs", 30000, 1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   uint32_t ResumeCache =
       static_cast<uint32_t>(Cli.getCount("resume-cache", 256));
@@ -272,6 +395,7 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Ladder.stats().BytesSkipped),
                 100 * Single.stats().hitRate(),
                 static_cast<unsigned long long>(Single.stats().BytesSkipped));
+    AllIdentical &= rungSweep(Doc, /*CacheSize=*/8, ResumeStride, Json);
     Json.add({.Bench = "micro_resume",
               .Subject = "json/sweep-cold",
               .ExecsPerSec = ColdSecs > 0 ? NumSteps / ColdSecs : 0,
@@ -288,10 +412,10 @@ int main(int Argc, char **Argv) {
               .ResumeHitRate = Ladder.stats().hitRate(),
               .ResumeRungDepth = Ladder.stats().avgHitRungDepth()});
   } else {
-    std::printf("growth sweep: skipped (fibers unavailable)\n");
+    std::printf("growth and rung sweeps: skipped (fibers unavailable)\n");
   }
 
-  // --- 2. Whole campaigns on every evaluation subject. ---
+  // --- 3. Whole campaigns on every evaluation subject. ---
   std::printf("\n%-8s %9s %9s %11s %8s %6s %12s  %s\n", "subject", "mode",
               "wall[s]", "execs/s", "speedup", "hit%", "bytes-skip", "report");
   for (const Subject *S : evaluationSubjects()) {
@@ -329,7 +453,7 @@ int main(int Argc, char **Argv) {
   }
   if (!AllIdentical) {
     std::fprintf(stderr, "error: a resuming run diverged from the cold"
-                         " baseline\n");
+                         " baseline (or the rung sweep was not monotone)\n");
     return 1;
   }
   return Json.write() ? 0 : 1;

@@ -41,7 +41,7 @@
 #include "core/ShardSync.h"
 #include "subjects/Subject.h"
 #include "support/CommandLine.h"
-#include "support/Scheduler.h"
+#include "support/Parallel.h"
 
 #include <chrono>
 #include <cstdio>
@@ -88,7 +88,8 @@ bool sameReport(const FuzzReport &A, const FuzzReport &B) {
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 20000));
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("execs", 20000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   uint32_t Sync = static_cast<uint32_t>(Cli.getCount("sync", 0));
   BenchJsonWriter Json(Cli.getString("json", ""));
@@ -100,7 +101,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  unsigned Hardware = Scheduler::hardwareThreads();
+  unsigned Hardware = hardwareThreads();
   bool CheckSpeedup = Hardware >= 4;
   std::printf("== Sharded campaign: throughput and frontier sync ==\n");
   std::printf("(%llu execs per run, seed %llu, sync interval %s,"

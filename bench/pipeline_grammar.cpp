@@ -20,8 +20,8 @@
 #include "eval/TableWriter.h"
 #include "mining/MiningPipeline.h"
 #include "support/CommandLine.h"
+#include "support/Parallel.h"
 #include "support/StringUtils.h"
-#include "support/Scheduler.h"
 
 #include <cstdio>
 
@@ -29,10 +29,11 @@ using namespace pfuzz;
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Explore = static_cast<uint64_t>(Cli.getInt("explore", 30000));
-  uint64_t Generate = static_cast<uint64_t>(Cli.getInt("generate", 2000));
+  uint64_t Explore =
+      static_cast<uint64_t>(Cli.getCount("explore", 30000, /*Min=*/1));
+  uint64_t Generate = static_cast<uint64_t>(Cli.getCount("generate", 2000));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Jobs = static_cast<int>(Cli.getInt("jobs", 1));
+  size_t Jobs = static_cast<size_t>(Cli.getCount("jobs", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     std::fprintf(stderr, "usage: pipeline_grammar [--explore=N]"
                          " [--generate=N] [--seed=N] [--jobs=N]\n");
@@ -56,13 +57,7 @@ int main(int Argc, char **Argv) {
     Results[Idx] =
         runMiningPipeline(*findSubject(Names[Idx]), Explore, Generate, Seed);
   };
-  if (Jobs == 1) {
-    for (size_t Idx = 0; Idx != 4; ++Idx)
-      RunPipeline(Idx);
-  } else {
-    Scheduler::global().parallelFor(0, 4, RunPipeline,
-                                    Jobs <= 0 ? 0 : static_cast<size_t>(Jobs));
-  }
+  parallelFor(0, 4, RunPipeline, Jobs);
   for (size_t Idx = 0; Idx != 4; ++Idx) {
     const PipelineResult &R = Results[Idx];
     Table.addRow({Names[Idx], std::to_string(R.SeedInputs.size()),

@@ -111,7 +111,8 @@ public:
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 15000));
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("execs", 15000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     std::fprintf(stderr, "usage: custom_subject [--execs=N] [--seed=N]\n");

@@ -25,7 +25,8 @@ using namespace pfuzz;
 
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 30000));
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("execs", 30000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     std::fprintf(stderr, "usage: fuzz_json [--execs=N] [--seed=N]\n");

@@ -22,7 +22,6 @@
 #include "eval/TableWriter.h"
 #include "mining/MiningPipeline.h"
 #include "support/CommandLine.h"
-#include "support/Scheduler.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "tokens/TokenCoverage.h"
@@ -35,26 +34,20 @@ int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
   std::string SubjectName = Cli.getString("subject", "json");
   std::string ToolName = Cli.getString("tool", "pfuzzer");
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 50000));
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("execs", 50000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Runs = static_cast<int>(Cli.getInt("runs", 1));
+  int Runs = static_cast<int>(Cli.getCount("runs", 1, /*Min=*/1));
   int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   ToolOptions Tools;
   Tools.PFuzzerRunCache =
       static_cast<uint32_t>(Cli.getCount("run-cache", Tools.PFuzzerRunCache));
-  Tools.PFuzzerSpeculation = static_cast<int>(
-      Cli.getCount("speculate", Tools.PFuzzerSpeculation, /*Min=*/-1));
-  Tools.PFuzzerSpeculationDepth = static_cast<uint32_t>(
-      Cli.getCount("speculate-depth", Tools.PFuzzerSpeculationDepth));
   Tools.PFuzzerResumeCache = static_cast<uint32_t>(
       Cli.getCount("resume-cache", Tools.PFuzzerResumeCache));
   Tools.PFuzzerResumeStride = static_cast<uint32_t>(
       Cli.getCount("resume-stride", Tools.PFuzzerResumeStride));
   Tools.PFuzzerResumeRungs = static_cast<uint32_t>(
       Cli.getCount("resume-rungs", Tools.PFuzzerResumeRungs));
-  // --locality is a switch with a tuned default batch size; the exact
-  // size is a wall-clock knob, never a behavior one.
-  Tools.PFuzzerLocality = Cli.getBool("locality", false) ? 64 : 0;
   Tools.PFuzzerMaxQueue =
       static_cast<size_t>(Cli.getCount("max-queue", Tools.PFuzzerMaxQueue));
   // getCount with Min=1 rejects 0, negatives and garbage outright —
@@ -71,8 +64,6 @@ int main(int Argc, char **Argv) {
       Cli.getCount("heartbeat", 4096, /*Min=*/1));
   bool TelemetryStatsFlag = Cli.getBool("telemetry-stats", false);
   bool ListSubjects = Cli.getBool("list-subjects", false);
-  bool LocalityStatsFlag = Cli.getBool("locality-stats", false);
-  bool SchedStatsFlag = Cli.getBool("sched-stats", false);
   bool QueueStatsFlag = Cli.getBool("queue-stats", false);
   bool Mine = Cli.getBool("mine", false);
   bool Quiet = Cli.getBool("quiet", false);
@@ -85,10 +76,8 @@ int main(int Argc, char **Argv) {
                  "usage: pfuzz_cli [--subject=NAME] [--tool=NAME]"
                  " [--execs=N] [--seed=N] [--runs=N] [--jobs=N]"
                  " [--run-cache=N] [--resume-cache=N] [--resume-stride=N]"
-                 " [--resume-rungs=N] [--locality] [--locality-stats]"
-                 " [--speculate=N] [--speculate-depth=N] [--sched-stats]"
-                 " [--max-queue=N] [--queue-stats] [--shards=N]"
-                 " [--shard-sync=N] [--shard-stats] [--telemetry=FILE]"
+                 " [--resume-rungs=N] [--max-queue=N] [--queue-stats]"
+                 " [--shards=N] [--shard-sync=N] [--shard-stats] [--telemetry=FILE]"
                  " [--heartbeat=N] [--telemetry-stats] [--list-subjects]"
                  " [--mine] [--quiet]\n"
                  "subjects: arith dyck ini csv json tinyc mjs\n"
@@ -100,13 +89,6 @@ int main(int Argc, char **Argv) {
                  "--resume-stride: checkpoint-ladder byte stride (0 = only"
                  " past-end checkpoints; identical results at any value)\n"
                  "--resume-rungs: ladder checkpoints per run\n"
-                 "--locality: pre-execute the equal-score queue front in"
-                 " prefix order (identical results on or off)\n"
-                 "--locality-stats: print locality-scheduler counters\n"
-                 "--speculate: pFuzzer prefetch hint per campaign"
-                 " (0=off, -1=auto; results are identical at any value)\n"
-                 "--speculate-depth: candidates kept in flight (0=auto)\n"
-                 "--sched-stats: print work-stealing scheduler counters\n"
                  "--max-queue: candidate-queue cap (0 = default; unlike"
                  " the knobs above this one changes which candidates"
                  " survive trims)\n"
@@ -115,12 +97,14 @@ int main(int Argc, char **Argv) {
                  "--shards: concurrent pFuzzer shard loops (>= 1; shards=1"
                  " matches the unsharded engine byte for byte, N > 1 is a"
                  " deterministic sharded search)\n"
-                 "--shard-sync: executions per coverage-sync epoch\n"
+                 "--shard-sync: executions per coverage-sync epoch"
+                 " (needs --shards > 1)\n"
                  "--shard-stats: print shard-sync counters\n"
                  "--telemetry: stream heartbeat NDJSON records to FILE"
                  " (observational only; results are identical with or"
                  " without)\n"
-                 "--heartbeat: executions between heartbeat records\n"
+                 "--heartbeat: executions between heartbeat records"
+                 " (needs --telemetry)\n"
                  "--telemetry-stats: print the consolidated telemetry"
                  " snapshot\n"
                  "--list-subjects: print the built-in subject names and"
@@ -152,6 +136,23 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: unknown tool '%s'\n", ToolName.c_str());
     return 1;
   }
+  // Combinations the campaign would otherwise silently ignore.
+  std::vector<std::string> Conflicts;
+  if (Cli.has("heartbeat") && TelemetryPath.empty())
+    Conflicts.push_back("--heartbeat requires --telemetry");
+  if (Cli.has("shard-sync") && Tools.PFuzzerShards == 1)
+    Conflicts.push_back("--shard-sync requires --shards > 1");
+  if (Kind != ToolKind::PFuzzer)
+    for (const char *Flag : {"shards", "run-cache", "resume-cache",
+                             "resume-stride", "resume-rungs", "max-queue",
+                             "telemetry"})
+      if (Cli.has(Flag))
+        Conflicts.push_back("--" + std::string(Flag) +
+                            " applies only to --tool=pfuzzer");
+  for (const std::string &Conflict : Conflicts)
+    std::fprintf(stderr, "error: %s\n", Conflict.c_str());
+  if (!Conflicts.empty())
+    return 1;
 
   HeartbeatEmitter Heartbeat;
   if (!TelemetryPath.empty()) {
@@ -165,7 +166,6 @@ int main(int Argc, char **Argv) {
 
   // A campaign of one or more seeds; --jobs=N runs the seeds in parallel
   // (results are identical for every jobs value — see eval/Campaign.h).
-  SchedulerStats SchedBefore = Scheduler::globalStats();
   CampaignResult Best = runCampaign(Kind, *S, Execs, Seed, Runs, Jobs, Tools);
   const FuzzReport &R = Best.Report;
 
@@ -192,20 +192,6 @@ int main(int Argc, char **Argv) {
                  100 * Best.Resume.hitRate(),
                  static_cast<unsigned long long>(Best.Resume.BytesSkipped),
                  Best.Resume.avgHitRungDepth());
-  if (LocalityStatsFlag) {
-    const LocalityStats &L = Best.Locality;
-    std::fprintf(stderr,
-                 "locality batching: %llu batches, %llu tie-front"
-                 " candidates, %llu pre-executed, %llu consumed"
-                 " (%.1f%%), %llu recycled, %llu discarded\n",
-                 static_cast<unsigned long long>(L.Batches),
-                 static_cast<unsigned long long>(L.TieFront),
-                 static_cast<unsigned long long>(L.Batched),
-                 static_cast<unsigned long long>(L.Consumed),
-                 100 * L.consumeRate(),
-                 static_cast<unsigned long long>(L.Recycled),
-                 static_cast<unsigned long long>(L.Discarded));
-  }
   if (QueueStatsFlag) {
     const QueueStats &Q = Best.Queue;
     std::fprintf(stderr,
@@ -247,23 +233,6 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Sh.MigrationsOffered),
                  static_cast<unsigned long long>(Sh.MaxFrontierLag));
   }
-  if (SchedStatsFlag) {
-    SchedulerStats D = Scheduler::globalStats().minus(SchedBefore);
-    std::fprintf(stderr,
-                 "scheduler: %llu tasks (%llu jobs, %llu locality,"
-                 " %llu speculation), %llu on workers, %llu inline,"
-                 " %llu stolen, %llu cancelled, steal success %.1f%%,"
-                 " idle %.2fs\n",
-                 static_cast<unsigned long long>(D.submitted()),
-                 static_cast<unsigned long long>(D.Submitted[0]),
-                 static_cast<unsigned long long>(D.Submitted[1]),
-                 static_cast<unsigned long long>(D.Submitted[2]),
-                 static_cast<unsigned long long>(D.executed()),
-                 static_cast<unsigned long long>(D.RanInline),
-                 static_cast<unsigned long long>(D.Stolen),
-                 static_cast<unsigned long long>(D.Cancelled),
-                 100 * D.stealSuccessRate(), D.IdleSeconds);
-  }
   if (TelemetryStatsFlag) {
     const TelemetrySnapshot &T = Best.Telemetry;
     std::fprintf(stderr,
@@ -276,19 +245,12 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(T.RunCacheLookups),
                  100 * T.runCacheHitRate());
     std::fprintf(stderr,
-                 "telemetry: speculation %llu submitted / %llu hits,"
-                 " resume %llu/%llu probes, locality %llu batched,"
-                 " queue peak %llu bytes, %llu shard sync points,"
-                 " sched %llu tasks (%llu stolen)\n",
-                 static_cast<unsigned long long>(T.Speculation.Submitted),
-                 static_cast<unsigned long long>(T.Speculation.Hits),
+                 "telemetry: resume %llu/%llu probes, queue peak %llu"
+                 " bytes, %llu shard sync points\n",
                  static_cast<unsigned long long>(T.Resume.Hits),
                  static_cast<unsigned long long>(T.Resume.Probes),
-                 static_cast<unsigned long long>(T.Locality.Batched),
                  static_cast<unsigned long long>(T.Queue.PeakBytes),
-                 static_cast<unsigned long long>(T.Sharding.SyncPoints),
-                 static_cast<unsigned long long>(T.Sched.submitted()),
-                 static_cast<unsigned long long>(T.Sched.Stolen));
+                 static_cast<unsigned long long>(T.Sharding.SyncPoints));
   }
   if (Heartbeat.enabled()) {
     uint64_t Beats = Heartbeat.beats();

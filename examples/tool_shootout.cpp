@@ -25,9 +25,10 @@ using namespace pfuzz;
 int main(int Argc, char **Argv) {
   CommandLine Cli(Argc, Argv);
   std::string SubjectName = Cli.getString("subject", "tinyc");
-  uint64_t Execs = static_cast<uint64_t>(Cli.getInt("execs", 20000));
+  uint64_t Execs =
+      static_cast<uint64_t>(Cli.getCount("execs", 20000, /*Min=*/1));
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
-  int Jobs = static_cast<int>(Cli.getInt("jobs", 1));
+  int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   if (!Cli.ok() || !Cli.unqueried().empty()) {
     std::fprintf(stderr, "usage: tool_shootout [--subject=NAME]"
                          " [--execs=N] [--seed=N] [--jobs=N]\n");

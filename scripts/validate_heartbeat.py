@@ -30,7 +30,6 @@ SCHEMA = {
     "queue_bytes": (int, lambda v: v >= 0),
     "run_cache_hit_rate": ((int, float), lambda v: 0 <= v <= 1),
     "resume_hit_rate": ((int, float), lambda v: 0 <= v <= 1),
-    "sched_steal_rate": ((int, float), lambda v: 0 <= v <= 1),
     "shard_lag": (int, lambda v: v >= 0),
 }
 

@@ -376,22 +376,6 @@ size_t CandidateStore::queueSize() const {
   return Reference ? RefQueue.size() : Entries.size();
 }
 
-double CandidateStore::scoreAt(size_t Pos) const {
-  return Reference ? RefQueue[Pos].Score : Entries[Pos].Score;
-}
-
-uint64_t CandidateStore::hashAt(size_t Pos) const {
-  return Reference ? RefQueue[Pos].InputHash
-                   : Records[Entries[Pos].Id].InputHash;
-}
-
-void CandidateStore::materializeAt(size_t Pos, std::string &Out) const {
-  if (Reference)
-    Out = RefQueue[Pos].Input;
-  else
-    materialize(Entries[Pos].Id, Out);
-}
-
 void CandidateStore::exportAt(size_t Pos, Exported &Out) const {
   if (Reference) {
     const RefCandidate &C = RefQueue[Pos];

@@ -211,15 +211,8 @@ public:
                const HeuristicOptions &Heur);
 
   //===--------------------------------------------------------------------===//
-  // Positional heap accessors (speculative prefetcher, locality batcher)
+  // Shard export
   //===--------------------------------------------------------------------===//
-
-  /// Heap-array position access: \p Pos indexes the heap layout (0 is
-  /// the next pop; children of i at 2i+1 / 2i+2), exactly as the
-  /// prefetcher and the locality batcher walked the by-value queue.
-  double scoreAt(size_t Pos) const;
-  uint64_t hashAt(size_t Pos) const;
-  void materializeAt(size_t Pos, std::string &Out) const;
 
   /// Everything a candidate needs to cross a shard boundary (see
   /// core/ShardSync.h): full bytes, hash, and the run features an

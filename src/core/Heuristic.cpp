@@ -40,124 +40,3 @@ double pfuzz::heuristicScore(const CandidateFeatures &F,
   In.PathCount = F.PathCount;
   return heuristicScore(In, Opt);
 }
-
-//===----------------------------------------------------------------------===//
-// PrefixOrderTrie
-//===----------------------------------------------------------------------===//
-
-void PrefixOrderTrie::clear() {
-  Nodes.clear();
-  Labels.clear();
-  Keys = 0;
-}
-
-int32_t PrefixOrderTrie::newNode(std::string_view Label) {
-  Node N;
-  N.LabelOff = static_cast<uint32_t>(Labels.size());
-  N.LabelLen = static_cast<uint32_t>(Label.size());
-  Labels.append(Label);
-  Nodes.push_back(N);
-  return static_cast<int32_t>(Nodes.size()) - 1;
-}
-
-bool PrefixOrderTrie::insert(std::string_view Key, uint32_t Tag) {
-  if (Nodes.empty())
-    Nodes.push_back(Node()); // root: empty label
-  int32_t Cur = 0;
-  std::string_view Rest = Key;
-  for (;;) {
-    if (Rest.empty()) {
-      if (Nodes[Cur].Tag >= 0)
-        return false; // duplicate key: first tag wins
-      Nodes[Cur].Tag = static_cast<int32_t>(Tag);
-      ++Keys;
-      return true;
-    }
-    // Walk the sibling chain, which is kept sorted by leading byte — the
-    // sort is what makes the DFS order a pure function of the key bytes.
-    unsigned char Lead = static_cast<unsigned char>(Rest[0]);
-    int32_t Prev = -1, Child = Nodes[Cur].FirstChild;
-    while (Child != -1 &&
-           static_cast<unsigned char>(labelOf(Nodes[Child])[0]) < Lead) {
-      Prev = Child;
-      Child = Nodes[Child].NextSibling;
-    }
-    if (Child == -1 ||
-        static_cast<unsigned char>(labelOf(Nodes[Child])[0]) != Lead) {
-      // No edge shares the leading byte: a fresh leaf carries the whole
-      // remainder, linked into its sorted sibling position.
-      int32_t Leaf = newNode(Rest);
-      Nodes[Leaf].Tag = static_cast<int32_t>(Tag);
-      Nodes[Leaf].NextSibling = Child;
-      if (Prev == -1)
-        Nodes[Cur].FirstChild = Leaf;
-      else
-        Nodes[Prev].NextSibling = Leaf;
-      ++Keys;
-      return true;
-    }
-    // Shared leading byte: find where the edge label and the key diverge.
-    uint32_t COff = Nodes[Child].LabelOff, CLen = Nodes[Child].LabelLen;
-    size_t Lim = std::min<size_t>(CLen, Rest.size());
-    size_t Common = 1;
-    while (Common < Lim && Labels[COff + Common] == Rest[Common])
-      ++Common;
-    if (Common == CLen) {
-      // The whole edge matched: descend.
-      Cur = Child;
-      Rest.remove_prefix(Common);
-      continue;
-    }
-    // Split the edge: Child keeps the common part, a new node adopts the
-    // label suffix (sharing the same arena bytes) plus Child's payload.
-    Node SuffixNode;
-    SuffixNode.LabelOff = COff + static_cast<uint32_t>(Common);
-    SuffixNode.LabelLen = CLen - static_cast<uint32_t>(Common);
-    Nodes.push_back(SuffixNode);
-    int32_t Suffix = static_cast<int32_t>(Nodes.size()) - 1;
-    Nodes[Suffix].Tag = Nodes[Child].Tag;
-    Nodes[Suffix].FirstChild = Nodes[Child].FirstChild;
-    Nodes[Child].LabelLen = static_cast<uint32_t>(Common);
-    Nodes[Child].Tag = -1;
-    Nodes[Child].FirstChild = Suffix;
-    if (Common == Rest.size()) {
-      // The key ends exactly at the split point.
-      Nodes[Child].Tag = static_cast<int32_t>(Tag);
-      ++Keys;
-      return true;
-    }
-    int32_t Leaf = newNode(Rest.substr(Common));
-    Nodes[Leaf].Tag = static_cast<int32_t>(Tag);
-    unsigned char A =
-        static_cast<unsigned char>(Labels[Nodes[Suffix].LabelOff]);
-    unsigned char B = static_cast<unsigned char>(Rest[Common]);
-    if (B < A) {
-      Nodes[Child].FirstChild = Leaf;
-      Nodes[Leaf].NextSibling = Suffix;
-    } else {
-      Nodes[Suffix].NextSibling = Leaf;
-    }
-    ++Keys;
-    return true;
-  }
-}
-
-void PrefixOrderTrie::dfsOrder(std::vector<uint32_t> &Out) const {
-  if (Nodes.empty())
-    return;
-  Stack.clear();
-  Stack.push_back(0);
-  // Pre-order DFS with an explicit stack: the sibling is pushed before
-  // the first child, so the child's whole subtree drains first (LIFO) —
-  // and a key that is a prefix of another is emitted before it.
-  while (!Stack.empty()) {
-    const Node &N = Nodes[Stack.back()];
-    Stack.pop_back();
-    if (N.NextSibling != -1)
-      Stack.push_back(N.NextSibling);
-    if (N.Tag >= 0)
-      Out.push_back(static_cast<uint32_t>(N.Tag));
-    if (N.FirstChild != -1)
-      Stack.push_back(N.FirstChild);
-  }
-}

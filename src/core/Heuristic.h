@@ -26,9 +26,6 @@
 #define PFUZZ_CORE_HEURISTIC_H
 
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace pfuzz {
 
@@ -75,60 +72,6 @@ struct CandidateFeatures {
 
 /// Scores a candidate described by its compact record features.
 double heuristicScore(const CandidateFeatures &F, const HeuristicOptions &Opt);
-
-/// Path-compressed radix trie ordering a batch of candidate inputs for
-/// prefix locality. The equal-score front of the heuristic queue is
-/// inserted with opaque tags, and dfsOrder() emits the tags in
-/// depth-first, lexicographic-by-bytes order — inputs sharing a prefix
-/// come out adjacent (a key that is a prefix of another precedes its
-/// extensions), so executing them back-to-back keeps the resumption
-/// engine's checkpoints for that prefix hot. The order depends only on
-/// the key *bytes*, never on insertion order: sibling edges are kept
-/// sorted by first byte, which is the deterministic tie-break the
-/// batched scheduler relies on.
-///
-/// Duplicate keys keep the first tag inserted (one execution serves
-/// every duplicate). Nodes live in recycled flat arenas — clear() keeps
-/// the buffers, so a per-refill batch allocates nothing in steady state.
-class PrefixOrderTrie {
-public:
-  /// Empties the trie, keeping node and label storage.
-  void clear();
-
-  /// Inserts \p Key with \p Tag. Returns true when the key is new, false
-  /// for a duplicate (whose original tag is kept).
-  bool insert(std::string_view Key, uint32_t Tag);
-
-  /// Appends the stored tags to \p Out in DFS order (see class comment).
-  void dfsOrder(std::vector<uint32_t> &Out) const;
-
-  /// Number of distinct keys stored.
-  size_t size() const { return Keys; }
-
-private:
-  struct Node {
-    /// Edge label: a slice of the shared Labels arena.
-    uint32_t LabelOff = 0;
-    uint32_t LabelLen = 0;
-    /// Tag of the key ending at this node, or -1.
-    int32_t Tag = -1;
-    /// First child (smallest leading byte) and next sibling (ascending
-    /// leading bytes), or -1.
-    int32_t FirstChild = -1;
-    int32_t NextSibling = -1;
-  };
-
-  int32_t newNode(std::string_view Label);
-  std::string_view labelOf(const Node &N) const {
-    return std::string_view(Labels).substr(N.LabelOff, N.LabelLen);
-  }
-
-  std::vector<Node> Nodes;
-  std::string Labels;
-  size_t Keys = 0;
-  /// DFS scratch, recycled across dfsOrder calls.
-  mutable std::vector<int32_t> Stack;
-};
 
 } // namespace pfuzz
 

@@ -8,7 +8,6 @@
 
 #include "core/ShardSync.h"
 #include "support/Rng.h"
-#include "support/Scheduler.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -95,17 +94,6 @@ public:
     return &E.Result;
   }
 
-  /// Non-mutating probe: true when the recorded result of \p Input is
-  /// stored. Unlike lookup(), does not touch the LRU order — the
-  /// speculative prefetcher uses this to skip predicting inputs whose
-  /// result is already memoized.
-  bool contains(uint64_t Hash, std::string_view Input) const {
-    if (Capacity == 0)
-      return false;
-    auto It = Index.find(Hash);
-    return It != Index.end() && Entries[It->second].Input == Input;
-  }
-
   /// Records \p RR as the result of running \p Input, evicting the least
   /// recently used entry when full.
   ///
@@ -119,28 +107,6 @@ public:
   void insert(uint64_t H, std::string_view Input, const RunResult &RR) {
     if (Capacity == 0)
       return;
-    if (Index.find(H) == Index.end() && Doorkeeper.insert(H).second)
-      return; // first sighting: note the hash, defer the copy
-    store(H, Input, RR);
-  }
-
-  /// Doorkeeper-bypassing insert: stores \p RR unconditionally. The
-  /// prefetcher recycles mispredicted speculative runs through this —
-  /// the trace copy was already paid by the worker, so the lazy-storage
-  /// argument does not apply.
-  void insertForced(uint64_t H, std::string_view Input, const RunResult &RR) {
-    if (Capacity == 0)
-      return;
-    Doorkeeper.insert(H); // keep first-sighting bookkeeping consistent
-    store(H, Input, RR);
-  }
-
-private:
-  static constexpr uint32_t None = ~0u;
-
-  /// Shared storage path of insert()/insertForced(): adopts the slot of a
-  /// colliding hash, else takes a fresh or least-recently-used entry.
-  void store(uint64_t H, std::string_view Input, const RunResult &RR) {
     auto It = Index.find(H);
     if (It != Index.end()) {
       // Hash already present (same input again, or a collision with a
@@ -151,6 +117,8 @@ private:
       touch(It->second);
       return;
     }
+    if (Doorkeeper.insert(H).second)
+      return; // first sighting: note the hash, defer the copy
     uint32_t Idx;
     if (Entries.size() < Capacity) {
       Idx = static_cast<uint32_t>(Entries.size());
@@ -167,6 +135,9 @@ private:
     E.Result.assignFrom(RR);
     Index.emplace(H, Idx);
   }
+
+private:
+  static constexpr uint32_t None = ~0u;
 
   struct Entry {
     uint64_t Hash = 0;
@@ -216,515 +187,6 @@ private:
   uint32_t Tail = None;
 };
 
-class Speculator;
-
-/// Trie-batched locality scheduler: drains the equal-score front of the
-/// heuristic queue and pre-executes it in radix-trie DFS order. With a
-/// prefix-resumption engine the pre-executions run inline through it, so
-/// candidates sharing a warm prefix run back-to-back while the engine's
-/// checkpoints for that prefix are hot (and each run's own ladder rungs
-/// immediately serve its siblings). Without an engine — TSan builds,
-/// non-resume-safe subjects — the DFS-ordered front fans out as cold
-/// executions on the shared work-stealing scheduler at Locality priority
-/// instead, overlapping the sequential loop.
-///
-/// Determinism discipline: only candidates *tied with the best score* are
-/// pre-executed — the heap would pop them in arbitrary sibling order
-/// anyway, and which of them it pops next is decided by the heap alone,
-/// never by this scheduler. Pre-executions burn no execution budget,
-/// draw no RNG, and their results are consumed by runCheck in pop order
-/// with identical bookkeeping; since resumed executions are
-/// byte-identical to cold ones, reports cannot tell a batched campaign
-/// from a sequential one at any batch size.
-class LocalityBatcher {
-public:
-  /// Exactly one of \p Engine and \p Sched drives the pre-executions:
-  /// engine-inline when a resumption engine exists (its checkpoint reuse
-  /// is the whole point of the DFS order), scheduler fan-out otherwise.
-  LocalityBatcher(RunCache &Cache, const Subject &S,
-                  PrefixResumeEngine *Engine, Scheduler *Sched,
-                  uint32_t MaxBatch)
-      : Cache(Cache), S(S), Engine(Engine), Sched(Sched), MaxBatch(MaxBatch) {
-  }
-
-  ~LocalityBatcher() { shutdown(); }
-
-  LocalityStats Stats;
-
-  /// True when a pre-executed result of \p Input is held. The speculator
-  /// checks this before submitting to a worker — waste avoidance only.
-  bool holds(uint64_t Hash, std::string_view Input) const {
-    auto It = Ready.find(Hash);
-    return It != Ready.end() && It->second->Input == Input;
-  }
-
-  /// Drains the equal-score front of \p Queue (up to the batch cap) into
-  /// the trie and pre-executes it in DFS order, materializing each front
-  /// candidate's bytes from the store into recycled scratch strings.
-  /// \p Spec, when present, marks inputs already speculated on a worker.
-  /// Defined after Speculator (it peeks at the in-flight table).
-  void refill(const CandidateStore &Queue, const Speculator *Spec);
-
-  /// Consumes the pre-executed result of \p Input if held: copies it
-  /// into \p RR and returns true. On the scheduler path the execution
-  /// may still be pending or in flight; a pending one is claimed and run
-  /// on this thread (never waited for — waiting on unclaimed work while
-  /// campaigns occupy the shared pool could deadlock it), a running one
-  /// is awaited (bounded: a claimed execution always terminates). Stored
-  /// inputs are verified, so a 64-bit hash collision degrades to a miss,
-  /// never a wrong result.
-  bool consume(uint64_t Hash, std::string_view Input, RunResult &RR) {
-    auto It = Ready.find(Hash);
-    if (It == Ready.end() || It->second->Input != Input)
-      return false;
-    std::unique_ptr<Slot> Sl = std::move(It->second);
-    Ready.erase(It);
-    if (Sl->Task.valid() && !Sl->Task.ran() && !Sl->Task.runInline())
-      Sl->Task.wait();
-    if (Sl->Task.valid() && !Sl->Task.ran()) {
-      // Unreachable in practice (only this thread cancels); a defensive
-      // miss beats reading an unwritten result.
-      ++Stats.Discarded;
-      Free.push_back(std::move(Sl));
-      return false;
-    }
-    RR.assignFrom(Sl->Result);
-    Free.push_back(std::move(Sl));
-    ++Stats.Consumed;
-    return true;
-  }
-
-  /// Campaign end: counts the leftovers nothing will ever consume.
-  /// Scheduler-path slots are cancelled or awaited first so no worker
-  /// outlives the slot its task writes into.
-  void shutdown() {
-    for (auto &KV : Ready) {
-      Slot &Sl = *KV.second;
-      if (Sl.Task.valid() && !Sl.Task.cancel())
-        Sl.Task.wait();
-    }
-    Stats.Discarded += Ready.size();
-    for (auto &KV : Ready)
-      Free.push_back(std::move(KV.second));
-    Ready.clear();
-  }
-
-private:
-  struct Slot {
-    uint64_t Hash = 0;
-    /// refill() tick of last appearance in the front; eviction retires
-    /// the stalest.
-    uint64_t Tick = 0;
-    std::string Input;
-    /// Engine path: written inline by refill. Scheduler path: written
-    /// only by the task claimed for this slot, read after ran() (the
-    /// release/acquire edge is the task's Done publication).
-    RunResult Result;
-    /// Scheduler path only; invalid on the engine path.
-    TaskHandle Task;
-  };
-
-  /// Evicts the stalest held result not re-batched this tick. A completed
-  /// pre-execution is recycled into the LRU run cache (the execution was
-  /// already paid, and front candidates often get popped many iterations
-  /// later); a still-pending scheduler task is cancelled outright.
-  bool evictOne() {
-    auto Victim = Ready.end();
-    for (auto It = Ready.begin(); It != Ready.end(); ++It) {
-      if (It->second->Tick == Tick)
-        continue;
-      if (Victim == Ready.end() || It->second->Tick < Victim->second->Tick)
-        Victim = It;
-    }
-    if (Victim == Ready.end())
-      return false;
-    Slot &Sl = *Victim->second;
-    if (Sl.Task.valid() && Sl.Task.cancel()) {
-      ++Stats.Discarded; // never ran; nothing to recycle
-    } else {
-      if (Sl.Task.valid())
-        Sl.Task.wait();
-      Cache.insertForced(Sl.Hash, Sl.Input, Sl.Result);
-      ++Stats.Recycled;
-    }
-    Free.push_back(std::move(Victim->second));
-    Ready.erase(Victim);
-    return true;
-  }
-
-  RunCache &Cache;
-  const Subject &S;
-  PrefixResumeEngine *Engine;
-  Scheduler *Sched;
-  uint32_t MaxBatch;
-  uint64_t Tick = 0;
-  /// Pre-executed results awaiting their pop, keyed by input hash.
-  std::unordered_map<uint64_t, std::unique_ptr<Slot>> Ready;
-  /// Retired slots for reuse (their RunResult buffers stay warm).
-  std::vector<std::unique_ptr<Slot>> Free;
-  /// Scratch, recycled across refills. FrontInputs holds the
-  /// materialized bytes of the tied front (one recycled string per
-  /// slot), the only point where batched candidates exist as strings.
-  std::vector<uint32_t> FrontIdx;
-  std::vector<uint32_t> HeapStack;
-  std::vector<uint32_t> Order;
-  std::vector<std::string> FrontInputs;
-  PrefixOrderTrie Trie;
-  RunResult Scratch;
-};
-
-/// Speculative execution prefetcher: runs the top-ranked queue
-/// candidates on the shared work-stealing scheduler (Speculation
-/// priority, the lowest — prefetch never displaces campaigns or locality
-/// batches) while the sequential Algorithm 1 loop processes the current
-/// run. Subject executions are pure functions of the input
-/// (deterministic, no shared mutable state — see the thread-safety
-/// contract in runtime/ExecutionContext.h), so a prefetched RunResult
-/// *is* the result the loop would have produced by executing the input
-/// itself; consuming it instead of re-running the subject cannot change
-/// any report byte.
-///
-/// Determinism discipline: the sequential thread makes every decision —
-/// which inputs to speculate (refill), which results to consume
-/// (consume, in pop order), and what to do with mispredictions (cancel,
-/// or recycle completed runs into the LRU run cache). Workers only ever
-/// call Subject::execute into a slot they exclusively own; they never
-/// touch the queue, the Rng, vBr or the report. Thread scheduling can
-/// therefore only affect *wall-clock* (and the HitsReady diagnostic),
-/// never the search.
-class Speculator {
-public:
-  /// \p Warmth (optional) ranks prediction-window ties by how deep a
-  /// cached resume checkpoint reaches into each candidate — candidates
-  /// extending a warm prefix belong to the lineage the loop is working
-  /// on right now, so they are the likeliest next pops. \p Batch
-  /// (optional) marks inputs the locality scheduler already holds
-  /// pre-executed; submitting those would be pure waste. Both are
-  /// wall-clock levers only: they reorder speculative work, never its
-  /// consumption.
-  Speculator(const Subject &S, RunCache &Cache, Scheduler &Sched,
-             uint32_t Threads, uint32_t Depth,
-             const PrefixResumeEngine *Warmth, const LocalityBatcher *Batch)
-      : S(S), Cache(Cache), Sched(Sched), Warmth(Warmth), Batch(Batch),
-        Depth(Depth != 0 ? Depth : 2 * Threads + 2) {}
-
-  ~Speculator() { shutdown(); }
-
-  SpeculationStats Stats;
-
-  /// Predicts the likely next pops from the max-heap \p Queue and tops
-  /// the in-flight set up to Depth speculative executions. Position 0 —
-  /// the *exact* next pop — is always submitted first; the rest of the
-  /// prediction window covers the heap's top levels, where the following
-  /// pops almost always live. Entries predicted again are kept warm;
-  /// stale mispredictions are evicted (cancelled if not started,
-  /// recycled into the run cache if complete). The window's candidate
-  /// bytes are materialized from the store into recycled scratch strings
-  /// — the prediction handoff is one of the few points where a queued
-  /// candidate needs to exist as a string at all.
-  void refill(const CandidateStore &Queue) {
-    size_t Size = Queue.queueSize();
-    if (Size == 0)
-      return;
-    ++Tick;
-    size_t Window = std::min(Size, size_t(4) * Depth);
-    if (WindowInputs.size() < Window)
-      WindowInputs.resize(Window);
-    Scratch.clear();
-    for (size_t I = 0; I != Window; ++I) {
-      Queue.materializeAt(I, WindowInputs[I]);
-      Scratch.push_back(
-          {Queue.scoreAt(I),
-           Warmth ? Warmth->warmPrefixLength(WindowInputs[I]) : 0, I});
-    }
-    size_t Want = std::min<size_t>(Depth, Scratch.size());
-    // Score ties break towards the deepest cached resume prefix: a deep
-    // warm prefix means the candidate extends a lineage the loop just
-    // executed, which is exactly the region of the heap the next pops
-    // come from — warmth is a pop-likelihood signal that scores cannot
-    // see. Index last makes the order fully deterministic.
-    std::partial_sort(Scratch.begin(),
-                      Scratch.begin() + static_cast<ptrdiff_t>(Want),
-                      Scratch.end(), [](const Pick &A, const Pick &B) {
-                        if (A.Score != B.Score)
-                          return A.Score > B.Score;
-                        if (A.Warm != B.Warm)
-                          return A.Warm > B.Warm;
-                        return A.Idx < B.Idx;
-                      });
-    // Position 0 is popped next no matter how score ties resolve in the
-    // partial sort; force it into the prediction set.
-    maybeSubmit(Queue.hashAt(0), WindowInputs[0]);
-    for (size_t I = 0; I != Want; ++I)
-      maybeSubmit(Queue.hashAt(Scratch[I].Idx), WindowInputs[Scratch[I].Idx]);
-  }
-
-  /// True when \p Input is speculated (in flight or completed but not
-  /// yet consumed). The locality batcher checks this before
-  /// pre-executing — waste avoidance only, no determinism impact.
-  bool holds(uint64_t Hash, std::string_view Input) const {
-    auto It = InFlight.find(Hash);
-    return It != InFlight.end() && It->second->Input == Input;
-  }
-
-  /// Consumes the speculated result of \p Input if one is in flight:
-  /// a still-pending task is claimed and executed on this thread (never
-  /// waited for — waiting on unclaimed work while campaigns occupy the
-  /// shared pool could deadlock it), a running one is awaited (bounded:
-  /// a claimed execution always terminates), and either way the result
-  /// is copied into \p RR and true returned. Stored inputs are verified,
-  /// so a 64-bit hash collision degrades to a miss, never a wrong
-  /// result.
-  bool consume(uint64_t Hash, std::string_view Input, RunResult &RR) {
-    ++Stats.Lookups;
-    auto It = InFlight.find(Hash);
-    if (It == InFlight.end() || It->second->Input != Input)
-      return false;
-    std::unique_ptr<Slot> Sl = std::move(It->second);
-    InFlight.erase(It);
-    bool Ready = Sl->Task.ran();
-    if (!Ready && !Sl->Task.runInline())
-      Sl->Task.wait();
-    if (!Sl->Task.ran()) {
-      // Cancelled shell that had not drained yet: a miss.
-      Free.push_back(std::move(Sl));
-      return false;
-    }
-    RR.assignFrom(Sl->Result);
-    ++Stats.Hits;
-    if (Ready)
-      ++Stats.HitsReady;
-    Free.push_back(std::move(Sl));
-    return true;
-  }
-
-  /// Retires every in-flight speculation: pending work is cancelled,
-  /// running work is awaited and discarded. Called once at campaign end
-  /// (and from the destructor) so workers never outlive the slots they
-  /// write into.
-  void shutdown() {
-    for (auto &KV : InFlight) {
-      Slot &Sl = *KV.second;
-      if (Sl.Task.cancel()) {
-        ++Stats.Cancelled;
-        continue;
-      }
-      Sl.Task.wait();
-      if (Sl.Task.ran())
-        ++Stats.Discarded;
-    }
-    for (auto &KV : InFlight)
-      Free.push_back(std::move(KV.second));
-    InFlight.clear();
-  }
-
-private:
-  struct Slot {
-    uint64_t Hash = 0;
-    /// refill() tick of last prediction; eviction retires the stalest.
-    uint64_t Tick = 0;
-    std::string Input;
-    /// Written only by the thread that claimed this slot's task (a
-    /// scheduler worker, or the sequential thread via runInline); read
-    /// by the sequential thread after ran() (release/acquire through
-    /// the task's Done publication). Recycled across speculations, so a
-    /// warm slot executes without trace-buffer allocation, like the
-    /// loop's own pooled RunResults.
-    RunResult Result;
-    TaskHandle Task;
-  };
-
-  void maybeSubmit(uint64_t Hash, const std::string &Input) {
-    auto It = InFlight.find(Hash);
-    if (It != InFlight.end()) {
-      if (It->second->Input == Input)
-        It->second->Tick = Tick; // predicted again: keep warm
-      return;
-    }
-    if (Cache.contains(Hash, Input))
-      return; // the loop will replay it for free anyway
-    if (Batch && Batch->holds(Hash, Input))
-      return; // the locality scheduler already ran it warm
-    if (InFlight.size() >= 2 * size_t(Depth) && !evictOne())
-      return;
-    std::unique_ptr<Slot> Sl;
-    if (!Free.empty()) {
-      Sl = std::move(Free.back());
-      Free.pop_back();
-    } else {
-      Sl = std::make_unique<Slot>();
-    }
-    Sl->Hash = Hash;
-    Sl->Tick = Tick;
-    Sl->Input = Input;
-    Slot *Raw = Sl.get();
-    const Subject *Subj = &S;
-    Sl->Task = Sched.submit(TaskClass::Speculation, [Subj, Raw] {
-      Subj->execute(Raw->Input, InstrumentationMode::Full, Raw->Result);
-    });
-    ++Stats.Submitted;
-    InFlight.emplace(Raw->Hash, std::move(Sl));
-  }
-
-  /// Evicts the stalest in-flight entry not re-predicted this tick.
-  /// Pending work is cancelled outright; completed work is recycled into
-  /// the LRU run cache (the trace copy was already paid, and candidates
-  /// often get popped many iterations after they stop being top-ranked).
-  bool evictOne() {
-    auto Victim = InFlight.end();
-    for (auto It = InFlight.begin(); It != InFlight.end(); ++It) {
-      if (It->second->Tick == Tick)
-        continue;
-      if (Victim == InFlight.end() ||
-          It->second->Tick < Victim->second->Tick)
-        Victim = It;
-    }
-    if (Victim == InFlight.end())
-      return false;
-    Slot &Sl = *Victim->second;
-    if (Sl.Task.cancel()) {
-      ++Stats.Cancelled;
-    } else {
-      Sl.Task.wait();
-      if (Sl.Task.ran()) {
-        Cache.insertForced(Sl.Hash, Sl.Input, Sl.Result);
-        ++Stats.Recycled;
-      }
-    }
-    Free.push_back(std::move(Victim->second));
-    InFlight.erase(Victim);
-    return true;
-  }
-
-  /// refill()'s selection record: heap score, warm resume-prefix depth,
-  /// queue index.
-  struct Pick {
-    double Score;
-    size_t Warm;
-    size_t Idx;
-  };
-
-  const Subject &S;
-  RunCache &Cache;
-  /// The shared pool. Not owned: shutdown() cancels or awaits every
-  /// in-flight task before the slots their lambdas point into are freed,
-  /// so no destruction-order coupling with the scheduler is needed.
-  Scheduler &Sched;
-  const PrefixResumeEngine *Warmth;
-  const LocalityBatcher *Batch;
-  uint32_t Depth;
-  uint64_t Tick = 0;
-  /// In-flight and completed-but-unconsumed speculations, keyed by input
-  /// hash; owned and mutated only by the sequential thread.
-  std::unordered_map<uint64_t, std::unique_ptr<Slot>> InFlight;
-  /// Retired slots for reuse (their RunResult buffers stay warm).
-  std::vector<std::unique_ptr<Slot>> Free;
-  /// Selection scratch for refill().
-  std::vector<Pick> Scratch;
-  /// Materialized prediction-window inputs, one recycled string per
-  /// window slot.
-  std::vector<std::string> WindowInputs;
-};
-
-void LocalityBatcher::refill(const CandidateStore &Queue,
-                             const Speculator *Spec) {
-  size_t Size = Queue.queueSize();
-  if (Size < 2)
-    return;
-  // Collect the equal-score front. In a max-heap every candidate tied
-  // with the root's score forms a root-connected subtree (a tied node's
-  // parent scores >= it, and <= the root by the heap property, so the
-  // whole ancestor chain is tied too); walking children 2i+1/2i+2 while
-  // the score matches position 0 exactly enumerates the tie.
-  double Top = Queue.scoreAt(0);
-  FrontIdx.clear();
-  HeapStack.clear();
-  HeapStack.push_back(0);
-  while (!HeapStack.empty() && FrontIdx.size() < MaxBatch) {
-    uint32_t I = HeapStack.back();
-    HeapStack.pop_back();
-    if (Queue.scoreAt(I) != Top)
-      continue;
-    FrontIdx.push_back(I);
-    size_t L = size_t(2) * I + 1;
-    if (L < Size)
-      HeapStack.push_back(static_cast<uint32_t>(L));
-    if (L + 1 < Size)
-      HeapStack.push_back(static_cast<uint32_t>(L + 1));
-  }
-  Stats.TieFront += FrontIdx.size();
-  if (FrontIdx.size() < 2)
-    return; // a front of one has no siblings to group
-  ++Tick;
-  // Trie DFS turns the heap's arbitrary sibling order into
-  // lexicographic-by-bytes order: inputs sharing a prefix come out
-  // adjacent, and a duplicate input keeps its first tag (one execution
-  // serves every copy). The front's bytes are materialized here, into
-  // recycled strings — the trie copies label bytes into its own arena,
-  // so the scratch can be reused next refill.
-  if (FrontInputs.size() < FrontIdx.size())
-    FrontInputs.resize(FrontIdx.size());
-  Trie.clear();
-  for (size_t J = 0; J != FrontIdx.size(); ++J) {
-    Queue.materializeAt(FrontIdx[J], FrontInputs[J]);
-    Trie.insert(FrontInputs[J], static_cast<uint32_t>(J));
-  }
-  Order.clear();
-  Trie.dfsOrder(Order);
-  bool Ran = false;
-  for (uint32_t J : Order) {
-    const std::string &CInput = FrontInputs[J];
-    uint64_t CHash = Queue.hashAt(FrontIdx[J]);
-    auto It = Ready.find(CHash);
-    if (It != Ready.end()) {
-      if (It->second->Input == CInput)
-        It->second->Tick = Tick; // still in the front: keep warm
-      continue;
-    }
-    if (Cache.contains(CHash, CInput))
-      continue; // the loop will replay it for free anyway
-    if (Spec && Spec->holds(CHash, CInput))
-      continue; // a worker is already executing it
-    if (Ready.size() >= 2 * size_t(MaxBatch) && !evictOne())
-      break;
-    std::unique_ptr<Slot> Sl;
-    if (!Free.empty()) {
-      Sl = std::move(Free.back());
-      Free.pop_back();
-    } else {
-      Sl = std::make_unique<Slot>();
-    }
-    Sl->Hash = CHash;
-    Sl->Tick = Tick;
-    Sl->Input = CInput;
-    if (Engine) {
-      // The engine's result may live in its pooled slot; copy it out
-      // while the reference is valid (it dies at the next execute). The
-      // engine is confined to this sequential thread, so warm execution
-      // stays inline — its minted ladder rungs immediately serve the
-      // next DFS sibling, which is the locality win itself.
-      Sl->Task = TaskHandle();
-      Sl->Result.assignFrom(Engine->execute(Sl->Input, Scratch));
-    } else {
-      // Cold pre-execution on the shared pool, still submitted in DFS
-      // order so workers execute prefix-adjacent inputs back-to-back
-      // (cache locality in the subject itself). The slot outlives the
-      // task: consume/evict/shutdown all cancel-or-await before retiring
-      // it, and a recycled slot's previous task is always terminal.
-      const Subject *Subj = &S;
-      Slot *Raw = Sl.get();
-      Sl->Task = Sched->submit(TaskClass::Locality, [Subj, Raw] {
-        Subj->execute(Raw->Input, InstrumentationMode::Full, Raw->Result);
-      });
-    }
-    ++Stats.Batched;
-    Ran = true;
-    Ready.emplace(Sl->Hash, std::move(Sl));
-  }
-  if (Ran)
-    ++Stats.Batches;
-}
-
 /// One pFuzzer campaign against one subject.
 class Campaign {
 public:
@@ -737,36 +199,13 @@ public:
     // checkpoint, and only when this build can switch stacks — anything
     // else falls back to plain full re-execution, which records the
     // same bytes. The engine is owned by (and confined to) this
-    // sequential loop; speculation workers re-execute cold instead of
-    // sharing suspended runs.
+    // sequential loop.
     if (Config.ResumeCacheSize > 0 && S.resumeSafe() &&
         PrefixResumeEngine::available())
       Resume = std::make_unique<PrefixResumeEngine>(
           [Subj = &S](ExecutionContext &Ctx) { return Subj->run(Ctx); },
           Config.ResumeCacheSize, Config.ResumeMinLength,
           Config.ResumeStride, Config.ResumeRungs);
-    // Resolve the shared pool once: an explicit Config.Sched wins
-    // (campaign runners thread theirs through so Jobs and speculation
-    // share workers), otherwise the process-global scheduler — but only
-    // when something will actually submit to it, so plain sequential
-    // campaigns never spin up threads.
-    Scheduler *Sched = Config.Sched;
-    bool WantSched = Config.SpeculationThreads > 0 ||
-                     (Config.LocalityBatch > 0 && !Resume);
-    if (!Sched && WantSched)
-      Sched = &Scheduler::global();
-    // The locality batcher pre-executes through the resumption engine
-    // when one exists (warm, inline, rungs hot for DFS siblings);
-    // without one it fans cold executions out on the scheduler instead.
-    if (Config.LocalityBatch > 0)
-      Batch = std::make_unique<LocalityBatcher>(
-          Cache, S, Resume.get(), Resume ? nullptr : Sched,
-          Config.LocalityBatch);
-    if (Config.SpeculationThreads > 0)
-      Spec = std::make_unique<Speculator>(S, Cache, *Sched,
-                                          Config.SpeculationThreads,
-                                          Config.SpeculationDepth,
-                                          Resume.get(), Batch.get());
     Sync = Config.SyncEndpoint;
   }
 
@@ -842,9 +281,8 @@ private:
 
   /// Samples this shard's local state and writes one heartbeat record.
   /// Called by the runCheck whose tick crossed an interval boundary;
-  /// reads only shard-confined state (plus scheduler counters, which are
-  /// atomics), so concurrent shard emissions need no shared locks beyond
-  /// the emitter's own.
+  /// reads only shard-confined state, so concurrent shard emissions need
+  /// no shared locks beyond the emitter's own.
   void emitHeartbeat() {
     HeartbeatSample HS;
     HS.Shard = Sync ? Sync->index() : 0;
@@ -856,9 +294,6 @@ private:
                                  static_cast<double>(Cache.Lookups);
     if (Resume)
       HS.ResumeHitRate = Resume->stats().hitRate();
-    HS.SchedStealRate =
-        (Config.Sched ? Config.Sched->stats() : Scheduler::globalStats())
-            .stealSuccessRate();
     HS.ShardLag = Sync ? Sync->Stats.MaxFrontierLag : 0;
     Config.Heartbeat->emit(HS);
   }
@@ -962,14 +397,9 @@ private:
   /// prefix-suffix records by default, by-value strings when
   /// Config.ReferenceQueue — see core/CandidateStore.h.
   CandidateStore Store;
-  /// Speculative prefetcher, or null when SpeculationThreads == 0.
-  std::unique_ptr<Speculator> Spec;
   /// Prefix-resumption engine, or null when disabled/ineligible; see
   /// PFuzzerOptions::ResumeCacheSize.
   std::unique_ptr<PrefixResumeEngine> Resume;
-  /// Trie-batched locality scheduler, or null when LocalityBatch == 0
-  /// or the resumption engine is off; see PFuzzerOptions::LocalityBatch.
-  std::unique_ptr<LocalityBatcher> Batch;
   /// How often each prefix was re-enqueued for another random extension;
   /// bounded so retired prefixes stop consuming budget. Keyed by the
   /// prefix's 64-bit input hash (the campaign already carries it)
@@ -1043,12 +473,6 @@ FuzzReport Campaign::run() {
         Store.releaseRun(Stats.Run);
         break;
       }
-      // Early refill: the bare run's substitutions are enqueued, so the
-      // heap's top already names the likely next pops. Handing them to
-      // the workers *before* the sequential extension run below lets the
-      // speculative executions overlap it.
-      if (Spec)
-        Spec->refill(Store);
       std::string EInp = Input + randomChar(); // line 15
       uint64_t EHash = hashInput(EInp);
       // Line 9-12: run the extended input; whether it turned out valid or
@@ -1097,18 +521,6 @@ FuzzReport Campaign::run() {
       CurId = Store.internRoot(Input, InputHash);
       continue;
     }
-    // Locality batching runs at the iteration boundary, when the queue
-    // front is final for this pop: the tied front — whichever of it the
-    // heap happens to pop next — is pre-executed in trie order while its
-    // shared prefixes are warm. Before the speculator refill, so workers
-    // skip what the batcher holds.
-    if (Batch)
-      Batch->refill(Store, Spec.get());
-    // Final refill for this iteration: the queue now also holds the
-    // extension run's candidates, and position 0 is the exact input
-    // popped next, so its execution is guaranteed to be speculated.
-    if (Spec)
-      Spec->refill(Store);
     CandidateStore::Popped Best = Store.pop(Input); // line 14
     if (Opts.Verbose)
       std::fprintf(stderr,
@@ -1138,26 +550,13 @@ FuzzReport Campaign::run() {
         [this](const ShardPacket &P) { handleShardPacket(P, false); });
   }
   Store.samplePeaks();
-  if (Spec) {
-    Spec->shutdown();
-    if (Config.StatsOut)
-      *Config.StatsOut = Spec->Stats;
-  } else if (Config.StatsOut) {
-    *Config.StatsOut = SpeculationStats();
-  }
   if (Config.ResumeStatsOut)
     *Config.ResumeStatsOut = Resume ? Resume->stats() : ResumeStats();
-  if (Batch)
-    Batch->shutdown();
-  if (Config.LocalityStatsOut)
-    *Config.LocalityStatsOut = Batch ? Batch->Stats : LocalityStats();
   if (Config.QueueStatsOut)
     *Config.QueueStatsOut = Store.Stats;
   // The consolidated tree is filled from the very sources the individual
-  // sinks above just read (after every shutdown finalized them), so the
-  // old `*StatsOut` pointers are thin views over this snapshot: both
-  // always report field-identical values. The scheduler delta is filled
-  // one level up in PFuzzer::run, which brackets the whole campaign.
+  // sinks above just read, so the old `*StatsOut` pointers are thin
+  // views over this snapshot: both always report field-identical values.
   if (Config.TelemetryOut) {
     TelemetrySnapshot &T = *Config.TelemetryOut;
     T = TelemetrySnapshot();
@@ -1166,12 +565,8 @@ FuzzReport Campaign::run() {
     T.FrontierSize = VBr.size();
     T.RunCacheLookups = Cache.Lookups;
     T.RunCacheHits = Cache.Hits;
-    if (Spec)
-      T.Speculation = Spec->Stats;
     if (Resume)
       T.Resume = Resume->stats();
-    if (Batch)
-      T.Locality = Batch->Stats;
     T.Queue = Store.Stats;
     if (Sync)
       T.Sharding = Sync->Stats;
@@ -1192,19 +587,6 @@ const RunResult *Campaign::runCheck(const std::string &Input, uint64_t Hash,
   // run.
   if (const RunResult *Cached = Cache.lookup(Hash, Input)) {
     Run = Cached;
-  } else if (Batch && Batch->consume(Hash, Input, Scratch)) {
-    // Pre-executed by the locality batcher while its prefix checkpoint
-    // was warm; resumed runs are byte-identical to cold ones, so this is
-    // the result re-running would produce. Flows into the cache exactly
-    // like a fresh execution.
-    Cache.insert(Hash, Input, Scratch);
-    Run = &Scratch;
-  } else if (Spec && Spec->consume(Hash, Input, Scratch)) {
-    // Speculated: a worker already executed this input, and subjects are
-    // deterministic, so the prefetched result is what re-running would
-    // produce.
-    Cache.insert(Hash, Input, Scratch);
-    Run = &Scratch;
   } else if (Resume) {
     // Resume-from-checkpoint when a cached prefix matches, cold run on
     // the fiber otherwise; either way the result is byte-identical to a
@@ -1384,9 +766,9 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
            Input.compare(SpliceAt, Rep.size(), Rep) == 0) ||
           NewLen > Opts.MaxInputLen)
         continue;
-      // One FNV-1a extension serves the dedup set here, the run-cache key
-      // and the prefetcher's in-flight table later: the hash rides on the
-      // record instead of being recomputed at pop time.
+      // One FNV-1a extension serves the dedup set here and the run-cache
+      // key later: the hash rides on the record instead of being
+      // recomputed at pop time.
       uint64_t Hash = extendHash(PrefixHashes[SpliceAt], Rep);
       if (!Enqueued.insert(Hash).second)
         continue;
@@ -1539,9 +921,7 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
   // references stay valid for the threads' whole lifetime.
   std::vector<FuzzerOptions> ShardOpts(N);
   std::vector<PFuzzerOptions> ShardConfigs(N);
-  std::vector<SpeculationStats> SpecStats(N);
   std::vector<ResumeStats> ResumeStats_(N);
-  std::vector<LocalityStats> LocalityStats_(N);
   std::vector<QueueStats> QueueStats_(N);
   std::vector<TelemetrySnapshot> Telemetry_(N);
   std::vector<FuzzReport> Reports(N);
@@ -1569,16 +949,12 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
     SC = Config;
     SC.Shards = 1;
     SC.SyncEndpoint = &Hub.endpoint(I);
-    SC.StatsOut = &SpecStats[I];
     SC.ResumeStatsOut = &ResumeStats_[I];
-    SC.LocalityStatsOut = &LocalityStats_[I];
     SC.QueueStatsOut = &QueueStats_[I];
     SC.ShardStatsOut = nullptr;
     SC.TelemetryOut = Config.TelemetryOut ? &Telemetry_[I] : nullptr;
   }
-  // Dedicated threads by design — see PFuzzerOptions::Shards. Shard
-  // loops block at epoch boundaries; their speculation and locality
-  // sublayers still share the work-stealing scheduler.
+  // Dedicated threads by design — see PFuzzerOptions::Shards.
   std::vector<std::thread> Threads;
   Threads.reserve(N);
   for (uint32_t I = 0; I != N; ++I)
@@ -1589,20 +965,10 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
     T.join();
 
   // Aggregate the optional diagnostic sinks.
-  if (Config.StatsOut) {
-    *Config.StatsOut = SpeculationStats();
-    for (const SpeculationStats &St : SpecStats)
-      Config.StatsOut->accumulate(St);
-  }
   if (Config.ResumeStatsOut) {
     *Config.ResumeStatsOut = ResumeStats();
     for (const ResumeStats &St : ResumeStats_)
       Config.ResumeStatsOut->accumulate(St);
-  }
-  if (Config.LocalityStatsOut) {
-    *Config.LocalityStatsOut = LocalityStats();
-    for (const LocalityStats &St : LocalityStats_)
-      Config.LocalityStatsOut->accumulate(St);
   }
   if (Config.QueueStatsOut) {
     *Config.QueueStatsOut = QueueStats();
@@ -1666,27 +1032,11 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
 } // namespace
 
 FuzzReport PFuzzer::run(const Subject &S, const FuzzerOptions &Opts) {
-  // The scheduler delta brackets the whole campaign (all shards, all
-  // sublayers submit to the same pool). Read only when requested, so
-  // campaigns without telemetry never force the global pool into
-  // existence.
-  SchedulerStats SchedBefore;
-  if (Options.TelemetryOut)
-    SchedBefore =
-        Options.Sched ? Options.Sched->stats() : Scheduler::globalStats();
-  FuzzReport R;
-  if (Options.Shards > 1) {
-    R = runSharded(S, Opts, Options);
-  } else {
-    // Unsharded: the plain sequential engine, untouched — --shards=1 is
-    // byte-identical to every prior release by construction.
-    if (Options.ShardStatsOut)
-      *Options.ShardStatsOut = ShardStats();
-    R = Campaign(S, Opts, Options).run();
-  }
-  if (Options.TelemetryOut)
-    Options.TelemetryOut->Sched =
-        (Options.Sched ? Options.Sched->stats() : Scheduler::globalStats())
-            .minus(SchedBefore);
-  return R;
+  if (Options.Shards > 1)
+    return runSharded(S, Opts, Options);
+  // Unsharded: the plain sequential engine, untouched — --shards=1 is
+  // byte-identical to every prior release by construction.
+  if (Options.ShardStatsOut)
+    *Options.ShardStatsOut = ShardStats();
+  return Campaign(S, Opts, Options).run();
 }

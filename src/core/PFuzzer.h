@@ -22,97 +22,20 @@
 #include "core/Heuristic.h"
 #include "core/ShardSync.h"
 #include "runtime/PrefixResumeCache.h"
-#include "support/Scheduler.h"
 
 namespace pfuzz {
 
 class HeartbeatEmitter;
 
-/// Diagnostic counters of the speculative prefetcher (see
-/// PFuzzerOptions::SpeculationThreads). Purely observational: none of
-/// these feed back into the search, so they can vary across worker
-/// counts while the FuzzReport stays byte-identical.
-struct SpeculationStats {
-  /// Prefetch-table probes: one per runCheck that missed the run cache.
-  uint64_t Lookups = 0;
-  /// Speculative executions handed to the worker pool.
-  uint64_t Submitted = 0;
-  /// runCheck lookups that consumed a speculated result (prefetch hits).
-  uint64_t Hits = 0;
-  /// Hits whose execution had already finished when consumed (no wait).
-  uint64_t HitsReady = 0;
-  /// Mispredicted tasks retracted before they started running.
-  uint64_t Cancelled = 0;
-  /// Mispredicted completed runs recycled into the LRU run cache.
-  uint64_t Recycled = 0;
-  /// Completed speculative runs discarded without any reuse.
-  uint64_t Discarded = 0;
-
-  /// Fraction of submitted work that was never consumed or cancelled.
-  double wasteRate() const {
-    return Submitted == 0
-               ? 0
-               : static_cast<double>(Submitted - Hits - Cancelled) /
-                     static_cast<double>(Submitted);
-  }
-
-  /// Sums \p Other into this — the sharded engine aggregates per-shard
-  /// prefetcher counters into one campaign total.
-  void accumulate(const SpeculationStats &Other) {
-    Lookups += Other.Lookups;
-    Submitted += Other.Submitted;
-    Hits += Other.Hits;
-    HitsReady += Other.HitsReady;
-    Cancelled += Other.Cancelled;
-    Recycled += Other.Recycled;
-    Discarded += Other.Discarded;
-  }
-};
-
-/// Diagnostic counters of the trie-batched locality scheduler (see
-/// PFuzzerOptions::LocalityBatch). Purely observational — none feed back
-/// into the search, so they can vary across batch sizes while the
-/// FuzzReport stays byte-identical.
-struct LocalityStats {
-  /// Queue-front drains that pre-executed at least one candidate.
-  uint64_t Batches = 0;
-  /// Candidates inspected across all equal-score fronts.
-  uint64_t TieFront = 0;
-  /// Warm pre-executions performed in trie DFS order.
-  uint64_t Batched = 0;
-  /// Pre-executed results the pop loop consumed.
-  uint64_t Consumed = 0;
-  /// Stale pre-executions recycled into the LRU run cache.
-  uint64_t Recycled = 0;
-  /// Pre-executions dropped at campaign end without reuse.
-  uint64_t Discarded = 0;
-
-  /// Fraction of batched work the pop loop actually consumed.
-  double consumeRate() const {
-    return Batched == 0 ? 0 : static_cast<double>(Consumed) / Batched;
-  }
-
-  /// Sums \p Other into this — campaign runners aggregate per-seed
-  /// counters into one per-cell total.
-  void accumulate(const LocalityStats &Other) {
-    Batches += Other.Batches;
-    TieFront += Other.TieFront;
-    Batched += Other.Batched;
-    Consumed += Other.Consumed;
-    Recycled += Other.Recycled;
-    Discarded += Other.Discarded;
-  }
-};
-
 /// One coherent tree of every diagnostic counter a campaign exports —
-/// the per-layer `*StatsOut` structs (speculation, resume ladder,
-/// locality batcher, candidate store, shard sync, scheduler) plus the
-/// campaign-level counts none of them carry (executions, frontier size,
-/// run-cache hit counters). Filled from the *same* per-layer sources the
-/// individual `*StatsOut` pointers read, at the same point in the
-/// campaign, so the old sinks are thin views over this tree: requesting
-/// both always yields field-identical values. Purely observational —
-/// never part of the report, never feeds back into the search.
+/// the per-layer `*StatsOut` structs (resume ladder, candidate store,
+/// shard sync) plus the campaign-level counts none of them carry
+/// (executions, frontier size, run-cache hit counters). Filled from the
+/// *same* per-layer sources the individual `*StatsOut` pointers read, at
+/// the same point in the campaign, so the old sinks are thin views over
+/// this tree: requesting both always yields field-identical values.
+/// Purely observational — never part of the report, never feeds back
+/// into the search.
 struct TelemetrySnapshot {
   /// Subject executions performed (== FuzzReport::Executions).
   uint64_t Executions = 0;
@@ -127,17 +50,9 @@ struct TelemetrySnapshot {
   /// Probes that replayed a recorded result.
   uint64_t RunCacheHits = 0;
 
-  SpeculationStats Speculation;
   ResumeStats Resume;
-  LocalityStats Locality;
   QueueStats Queue;
   ShardStats Sharding;
-  /// Scheduler-counter delta over the campaign, read from the pool the
-  /// campaign submitted to (the shared process pool unless an explicit
-  /// Sched was wired in). Campaigns sharing that pool overlap in time,
-  /// so a task can be attributed to every campaign whose delta covers
-  /// it — an upper bound, observational only.
-  SchedulerStats Sched;
 
   double runCacheHitRate() const {
     return RunCacheLookups == 0 ? 0
@@ -157,12 +72,9 @@ struct TelemetrySnapshot {
         FrontierSize > Other.FrontierSize ? FrontierSize : Other.FrontierSize;
     RunCacheLookups += Other.RunCacheLookups;
     RunCacheHits += Other.RunCacheHits;
-    Speculation.accumulate(Other.Speculation);
     Resume.accumulate(Other.Resume);
-    Locality.accumulate(Other.Locality);
     Queue.accumulate(Other.Queue);
     Sharding.accumulate(Other.Sharding);
-    Sched.accumulate(Other.Sched);
   }
 };
 
@@ -185,31 +97,6 @@ struct PFuzzerOptions {
   /// and performs identical bookkeeping, so FuzzReports are byte-for-byte
   /// unchanged at any cache size.
   uint32_t RunCacheSize = 64;
-
-  /// Soft parallelism hint of the speculative prefetcher; 0 (the
-  /// default) keeps the Algorithm 1 loop single-threaded. With N > 0,
-  /// the campaign executes the top-ranked queue candidates on the shared
-  /// work-stealing scheduler (see Sched below) while the sequential loop
-  /// processes the current run; when the loop pops an input that was
-  /// speculated, it consumes the prefetched RunResult instead of
-  /// re-running the subject. The value no longer sizes a dedicated pool —
-  /// workers are shared process-wide and flow to whichever campaign has
-  /// runnable work — it only enables the prefetcher and scales its
-  /// default in-flight depth (see SpeculationDepth). All bookkeeping
-  /// (budget counting, vBr growth, OnValidInput, rescoring, RNG draws)
-  /// stays on the sequential thread and consumes results in pop order,
-  /// so FuzzReports are byte-identical at any worker count.
-  uint32_t SpeculationThreads = 0;
-
-  /// How many queue candidates the prefetcher keeps in flight; 0 (auto)
-  /// picks 2 * SpeculationThreads + 2. Deeper speculation raises the hit
-  /// rate (candidates submitted iterations ahead are ready when popped)
-  /// at the cost of more wasted executions on mispredictions.
-  uint32_t SpeculationDepth = 0;
-
-  /// Optional out-param: filled with the prefetcher's diagnostic
-  /// counters when the campaign finishes. Never part of the report.
-  SpeculationStats *StatsOut = nullptr;
 
   /// Capacity (in suspended runs) of the prefix-resumption pool; 0
   /// disables the engine. With N > 0, executions of resume-safe subjects
@@ -242,27 +129,9 @@ struct PFuzzerOptions {
   /// Per-run cap on ladder checkpoints (see ResumeStride).
   uint32_t ResumeRungs = 3;
 
-  /// Maximum equal-score queue-front candidates the locality scheduler
-  /// drains per iteration; 0 (the default) disables it. With N > 0,
-  /// candidates tied with the best score — which the heap would
-  /// otherwise pop in arbitrary sibling order — are pre-executed in
-  /// radix-trie DFS order. With the resumption engine active they run
-  /// inline through it, so inputs sharing a warm prefix run back-to-back
-  /// while its checkpoint is hot; without an engine (TSan builds,
-  /// non-resume-safe subjects) they fan out as cold executions on the
-  /// shared work-stealing scheduler at Locality priority. Only
-  /// score-ties are reordered and their results are consumed in pop
-  /// order with identical bookkeeping, so the search trajectory and
-  /// FuzzReports stay byte-identical at any batch size.
-  uint32_t LocalityBatch = 0;
-
   /// Optional out-param: the resumption engine's diagnostic counters
   /// (hit rate, bytes skipped). Never part of the report.
   ResumeStats *ResumeStatsOut = nullptr;
-
-  /// Optional out-param: the locality scheduler's diagnostic counters.
-  /// Never part of the report.
-  LocalityStats *LocalityStatsOut = nullptr;
 
   /// Queue cap: when a push or rescore finds more candidates than this,
   /// the next re-rank drops the worst-scored half (the paper's prototype
@@ -283,15 +152,6 @@ struct PFuzzerOptions {
   /// (pushes, rescore count/time, peak bytes). Never part of the report.
   QueueStats *QueueStatsOut = nullptr;
 
-  /// Work-stealing scheduler the prefetcher and the locality batcher's
-  /// engine-less pre-executions submit to. Null (the default) lazily
-  /// resolves to the process-global Scheduler::global() when either
-  /// feature is enabled; campaign runners pass their own pool through
-  /// here so seed-level Jobs and per-campaign speculation share one set
-  /// of workers instead of multiplying threads. Purely a placement knob:
-  /// reports are byte-identical for any scheduler and worker count.
-  Scheduler *Sched = nullptr;
-
   /// Shard count of the campaign. 1 (the default) runs the plain
   /// sequential Algorithm 1 loop, byte-identical to every prior engine.
   /// With N > 1 the campaign splits into N concurrent shard loops — each
@@ -305,12 +165,9 @@ struct PFuzzerOptions {
   /// is the one perf layer that is *not* behavior-invariant across its
   /// settings — it changes the search, deterministically).
   ///
-  /// Shard loops run on dedicated threads rather than as tasks of the
-  /// work-stealing scheduler: a shard blocks at epoch boundaries waiting
-  /// for peers, and a blocking task would hold its worker hostage —
-  /// with fewer workers than shards the waited-on peer could never be
-  /// scheduled at all. Each shard's inner speculation and locality
-  /// layers still submit to the shared scheduler as usual.
+  /// Shard loops run on dedicated threads, all started at once: a shard
+  /// blocks at epoch boundaries waiting for peers, so every peer must be
+  /// running for the waited-on packet to arrive.
   uint32_t Shards = 1;
 
   /// Executions per shard between synchronization epochs (delta publish

@@ -10,42 +10,11 @@
 #include "baselines/KleeFuzzer.h"
 #include "baselines/RandomFuzzer.h"
 #include "core/PFuzzer.h"
-#include "support/Scheduler.h"
-#include "support/Telemetry.h"
+#include "support/Parallel.h"
 
 #include <chrono>
 
 using namespace pfuzz;
-
-SpeculationHint pfuzz::arbitrateSpeculation(int Requested, size_t Workers,
-                                            unsigned Hardware) {
-  TELEMETRY_SPAN("speculation_arbitration");
-  SpeculationHint Hint;
-  if (Requested == 0)
-    return Hint;
-  size_t HW = Hardware != 0 ? Hardware : Scheduler::hardwareThreads();
-  if (Workers < 1)
-    Workers = 1;
-  if (Requested < 0) { // auto: leftover cores, divided evenly
-    Hint.Threads =
-        HW > Workers ? static_cast<unsigned>((HW - Workers) / Workers) : 0;
-    return Hint;
-  }
-  unsigned Req = static_cast<unsigned>(Requested);
-  if (Workers <= 1) {
-    Hint.Threads = Req;
-    return Hint;
-  }
-  // Explicit request under a parallel seed fan-out: soften to the fair
-  // share (floor 1 so the speculation machinery stays engaged even on
-  // small machines — determinism never depends on the worker count).
-  // Merely a hint bounding in-flight prefetch depth: the shared pool
-  // lets any idle worker steal any campaign's speculation regardless.
-  unsigned Fair = static_cast<unsigned>(std::max<size_t>(1, HW / Workers));
-  Hint.Threads = std::min(Req, Fair);
-  Hint.Capped = Hint.Threads < Req;
-  return Hint;
-}
 
 std::unique_ptr<Fuzzer> pfuzz::makeFuzzer(ToolKind Kind,
                                           const ToolOptions &Tools) {
@@ -53,18 +22,10 @@ std::unique_ptr<Fuzzer> pfuzz::makeFuzzer(ToolKind Kind,
   case ToolKind::PFuzzer: {
     PFuzzerOptions Options;
     Options.RunCacheSize = Tools.PFuzzerRunCache;
-    // Direct construction counts as one lone campaign; the campaign
-    // runners pre-arbitrate and pass a resolved (>= 0) value instead.
-    Options.SpeculationThreads =
-        arbitrateSpeculation(Tools.PFuzzerSpeculation, /*Workers=*/1).Threads;
-    Options.SpeculationDepth = Tools.PFuzzerSpeculationDepth;
-    Options.Sched = Tools.Sched;
     Options.ResumeCacheSize = Tools.PFuzzerResumeCache;
     Options.ResumeStride = Tools.PFuzzerResumeStride;
     Options.ResumeRungs = Tools.PFuzzerResumeRungs;
-    Options.LocalityBatch = Tools.PFuzzerLocality;
     Options.ResumeStatsOut = Tools.PFuzzerResumeStatsOut;
-    Options.LocalityStatsOut = Tools.PFuzzerLocalityStatsOut;
     Options.ReferenceQueue = Tools.PFuzzerReferenceQueue;
     if (Tools.PFuzzerMaxQueue != 0)
       Options.MaxQueue = Tools.PFuzzerMaxQueue;
@@ -138,7 +99,6 @@ struct SeedRunOutcome {
   std::set<std::string> TokensFound;
   double WallSeconds = 0;
   ResumeStats Resume;
-  LocalityStats Locality;
   QueueStats Queue;
   ShardStats Shards;
   TelemetrySnapshot Telemetry;
@@ -155,7 +115,6 @@ SeedRunOutcome runOneSeed(ToolKind Kind, const Subject &S,
   // share whatever pointer the caller put in Tools.
   ToolOptions SeedTools = Tools;
   SeedTools.PFuzzerResumeStatsOut = &Out.Resume;
-  SeedTools.PFuzzerLocalityStatsOut = &Out.Locality;
   SeedTools.PFuzzerQueueStatsOut = &Out.Queue;
   SeedTools.PFuzzerShardStatsOut = &Out.Shards;
   SeedTools.PFuzzerTelemetryOut = &Out.Telemetry;
@@ -189,7 +148,6 @@ CampaignResult reduceCell(ToolKind Kind, const Subject &S,
     Best.WallSeconds += Out.WallSeconds;
     Best.TotalExecutions += Out.Report.Executions;
     Best.Resume.accumulate(Out.Resume);
-    Best.Locality.accumulate(Out.Locality);
     Best.Queue.accumulate(Out.Queue);
     Best.Shards.accumulate(Out.Shards);
     Best.Telemetry.accumulate(Out.Telemetry);
@@ -208,20 +166,8 @@ CampaignResult reduceCell(ToolKind Kind, const Subject &S,
   return Best;
 }
 
-/// Resolves the caller's ToolOptions for seed runs fanned out on
-/// \p Sched with \p Campaigns of them executing concurrently: arbitrates
-/// the speculation request down to a per-campaign hint and pins the
-/// scheduler, so every fuzzer the runners create shares the one pool.
-/// The single place the Jobs layer and the speculation layer meet —
-/// keep the policy here, not at the call sites.
-ToolOptions resolveSeedTools(const ToolOptions &Tools, size_t Campaigns,
-                             Scheduler *Sched) {
-  ToolOptions Seed = Tools;
-  Seed.PFuzzerSpeculation = static_cast<int>(
-      arbitrateSpeculation(Tools.PFuzzerSpeculation, Campaigns).Threads);
-  Seed.Sched = Sched;
-  return Seed;
-}
+/// parallelFor's cap for a Jobs argument: 0 = one per hardware thread.
+size_t jobsCap(int Jobs) { return Jobs <= 0 ? 0 : static_cast<size_t>(Jobs); }
 
 } // namespace
 
@@ -230,30 +176,13 @@ CampaignResult pfuzz::runCampaign(ToolKind Kind, const Subject &S,
                                   int Runs, int Jobs,
                                   const ToolOptions &Tools) {
   std::vector<SeedRunOutcome> Outcomes(std::max(Runs, 0));
-  if (Jobs == 1 || Runs <= 1) {
-    // Inline fast path: no pool handoff for the seed layer (speculation
-    // may still engage the scheduler from within the campaign).
-    ToolOptions SeedTools = resolveSeedTools(Tools, 1, Tools.Sched);
-    for (int RunIdx = 0; RunIdx < Runs; ++RunIdx)
-      Outcomes[RunIdx] =
-          runOneSeed(Kind, S, Executions, Seed + static_cast<uint64_t>(RunIdx),
-                     SeedTools);
-  } else {
-    Scheduler &Sch = Tools.Sched ? *Tools.Sched : Scheduler::global();
-    size_t Cap = Jobs <= 0 ? static_cast<size_t>(Sch.size())
-                           : static_cast<size_t>(Jobs);
-    ToolOptions SeedTools = resolveSeedTools(
-        Tools,
-        std::min({static_cast<size_t>(Sch.size()), Cap, Outcomes.size()}),
-        &Sch);
-    Sch.parallelFor(
-        0, Outcomes.size(),
-        [&](size_t RunIdx) {
-          Outcomes[RunIdx] =
-              runOneSeed(Kind, S, Executions, Seed + RunIdx, SeedTools);
-        },
-        Jobs <= 0 ? 0 : static_cast<size_t>(Jobs), TaskClass::Jobs);
-  }
+  parallelFor(
+      0, Outcomes.size(),
+      [&](size_t RunIdx) {
+        Outcomes[RunIdx] =
+            runOneSeed(Kind, S, Executions, Seed + RunIdx, Tools);
+      },
+      jobsCap(Jobs));
   return reduceCell(Kind, S, Outcomes);
 }
 
@@ -264,33 +193,18 @@ pfuzz::runCampaignGrid(const std::vector<CampaignCell> &Cells, uint64_t Seed,
   std::vector<std::vector<SeedRunOutcome>> Outcomes(Cells.size());
   for (std::vector<SeedRunOutcome> &Cell : Outcomes)
     Cell.resize(NumRuns);
-  // One flat (cell, seed) task list over the shared pool: a slow cell
-  // (AFL's 10x budget) overlaps with every other cell instead of
-  // serialising the grid.
-  size_t Total = Cells.size() * NumRuns;
-  ToolOptions SeedTools;
-  auto RunTask = [&](size_t TaskIdx) {
-    size_t CellIdx = TaskIdx / NumRuns;
-    size_t RunIdx = TaskIdx % NumRuns;
-    const CampaignCell &Cell = Cells[CellIdx];
-    Outcomes[CellIdx][RunIdx] = runOneSeed(Cell.Tool, *Cell.S,
-                                           Cell.Executions, Seed + RunIdx,
-                                           SeedTools);
-  };
-  if (Jobs == 1 || Total <= 1) {
-    SeedTools = resolveSeedTools(Tools, 1, Tools.Sched);
-    for (size_t TaskIdx = 0; TaskIdx != Total; ++TaskIdx)
-      RunTask(TaskIdx);
-  } else {
-    Scheduler &Sch = Tools.Sched ? *Tools.Sched : Scheduler::global();
-    size_t Cap = Jobs <= 0 ? static_cast<size_t>(Sch.size())
-                           : static_cast<size_t>(Jobs);
-    SeedTools = resolveSeedTools(
-        Tools, std::min({static_cast<size_t>(Sch.size()), Cap, Total}), &Sch);
-    Sch.parallelFor(0, Total, RunTask,
-                    Jobs <= 0 ? 0 : static_cast<size_t>(Jobs),
-                    TaskClass::Jobs);
-  }
+  // One flat (cell, seed) index space: a slow cell (AFL's 10x budget)
+  // overlaps with every other cell instead of serialising the grid.
+  parallelFor(
+      0, Cells.size() * NumRuns,
+      [&](size_t TaskIdx) {
+        size_t CellIdx = TaskIdx / NumRuns;
+        size_t RunIdx = TaskIdx % NumRuns;
+        const CampaignCell &Cell = Cells[CellIdx];
+        Outcomes[CellIdx][RunIdx] = runOneSeed(
+            Cell.Tool, *Cell.S, Cell.Executions, Seed + RunIdx, Tools);
+      },
+      jobsCap(Jobs));
   std::vector<CampaignResult> Results;
   Results.reserve(Cells.size());
   for (size_t CellIdx = 0; CellIdx != Cells.size(); ++CellIdx)

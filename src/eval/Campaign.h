@@ -13,14 +13,10 @@
 ///
 /// The evaluation is embarrassingly parallel: every (tool, subject, seed)
 /// run owns its fuzzer, Rng and TokenCoverage and shares nothing mutable,
-/// so runCampaign fans the seeds out over the shared work-stealing
-/// scheduler (support/Scheduler.h) and runCampaignGrid fans out whole
-/// tool x subject cells. Seed-level Jobs, per-campaign speculation, and
-/// locality pre-execution all draw from the same worker pool at
-/// descending priorities, so the process never oversubscribes the
-/// machine with Jobs x SpeculationThreads threads. Results are reduced
-/// in seed order, never completion order, so any Jobs value produces
-/// results identical to Jobs=1.
+/// so runCampaign fans the seeds out with parallelFor
+/// (support/Parallel.h) and runCampaignGrid fans out whole tool x
+/// subject cells. Results are reduced in seed order, never completion
+/// order, so any Jobs value produces results identical to Jobs=1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,21 +50,6 @@ struct ToolOptions {
   /// LRU capacity, 0 disables. Reports are byte-identical at any value.
   uint32_t PFuzzerRunCache = 64;
 
-  /// Speculative-prefetch parallelism hint per pFuzzer campaign
-  /// (PFuzzerOptions::SpeculationThreads). 0 (default) disables
-  /// speculation; N > 0 requests depth-N prefetch per campaign; -1 means
-  /// auto — divide the hardware threads left over by the Jobs layer
-  /// among the concurrently running campaigns. Since every campaign
-  /// submits to one shared work-stealing scheduler, this no longer sizes
-  /// a dedicated pool; arbitration (see arbitrateSpeculation) merely
-  /// scales each campaign's in-flight prefetch depth so mispredicted
-  /// speculative work stays proportionate to the cores actually
-  /// available. Reports are byte-identical at any value.
-  int PFuzzerSpeculation = 0;
-
-  /// PFuzzerOptions::SpeculationDepth (0 = auto).
-  uint32_t PFuzzerSpeculationDepth = 0;
-
   /// PFuzzerOptions::ResumeCacheSize for pFuzzer campaigns: prefix-
   /// resumption checkpoints kept per campaign, 0 disables. Reports are
   /// byte-identical at any value; subjects that are not resume-safe and
@@ -83,21 +64,12 @@ struct ToolOptions {
   /// PFuzzerOptions::ResumeRungs: per-run cap on ladder checkpoints.
   uint32_t PFuzzerResumeRungs = 3;
 
-  /// PFuzzerOptions::LocalityBatch: equal-score queue-front candidates
-  /// the trie-batched locality scheduler pre-executes per iteration
-  /// (0 disables). Reports are byte-identical at any value.
-  uint32_t PFuzzerLocality = 0;
-
   /// When set, receives the resume-engine counters of a pFuzzer run
   /// (zeroes when the engine never engaged). The campaign runners manage
   /// this per seed run and aggregate into CampaignResult::Resume; leave
   /// null when constructing fuzzers directly unless you own the pointee
   /// for the fuzzer's whole run.
   ResumeStats *PFuzzerResumeStatsOut = nullptr;
-
-  /// Like PFuzzerResumeStatsOut, for the locality scheduler's counters
-  /// (aggregated into CampaignResult::Locality).
-  LocalityStats *PFuzzerLocalityStatsOut = nullptr;
 
   /// PFuzzerOptions::ReferenceQueue: store candidates as full by-value
   /// strings instead of compact prefix-suffix records. Reports are
@@ -142,41 +114,7 @@ struct ToolOptions {
   /// interleave records in one NDJSON stream. Null disables heartbeats.
   /// Purely observational: reports are byte-identical with or without.
   HeartbeatEmitter *PFuzzerHeartbeat = nullptr;
-
-  /// Work-stealing scheduler the campaign runners fan seed runs out on
-  /// and thread through to every fuzzer they create
-  /// (PFuzzerOptions::Sched). Null (the default) uses the process-global
-  /// Scheduler::global(). Benches pass a private pool here to measure a
-  /// specific worker count without touching global state. Purely a
-  /// placement knob: reports are byte-identical for any scheduler.
-  Scheduler *Sched = nullptr;
 };
-
-/// What arbitrateSpeculation decided for one campaign.
-struct SpeculationHint {
-  /// Effective PFuzzerOptions::SpeculationThreads: a soft prefetch-depth
-  /// hint on the shared scheduler, not a thread count (no pool is sized
-  /// from it). 0 disables speculation for the campaign.
-  unsigned Threads = 0;
-  /// True when an explicit request was reduced to the per-campaign fair
-  /// share because several campaigns run concurrently.
-  bool Capped = false;
-};
-
-/// Arbitrates the speculation hint between the seed-level Jobs layer and
-/// per-campaign prefetching: returns the effective hint for one pFuzzer
-/// campaign when \p Workers campaigns run concurrently on \p Hardware
-/// cores (0 = ask the scheduler). \p Requested < 0 (auto) yields the
-/// leftover hardware threads divided among the workers — zero on a
-/// saturated machine. An explicit request is honored as-is when
-/// Workers <= 1 and otherwise capped at max(1, Hardware / Workers), with
-/// Capped set when that reduced it. Since all work shares one
-/// work-stealing pool, this is a soft hint bounding wasted speculative
-/// executions, not a hard core partition — an idle worker always steals
-/// whatever is runnable. Speculation is behavior-invariant, so
-/// arbitration affects wall-clock only, never reports.
-SpeculationHint arbitrateSpeculation(int Requested, size_t Workers,
-                                     unsigned Hardware = 0);
 
 /// Creates a fresh fuzzer instance for \p Kind.
 std::unique_ptr<Fuzzer> makeFuzzer(ToolKind Kind,
@@ -227,10 +165,6 @@ struct CampaignResult {
   /// the deterministic result.
   ResumeStats Resume;
 
-  /// Locality-scheduler counters summed over every run of the cell; all
-  /// zero when batching was disabled. Diagnostic only.
-  LocalityStats Locality;
-
   /// Candidate-store counters summed over every run of the cell (peak
   /// byte figures are maxed, not summed — see QueueStats::accumulate).
   /// Diagnostic only.
@@ -242,9 +176,9 @@ struct CampaignResult {
   ShardStats Shards;
 
   /// Consolidated telemetry accumulated over every run of the cell: the
-  /// one tree holding executions plus the Speculation/Resume/Locality/
-  /// Queue/Sharding/Sched subtrees (see TelemetrySnapshot::accumulate
-  /// for the per-field sum/max semantics). Diagnostic only.
+  /// one tree holding executions plus the Resume/Queue/Sharding
+  /// subtrees (see TelemetrySnapshot::accumulate for the per-field
+  /// sum/max semantics). Diagnostic only.
   TelemetrySnapshot Telemetry;
 
   /// Throughput over all runs of the cell; 0 when nothing was timed.
@@ -262,12 +196,11 @@ struct CampaignResult {
 /// \p Executions budget, and returns the run with the highest valid-input
 /// branch coverage (ties: most tokens).
 ///
-/// \p Jobs caps how many seed runs execute concurrently on the shared
-/// scheduler (Tools.Sched, or Scheduler::global()): 1 (the default) runs
-/// inline on the calling thread, 0 means no cap beyond the pool's worker
-/// count. Each seed's run is fully self-contained, and the best run is
-/// selected by reducing in seed order, so every Jobs value returns a
-/// result identical to Jobs=1.
+/// \p Jobs caps how many seed runs execute concurrently: 1 (the default)
+/// runs them on the calling thread, 0 means one per hardware thread.
+/// Each seed's run is fully self-contained, and the best run is selected
+/// by reducing in seed order, so every Jobs value returns a result
+/// identical to Jobs=1.
 CampaignResult runCampaign(ToolKind Kind, const Subject &S,
                            uint64_t Executions, uint64_t Seed, int Runs,
                            int Jobs = 1, const ToolOptions &Tools = {});
@@ -280,11 +213,10 @@ struct CampaignCell {
 };
 
 /// Runs every cell of \p Cells for \p Runs seeds each, fanning all
-/// (cell, seed) tasks out over the shared scheduler with at most \p Jobs
-/// running concurrently (0 = no cap beyond the pool's worker count, the
-/// default). Returns one best-run result per cell, in the order of
-/// \p Cells; like runCampaign, the reduction is deterministic in seed
-/// order regardless of Jobs.
+/// (cell, seed) tasks out with at most \p Jobs running concurrently
+/// (0, the default, = one per hardware thread). Returns one best-run
+/// result per cell, in the order of \p Cells; like runCampaign, the
+/// reduction is deterministic in seed order regardless of Jobs.
 std::vector<CampaignResult>
 runCampaignGrid(const std::vector<CampaignCell> &Cells, uint64_t Seed,
                 int Runs, int Jobs = 0, const ToolOptions &Tools = {});

@@ -24,10 +24,9 @@
 /// table, which is lock-free for registered names (see
 /// runtime/Interning.h). Subjects are pure functions of their input with
 /// no globals, so an execution's RunResult depends only on (Input, Mode),
-/// never on what other threads run concurrently. The speculative
-/// prefetcher (core/PFuzzer.cpp) relies on exactly this: a RunResult
-/// produced on a worker thread is byte-for-byte the result the
-/// sequential loop would have recorded itself.
+/// never on what other threads run concurrently: parallel seed runs and
+/// shard loops execute the same subject side by side without
+/// influencing each other's results.
 ///
 //===----------------------------------------------------------------------===//
 

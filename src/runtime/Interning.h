@@ -17,8 +17,8 @@
 ///
 /// This is the one piece of process-wide state instrumented executions
 /// share, so its thread-safety carries the whole runtime's concurrency
-/// contract: speculative prefetch workers and parallel campaign seeds
-/// intern concurrently with no synchronization beyond this table's own
+/// contract: shard loops and parallel campaign seeds intern
+/// concurrently with no synchronization beyond this table's own
 /// (lock-free probes, mutex only on first-ever registration — a bounded
 /// startup cost, since the set of literals is fixed at link time).
 ///

@@ -56,15 +56,6 @@ PrefixResumeCache::Entry *PrefixResumeCache::lookup(uint64_t Hash,
   return &E;
 }
 
-const PrefixResumeCache::Entry *
-PrefixResumeCache::peek(uint64_t Hash, std::string_view Prefix) const {
-  auto It = Index.find(Hash);
-  if (It == Index.end())
-    return nullptr;
-  const Entry &E = *It->second;
-  return E.Prefix == Prefix ? &E : nullptr;
-}
-
 PrefixResumeCache::Entry *
 PrefixResumeCache::insertSlot(uint64_t Hash, std::string_view Prefix,
                               uint64_t *EvictedOut) {
@@ -143,26 +134,6 @@ std::shared_ptr<RunResult> PrefixResumeEngine::acquireFinalSlot() {
       return Slot;
   FinalPool.push_back(std::make_shared<RunResult>());
   return FinalPool.back();
-}
-
-size_t PrefixResumeEngine::warmPrefixLength(std::string_view Input) const {
-  size_t Best = 0;
-  uint64_t H = 0xCBF29CE484222325ULL;
-  size_t Pos = 0;
-  // Ascending walk of the cached lengths, extending one rolling FNV-1a
-  // hash — O(|Input|) hashing total however many lengths are cached.
-  for (uint32_t L : Cache.lengths()) {
-    if (L > Input.size())
-      break;
-    while (Pos < L) {
-      H ^= static_cast<unsigned char>(Input[Pos]);
-      H *= 0x100000001B3ULL;
-      ++Pos;
-    }
-    if (Cache.peek(H, Input.substr(0, L)))
-      Best = L;
-  }
-  return Best;
 }
 
 const RunResult &PrefixResumeEngine::execute(std::string_view Input,

@@ -49,10 +49,8 @@
 ///
 /// Threading contract: one engine belongs to one campaign thread — the
 /// fiber, the context storage and the cache are all thread-confined.
-/// Speculation workers never touch the engine: a suspended run is owned
-/// by the sequential loop, and speculated candidates are simply
-/// re-executed cold on the worker's own stack (see core/PFuzzer.cpp),
-/// which produces the same bytes. Eligibility is per subject
+/// A suspended run is owned by the sequential loop; shards and parallel
+/// seed runs each construct their own engine. Eligibility is per subject
 /// (Subject::resumeSafe): only parsers whose frames hold trivially
 /// restorable state may be checkpointed.
 ///
@@ -165,11 +163,6 @@ public:
   /// exactly \p Prefix (else null), marking it most recently used.
   Entry *lookup(uint64_t Hash, std::string_view Prefix);
 
-  /// Like lookup, but without promoting the entry or requiring mutable
-  /// access — warmth probes (speculation ordering) must not disturb the
-  /// eviction order the sequential loop sees.
-  const Entry *peek(uint64_t Hash, std::string_view Prefix) const;
-
   /// Returns a pinned entry to (re)mint for \p Hash/\p Prefix, evicting
   /// the least recently used entry when full (counted in *\p EvictedOut).
   /// Null when the cache has no capacity. The returned entry's Serial is
@@ -187,9 +180,6 @@ public:
   /// loop walks the sorted index of lengths actually cached instead of
   /// scanning every length down from the candidate's size.
   size_t longestLengthAtMost(size_t Len) const;
-
-  /// The distinct cached prefix lengths, sorted ascending.
-  const std::vector<uint32_t> &lengths() const { return SortedLens; }
 
   size_t size() const { return Index.size(); }
   size_t capacity() const { return Max; }
@@ -243,11 +233,6 @@ public:
   /// share its final result), so callers must read through the returned
   /// reference, never through \p Scratch.
   const RunResult &execute(std::string_view Input, RunResult &Scratch);
-
-  /// Length of the longest cached checkpoint prefix of \p Input
-  /// (byte-verified), without promoting any entry or touching stats.
-  /// Warmth-aware speculation orders its prefetch window by this.
-  size_t warmPrefixLength(std::string_view Input) const;
 
   const ResumeStats &stats() const { return Stats; }
   const PrefixResumeCache &cache() const { return Cache; }

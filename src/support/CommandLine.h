@@ -45,8 +45,8 @@ public:
   /// but unlike getInt, a value that is garbage, has trailing junk, or
   /// lies below \p Min (0 by default: counts of things) is a usage
   /// error: a diagnostic naming the flag is recorded in errors(), ok()
-  /// turns false, and \p Default is returned. Flags with a sentinel
-  /// (e.g. --speculate's -1 = auto) pass their own floor.
+  /// turns false, and \p Default is returned. Flags whose smallest
+  /// meaningful value is not 0 (e.g. --execs) pass their own floor.
   int64_t getCount(const std::string &Name, int64_t Default,
                    int64_t Min = 0) const;
 

@@ -139,8 +139,8 @@ RegistrySnapshot TelemetryRegistry::snapshot() const {
 }
 
 TelemetryRegistry &TelemetryRegistry::global() {
-  // Leaked: spans may fire from scheduler workers that outlive main's
-  // static destructors.
+  // Leaked: spans may fire from threads that outlive main's static
+  // destructors.
   static TelemetryRegistry *Global = new TelemetryRegistry();
   return *Global;
 }
@@ -186,13 +186,13 @@ void HeartbeatEmitter::emit(const HeartbeatSample &S) {
       " \"executions\": %llu, \"wall_s\": %.3f, \"execs_per_sec\": %.1f,"
       " \"frontier\": %llu, \"queue_bytes\": %llu,"
       " \"run_cache_hit_rate\": %.4f, \"resume_hit_rate\": %.4f,"
-      " \"sched_steal_rate\": %.4f, \"shard_lag\": %llu}\n",
+      " \"shard_lag\": %llu}\n",
       static_cast<unsigned long long>(TsMs),
       static_cast<unsigned long long>(Beat), S.Shard,
       static_cast<unsigned long long>(ExecsNow), WallS, Rate,
       static_cast<unsigned long long>(S.Frontier),
       static_cast<unsigned long long>(S.QueueBytes), S.RunCacheHitRate,
-      S.ResumeHitRate, S.SchedStealRate,
+      S.ResumeHitRate,
       static_cast<unsigned long long>(S.ShardLag));
   if (Rc < 0 || std::fflush(Out) != 0)
     WriteError = true;

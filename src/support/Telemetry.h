@@ -262,8 +262,6 @@ struct HeartbeatSample {
   double RunCacheHitRate = 0;
   /// Prefix-resumption engine hit rate so far (hits / probes).
   double ResumeHitRate = 0;
-  /// Work-stealing scheduler steal success rate (process-wide).
-  double SchedStealRate = 0;
   /// Worst frontier lag this shard has observed, in sync epochs.
   uint64_t ShardLag = 0;
 };

@@ -33,8 +33,8 @@
 /// can compare fields directly.
 ///
 /// TaintSets are plain values with no shared or global state, so
-/// concurrent executions (parallel campaign seeds, speculative prefetch
-/// workers) propagate taint with no synchronization at all.
+/// concurrent executions (parallel campaign seeds, shard loops)
+/// propagate taint with no synchronization at all.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -122,102 +122,3 @@ TEST(HeuristicTest, DisabledTermsHaveNoEffect) {
   EXPECT_DOUBLE_EQ(heuristicScore(Hot, NoPath),
                    heuristicScore(base(), NoPath));
 }
-
-//===----------------------------------------------------------------------===//
-// PrefixOrderTrie — the deterministic tie-break order behind trie-batched
-// candidate scheduling (PFuzzerOptions::LocalityBatch). DFS order is the
-// scheduler's contract: shared prefixes run back-to-back, a prefix runs
-// before its extensions, and the order depends only on the key set —
-// never on insertion order.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// DFS order over the inserted keys, independently computed: sort
-/// lexicographically by bytes. std::string's operator< already ranks a
-/// prefix before its extensions, which is exactly radix-trie DFS.
-std::vector<uint32_t> referenceOrder(std::vector<std::string> Keys) {
-  std::vector<size_t> Idx(Keys.size());
-  for (size_t I = 0; I != Idx.size(); ++I)
-    Idx[I] = I;
-  std::sort(Idx.begin(), Idx.end(),
-            [&Keys](size_t A, size_t B) { return Keys[A] < Keys[B]; });
-  return std::vector<uint32_t>(Idx.begin(), Idx.end());
-}
-
-} // namespace
-
-TEST(PrefixOrderTrieTest, DfsIsLexicographicPrefixFirst) {
-  // Sibling-heavy key set with shared prefixes, a key that is a strict
-  // prefix of two others, unsigned-byte comparisons past 0x7F, and an
-  // empty key (the root itself).
-  std::vector<std::string> Keys = {
-      "[1, 2]", "[1, 22]", "[1, 2",  "[1,",  "[true]", "[",
-      "{\"a\"", "{\"ab\"", "{\"b\"", "",     "\x7f",   "\x80",
-      "zz",     "z",       "[1, 2a", "[2]"};
-  PrefixOrderTrie Trie;
-  for (size_t I = 0; I != Keys.size(); ++I)
-    ASSERT_TRUE(Trie.insert(Keys[I], static_cast<uint32_t>(I)));
-  EXPECT_EQ(Trie.size(), Keys.size());
-  std::vector<uint32_t> Order;
-  Trie.dfsOrder(Order);
-  EXPECT_EQ(Order, referenceOrder(Keys));
-}
-
-TEST(PrefixOrderTrieTest, OrderIndependentOfInsertionOrder) {
-  // The regression that motivates the trie: a heap pops equal scores in
-  // arbitrary sibling order, varying run to run. DFS order must not —
-  // any permutation of inserts yields the same sequence of tags.
-  std::vector<std::string> Keys = {"ba", "ab", "a", "b", "abc", "ba1", "",
-                                   "ab0"};
-  std::vector<uint32_t> Expected = referenceOrder(Keys);
-  std::vector<size_t> Perm(Keys.size());
-  for (size_t I = 0; I != Perm.size(); ++I)
-    Perm[I] = I;
-  std::sort(Perm.begin(), Perm.end());
-  do {
-    PrefixOrderTrie Trie;
-    for (size_t I : Perm)
-      ASSERT_TRUE(Trie.insert(Keys[I], static_cast<uint32_t>(I)));
-    std::vector<uint32_t> Order;
-    Trie.dfsOrder(Order);
-    ASSERT_EQ(Order, Expected);
-  } while (std::next_permutation(Perm.begin(), Perm.end()));
-}
-
-TEST(PrefixOrderTrieTest, DuplicateKeepsFirstTag) {
-  PrefixOrderTrie Trie;
-  EXPECT_TRUE(Trie.insert("abc", 1));
-  EXPECT_FALSE(Trie.insert("abc", 2));
-  EXPECT_EQ(Trie.size(), 1u);
-  std::vector<uint32_t> Order;
-  Trie.dfsOrder(Order);
-  EXPECT_EQ(Order, std::vector<uint32_t>({1}));
-}
-
-TEST(PrefixOrderTrieTest, ClearResetsForReuse) {
-  // The scheduler reuses one trie across every batch; clear() must drop
-  // old keys (and their tags) completely.
-  PrefixOrderTrie Trie;
-  Trie.insert("stale", 9);
-  Trie.insert("staler", 8);
-  Trie.clear();
-  EXPECT_EQ(Trie.size(), 0u);
-  std::vector<uint32_t> Order;
-  Trie.dfsOrder(Order);
-  EXPECT_TRUE(Order.empty());
-  EXPECT_TRUE(Trie.insert("stale", 3));
-  Trie.insert("fresh", 4);
-  Trie.dfsOrder(Order);
-  EXPECT_EQ(Order, std::vector<uint32_t>({4, 3}));
-}
-
-TEST(PrefixOrderTrieTest, DfsOrderAppendsToExistingOutput) {
-  // dfsOrder appends — the scheduler accumulates one batch after
-  // another into the same vector.
-  PrefixOrderTrie Trie;
-  Trie.insert("x", 7);
-  std::vector<uint32_t> Order = {42};
-  Trie.dfsOrder(Order);
-  EXPECT_EQ(Order, std::vector<uint32_t>({42, 7}));
-}

@@ -9,8 +9,8 @@
 /// representation only, never behavior. A campaign run on compact
 /// prefix-suffix records must produce a FuzzReport byte-identical to the
 /// same campaign run on the string-backed reference queue — on every
-/// evaluation subject, crossed with speculation, locality batching, run
-/// cache and queue-trim pressure. Plus direct store unit tests
+/// evaluation subject, crossed with the resume engine, run cache and
+/// queue-trim pressure. Plus direct store unit tests
 /// (materialization chains, trim + arena compaction) and the PathCounts
 /// decay regression.
 ///
@@ -32,8 +32,6 @@ namespace {
 struct QueueConfig {
   const char *Name;
   uint32_t RunCache = 64;
-  uint32_t Speculation = 0;
-  uint32_t Locality = 0;
   uint32_t ResumeCache = 0;
   size_t MaxQueue = 100000;
 };
@@ -43,8 +41,6 @@ FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
                      QueueStats *Stats = nullptr) {
   PFuzzerOptions Options;
   Options.RunCacheSize = C.RunCache;
-  Options.SpeculationThreads = C.Speculation;
-  Options.LocalityBatch = C.Locality;
   Options.ResumeCacheSize = C.ResumeCache;
   // Engage the resume engine on every input so short campaign inputs
   // exercise the warm handoff paths too.
@@ -74,11 +70,9 @@ TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
   // optimization and with queue caps small enough to force trims.
   const QueueConfig Configs[] = {
       {"default"},
-      {"nocache-trim", /*RunCache=*/0, 0, 0, 0, /*MaxQueue=*/256},
-      {"speculation", 64, /*Speculation=*/2},
-      {"locality-resume", 64, 0, /*Locality=*/64, /*ResumeCache=*/64},
-      {"all-trim", 64, /*Speculation=*/2, /*Locality=*/64, /*ResumeCache=*/64,
-       /*MaxQueue=*/512},
+      {"nocache-trim", /*RunCache=*/0, 0, /*MaxQueue=*/256},
+      {"resume", 64, /*ResumeCache=*/64},
+      {"all-trim", 64, /*ResumeCache=*/64, /*MaxQueue=*/512},
   };
   for (const Subject *S : evaluationSubjects()) {
     uint64_t Execs = S == &jsonSubject() ? 3000 : 1500;
@@ -94,7 +88,7 @@ TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
 TEST(PFuzzerQueueStoreTest, TrimPressureConfigActuallyTrims) {
   // Guard against the sweep silently losing its trim coverage: the
   // small-cap config must overflow the queue and drop candidates.
-  QueueConfig C{"nocache-trim", /*RunCache=*/0, 0, 0, 0, /*MaxQueue=*/256};
+  QueueConfig C{"nocache-trim", /*RunCache=*/0, 0, /*MaxQueue=*/256};
   QueueStats Stats;
   fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Stats);
   EXPECT_GT(Stats.Trims, 0u);
@@ -122,7 +116,7 @@ TEST(PFuzzerQueueStoreTest, PathTableDecaysInsteadOfGrowingUnbounded) {
   // Regression for the unbounded PathCounts growth: with a small cap the
   // campaign must decay the table (halve counts, drop zeros) instead of
   // letting it grow past the cap, and still complete its budget.
-  QueueConfig C{"tiny-cap", 64, 0, 0, 0, /*MaxQueue=*/32};
+  QueueConfig C{"tiny-cap", 64, 0, /*MaxQueue=*/32};
   QueueStats Stats;
   FuzzReport Report =
       fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Stats);

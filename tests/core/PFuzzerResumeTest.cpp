@@ -11,9 +11,11 @@
 /// run records byte-for-byte what a cold run records, so the FuzzReport —
 /// executions, emitted inputs, coverage, timeline — and the OnValidInput
 /// stream must be identical at any cache size (off, tiny, moderate,
-/// unbounded), with and without speculation workers, and on builds
-/// without fiber support. Also pins the engine's eligibility gates and
-/// the direct engine-vs-cold RunResult equivalence.
+/// unbounded), any checkpoint-ladder geometry
+/// (PFuzzerOptions::ResumeStride/ResumeRungs), and on builds without
+/// fiber support. Also pins the engine's eligibility gates, the direct
+/// engine-vs-cold RunResult equivalence, and ladder restores under
+/// eviction pressure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,16 +33,17 @@ using namespace pfuzz;
 namespace {
 
 FuzzReport fuzzResuming(const Subject &S, uint64_t Execs, uint64_t Seed,
-                        uint32_t ResumeCache, uint32_t Workers = 0,
-                        ResumeStats *Stats = nullptr,
+                        uint32_t ResumeCache, ResumeStats *Stats = nullptr,
                         std::vector<std::string> *ValidLog = nullptr,
-                        uint32_t ResumeMin = 0) {
+                        uint32_t ResumeMin = 0, uint32_t Stride = 16,
+                        uint32_t Rungs = 3) {
   PFuzzerOptions Options;
   Options.ResumeCacheSize = ResumeCache;
   // Tests default the bypass threshold to 0 so short campaigns exercise
   // the engine on every input; the sweep also covers the shipped default.
   Options.ResumeMinLength = ResumeMin;
-  Options.SpeculationThreads = Workers;
+  Options.ResumeStride = Stride;
+  Options.ResumeRungs = Rungs;
   Options.ResumeStatsOut = Stats;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
@@ -94,31 +97,44 @@ void expectIdenticalRunResults(const RunResult &A, const RunResult &B) {
 
 constexpr uint32_t Unbounded = 0xFFFFFFFFu;
 
-TEST(PFuzzerResumeTest, ReportIdenticalAcrossCacheSizesAndSpeculation) {
+TEST(PFuzzerResumeTest, ReportIdenticalAcrossCacheSizes) {
   // The identity sweep of the engine's contract: {off, 1, 8, unbounded}
-  // x {no speculation, 2 workers} x {engine on every input, shipped
-  // bypass threshold} on two resume-safe subjects.
+  // x {engine on every input, shipped bypass threshold} on two
+  // resume-safe subjects.
   for (const Subject *S : {&jsonSubject(), &iniSubject()}) {
     uint64_t Execs = 3000;
     std::vector<std::string> BaseValid;
     FuzzReport Baseline =
-        fuzzResuming(*S, Execs, 7, /*ResumeCache=*/0, /*Workers=*/0, nullptr,
-                     &BaseValid);
+        fuzzResuming(*S, Execs, 7, /*ResumeCache=*/0, nullptr, &BaseValid);
     for (uint32_t CacheSize : {0u, 1u, 8u, Unbounded}) {
-      for (uint32_t Workers : {0u, 2u}) {
-        for (uint32_t MinLen : {0u, PFuzzerOptions().ResumeMinLength}) {
-          SCOPED_TRACE(std::string(S->name()) + " resume-cache " +
-                       std::to_string(CacheSize) + " workers " +
-                       std::to_string(Workers) + " min-len " +
-                       std::to_string(MinLen));
-          std::vector<std::string> Valid;
-          FuzzReport Report = fuzzResuming(*S, Execs, 7, CacheSize, Workers,
-                                           nullptr, &Valid, MinLen);
-          expectIdenticalReports(Baseline, Report);
-          EXPECT_EQ(BaseValid, Valid);
-        }
+      for (uint32_t MinLen : {0u, PFuzzerOptions().ResumeMinLength}) {
+        SCOPED_TRACE(std::string(S->name()) + " resume-cache " +
+                     std::to_string(CacheSize) + " min-len " +
+                     std::to_string(MinLen));
+        std::vector<std::string> Valid;
+        FuzzReport Report =
+            fuzzResuming(*S, Execs, 7, CacheSize, nullptr, &Valid, MinLen);
+        expectIdenticalReports(Baseline, Report);
+        EXPECT_EQ(BaseValid, Valid);
       }
     }
+  }
+}
+
+TEST(PFuzzerResumeTest, ReportIdenticalAcrossLadderGeometries) {
+  // Stride and rung count only move checkpoints around; the ladder off
+  // (stride 0), fine, and coarse must all report identically.
+  FuzzReport Baseline = fuzzResuming(jsonSubject(), 3000, 3, 64, nullptr,
+                                     nullptr, 0, /*Stride=*/0, /*Rungs=*/0);
+  struct {
+    uint32_t Stride, Rungs;
+  } Geometries[] = {{4, 1}, {16, 3}, {64, 8}};
+  for (const auto &G : Geometries) {
+    SCOPED_TRACE("stride " + std::to_string(G.Stride) + " rungs " +
+                 std::to_string(G.Rungs));
+    expectIdenticalReports(Baseline,
+                           fuzzResuming(jsonSubject(), 3000, 3, 64, nullptr,
+                                        nullptr, 0, G.Stride, G.Rungs));
   }
 }
 
@@ -126,7 +142,7 @@ TEST(PFuzzerResumeTest, EngineResumesWhenAvailable) {
   if (!PrefixResumeEngine::available())
     GTEST_SKIP() << "fibers unavailable in this build";
   ResumeStats Stats;
-  fuzzResuming(jsonSubject(), 3000, 11, /*ResumeCache=*/256, 0, &Stats);
+  fuzzResuming(jsonSubject(), 3000, 11, /*ResumeCache=*/256, &Stats);
   // The search extends prefixes constantly; with a roomy cache most
   // probes must land.
   EXPECT_GT(Stats.Minted, 0u);
@@ -138,13 +154,13 @@ TEST(PFuzzerResumeTest, EngineResumesWhenAvailable) {
 TEST(PFuzzerResumeTest, StatsStayZeroWhenDisabledOrIneligible) {
   ResumeStats Stats;
   // Disabled by size.
-  fuzzResuming(jsonSubject(), 500, 3, /*ResumeCache=*/0, 0, &Stats);
+  fuzzResuming(jsonSubject(), 500, 3, /*ResumeCache=*/0, &Stats);
   EXPECT_EQ(Stats.Probes, 0u);
   EXPECT_EQ(Stats.Minted, 0u);
   // Ineligible subject: mjs frames own heap state, so it must never be
   // checkpointed no matter the configured size.
   EXPECT_FALSE(mjsSubject().resumeSafe());
-  fuzzResuming(mjsSubject(), 500, 3, /*ResumeCache=*/64, 0, &Stats);
+  fuzzResuming(mjsSubject(), 500, 3, /*ResumeCache=*/64, &Stats);
   EXPECT_EQ(Stats.Probes, 0u);
   EXPECT_EQ(Stats.Minted, 0u);
 }
@@ -155,7 +171,7 @@ TEST(PFuzzerResumeTest, EvictionBoundsTheCache) {
   // A one-entry cache must keep working (and keep reports identical —
   // covered by the sweep above); here: it actually evicts.
   ResumeStats Stats;
-  fuzzResuming(jsonSubject(), 2000, 11, /*ResumeCache=*/1, 0, &Stats);
+  fuzzResuming(jsonSubject(), 2000, 11, /*ResumeCache=*/1, &Stats);
   EXPECT_GT(Stats.Minted, 0u);
   EXPECT_GT(Stats.Evicted, 0u);
 }
@@ -231,6 +247,75 @@ TEST(PFuzzerResumeTest, ResumesAcrossBranchingExtensions) {
     expectIdenticalRunResults(Cold, Resumed);
   }
   EXPECT_GE(Engine.stats().Hits, 6u);
+}
+
+TEST(PFuzzerResumeTest, LadderRestoreCorrectUnderEvictionPressure) {
+  // Direct engine sweep: siblings spliced below a long parent, executed
+  // against ladders over every cache size from one entry up. Restores
+  // from rungs that survived eviction — and cold re-runs where nothing
+  // did — must match cold execution event for event.
+  if (!PrefixResumeEngine::available())
+    GTEST_SKIP() << "fibers unavailable in this build";
+  const Subject &S = jsonSubject();
+  const std::string Parent = "{\"a\": [11, 22, [33, {\"b\": \"cd\"}], 44],"
+                             " \"e\": [true, false, null, 55]}";
+  std::vector<std::string> Inputs;
+  for (size_t L = 1; L <= Parent.size(); L += 3)
+    Inputs.push_back(Parent.substr(0, L));
+  // Spliced siblings: the suffix digits never occur in the parent, so
+  // their checkpoints cannot serve as pure parent prefixes.
+  for (size_t K = 5; K + 7 < Parent.size(); K += 7) {
+    Inputs.push_back(Parent.substr(0, K) + "9");
+    Inputs.push_back(Parent.substr(0, K + 3) + "8]");
+  }
+  std::vector<RunResult> Reference;
+  Reference.reserve(Inputs.size());
+  for (const std::string &In : Inputs)
+    Reference.push_back(S.execute(In, InstrumentationMode::Full));
+  for (size_t CacheSize : {1u, 2u, 3u, 6u, 32u}) {
+    SCOPED_TRACE("cache " + std::to_string(CacheSize));
+    PrefixResumeEngine Engine([&S](ExecutionContext &C) { return S.run(C); },
+                              CacheSize, /*MinInput=*/0, /*RungStride=*/8,
+                              /*RungCap=*/4);
+    RunResult Scratch;
+    for (int Round = 0; Round != 2; ++Round)
+      for (size_t I = 0; I != Inputs.size(); ++I) {
+        SCOPED_TRACE("round " + std::to_string(Round) + " input " +
+                     std::to_string(I));
+        const RunResult &Run = Engine.execute(Inputs[I], Scratch);
+        expectIdenticalRunResults(Reference[I], Run);
+      }
+    EXPECT_GT(Engine.stats().RungsMinted, 0u);
+  }
+}
+
+TEST(PFuzzerResumeTest, RungDepthHistogramRecordsLadderHits) {
+  // A parent long enough for several rungs, then siblings spliced at
+  // depths only rungs can serve: the hit histogram must report rung
+  // depths >= 1 and the average must be positive.
+  if (!PrefixResumeEngine::available())
+    GTEST_SKIP() << "fibers unavailable in this build";
+  const Subject &S = jsonSubject();
+  const std::string Parent = "[[1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3]]";
+  PrefixResumeEngine Engine([&S](ExecutionContext &C) { return S.run(C); },
+                            /*MaxEntries=*/64, /*MinInput=*/0,
+                            /*RungStride=*/8, /*RungCap=*/4);
+  RunResult Scratch;
+  // Cold parent run mints rungs at 8, 16, 24, 32 plus its past-end
+  // checkpoint.
+  Engine.execute(Parent, Scratch);
+  EXPECT_EQ(Engine.stats().RungsMinted, 4u);
+  // A sibling spliced mid-parent can only resume from a rung: bucket 0
+  // (past-end hits) must stay empty while some deeper bucket fills.
+  Engine.execute(Parent.substr(0, 19) + "9]]", Scratch);
+  const ResumeStats &St = Engine.stats();
+  EXPECT_EQ(St.Hits, 1u);
+  EXPECT_EQ(St.HitsByRung[0], 0u);
+  EXPECT_GT(St.avgHitRungDepth(), 0.0);
+  uint64_t DeepHits = 0;
+  for (size_t I = 1; I != ResumeStats::RungBuckets; ++I)
+    DeepHits += St.HitsByRung[I];
+  EXPECT_EQ(DeepHits, 1u);
 }
 
 } // namespace

@@ -8,9 +8,8 @@
 /// The contract of the sharded campaign engine (PFuzzerOptions::Shards):
 /// --shards=1 takes the plain sequential code path, so its report is
 /// byte-identical to the unsharded engine under every composition of the
-/// other performance layers (speculation, locality batching, run cache,
-/// resume ladder). For N > 1 the search is different by design but
-/// deterministic: a fixed (seed, N, interval) reproduces the merged
+/// other performance layers (run cache, resume ladder). For N > 1 the
+/// search is different by design but deterministic: a fixed (seed, N, interval) reproduces the merged
 /// report bit for bit, the budget is spent exactly, the valid-input
 /// stream and coverage union are consistent, and the sync ledger
 /// balances (published == merged, accepted + rejected == offered).
@@ -33,8 +32,6 @@ namespace {
 struct ShardRunConfig {
   uint32_t Shards = 1;
   uint32_t SyncInterval = 0; // 0 = engine default
-  int Speculation = 0;
-  uint32_t Locality = 0;
   uint32_t RunCache = 64;
   uint32_t ResumeCache = 64;
 };
@@ -47,9 +44,6 @@ FuzzReport fuzzWith(const Subject &S, uint64_t Execs, uint64_t Seed,
   Options.Shards = Cfg.Shards;
   if (Cfg.SyncInterval != 0)
     Options.ShardSyncInterval = Cfg.SyncInterval;
-  Options.SpeculationThreads = static_cast<unsigned>(
-      Cfg.Speculation < 0 ? 0 : Cfg.Speculation);
-  Options.LocalityBatch = Cfg.Locality;
   Options.RunCacheSize = Cfg.RunCache;
   Options.ResumeCacheSize = Cfg.ResumeCache;
   Options.ShardStatsOut = Stats;
@@ -80,20 +74,19 @@ TEST(PFuzzerShardTest, SingleShardIdenticalToUnshardedAcrossSubjects) {
   // with every other perf layer must reproduce the default engine on
   // every evaluation subject.
   const ShardRunConfig Compositions[] = {
-      {1, 0, 0, 0, 64, 64},    // plain
-      {1, 0, 2, 0, 64, 64},    // + speculation
-      {1, 0, 0, 64, 64, 64},   // + locality batching
-      {1, 128, 2, 64, 0, 0},   // everything on, caches off, odd interval
+      {1, 0, 64, 64},   // plain
+      {1, 0, 64, 0},    // resume cache off
+      {1, 128, 0, 0},   // caches off, odd interval
   };
   for (const Subject *S : evaluationSubjects()) {
     uint64_t Execs = 1500;
     ShardRunConfig Unsharded; // Shards = 1 via the unsharded code path
     FuzzReport Baseline = fuzzWith(*S, Execs, 7, Unsharded);
     for (const ShardRunConfig &Cfg : Compositions) {
-      SCOPED_TRACE(std::string(S->name()) + " spec " +
-                   std::to_string(Cfg.Speculation) + " locality " +
-                   std::to_string(Cfg.Locality) + " run-cache " +
-                   std::to_string(Cfg.RunCache));
+      SCOPED_TRACE(std::string(S->name()) + " run-cache " +
+                   std::to_string(Cfg.RunCache) + " resume-cache " +
+                   std::to_string(Cfg.ResumeCache) + " interval " +
+                   std::to_string(Cfg.SyncInterval));
       // Same seed, same budget: every composition row must agree with
       // the plain baseline (the perf layers are behavior-invariant, and
       // shards=1 must not change that).

@@ -30,16 +30,12 @@ namespace {
 struct RunWithStats {
   FuzzReport Report;
   TelemetrySnapshot Telemetry;
-  SpeculationStats Speculation;
   ResumeStats Resume;
-  LocalityStats Locality;
   QueueStats Queue;
   ShardStats Shards;
 };
 
 struct RunConfig {
-  uint32_t Speculation = 0;
-  uint32_t Locality = 0;
   uint32_t Shards = 1;
   uint32_t ResumeCache = 0;
 };
@@ -50,13 +46,9 @@ RunWithStats runInstrumented(const Subject &S, uint64_t Execs, uint64_t Seed,
                              bool WithTelemetry = true) {
   RunWithStats Out;
   PFuzzerOptions Options;
-  Options.SpeculationThreads = C.Speculation;
-  Options.LocalityBatch = C.Locality;
   Options.Shards = C.Shards;
   Options.ResumeCacheSize = C.ResumeCache;
-  Options.StatsOut = &Out.Speculation;
   Options.ResumeStatsOut = &Out.Resume;
-  Options.LocalityStatsOut = &Out.Locality;
   Options.QueueStatsOut = &Out.Queue;
   Options.ShardStatsOut = &Out.Shards;
   if (WithTelemetry)
@@ -85,18 +77,9 @@ void expectSnapshotMatchesSinks(const RunWithStats &R) {
   EXPECT_EQ(T.ValidInputs, R.Report.ValidInputs.size());
   EXPECT_EQ(T.FrontierSize, R.Report.ValidBranches.size());
 
-  EXPECT_EQ(T.Speculation.Lookups, R.Speculation.Lookups);
-  EXPECT_EQ(T.Speculation.Submitted, R.Speculation.Submitted);
-  EXPECT_EQ(T.Speculation.Hits, R.Speculation.Hits);
-  EXPECT_EQ(T.Speculation.Cancelled, R.Speculation.Cancelled);
-
   EXPECT_EQ(T.Resume.Probes, R.Resume.Probes);
   EXPECT_EQ(T.Resume.Hits, R.Resume.Hits);
   EXPECT_EQ(T.Resume.BytesSkipped, R.Resume.BytesSkipped);
-
-  EXPECT_EQ(T.Locality.Batches, R.Locality.Batches);
-  EXPECT_EQ(T.Locality.Batched, R.Locality.Batched);
-  EXPECT_EQ(T.Locality.Consumed, R.Locality.Consumed);
 
   EXPECT_EQ(T.Queue.Pushes, R.Queue.Pushes);
   EXPECT_EQ(T.Queue.Rescores, R.Queue.Rescores);
@@ -114,21 +97,17 @@ void expectSnapshotMatchesSinks(const RunWithStats &R) {
 
 TEST(PFuzzerTelemetryTest, SnapshotMatchesStatsSinksAcrossConfigSweep) {
   // Five subjects crossed with the perf layers the snapshot consolidates:
-  // plain, speculating, locality-batched, resuming, and sharded.
+  // plain, resuming, and sharded.
   const RunConfig Configs[] = {
-      {},                          // plain sequential engine
-      {.Speculation = 2},          // speculative prefetch
-      {.Locality = 16},            // trie-batched locality
-      {.ResumeCache = 32},         // prefix-resumption ladder
-      {.Shards = 2},               // sharded engine
+      {},                  // plain sequential engine
+      {.ResumeCache = 32}, // prefix-resumption ladder
+      {.Shards = 2},       // sharded engine
   };
   const Subject *Subjects[] = {&arithSubject(), &dyckSubject(),
                                &iniSubject(), &csvSubject(), &jsonSubject()};
   for (const Subject *S : Subjects) {
     for (const RunConfig &C : Configs) {
-      SCOPED_TRACE(std::string(S->name()) + " spec=" +
-                   std::to_string(C.Speculation) + " loc=" +
-                   std::to_string(C.Locality) + " shards=" +
+      SCOPED_TRACE(std::string(S->name()) + " shards=" +
                    std::to_string(C.Shards) + " resume=" +
                    std::to_string(C.ResumeCache));
       RunWithStats R = runInstrumented(*S, 2000, 1, C);
@@ -200,7 +179,7 @@ TEST(PFuzzerTelemetryTest, CampaignRunnerAggregatesSeedSnapshots) {
 TEST(PFuzzerTelemetryTest, CampaignTelemetryIdenticalAcrossJobs) {
   // The Jobs contract extends to the consolidated snapshot: per-seed
   // snapshots reduce in seed order, so parallel fan-out must aggregate
-  // to the same totals as sequential (Sched is pool-global and excluded).
+  // to the same totals as sequential.
   ToolOptions Tools;
   CampaignResult Seq = runCampaign(ToolKind::PFuzzer, dyckSubject(), 2000, 7,
                                    /*Runs=*/3, /*Jobs=*/1, Tools);

@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "eval/Campaign.h"
-#include "support/Scheduler.h"
 
 #include <gtest/gtest.h>
 
@@ -102,30 +101,6 @@ TEST(CampaignParallelTest, GridTracksTimingPerCell) {
   EXPECT_EQ(Grid[0].TotalExecutions, 8000u);
   EXPECT_GT(Grid[0].WallSeconds, 0.0);
   EXPECT_GT(Grid[0].execsPerSec(), 0.0);
-}
-
-TEST(CampaignParallelTest, JobsAndSpeculationShareOnePool) {
-  // The unified-scheduler contract: seed-level Jobs and per-campaign
-  // speculation draw from ONE worker pool, not a hard partition of
-  // dedicated threads. A private two-worker scheduler runs a Jobs=2
-  // campaign whose seeds each speculate; afterwards the same pool must
-  // have executed both Jobs-class and Speculation-class tasks — and the
-  // result must still match a sequential, non-speculating run.
-  CampaignResult Seq =
-      runCampaign(ToolKind::PFuzzer, dyckSubject(), 2000, 5, 2, /*Jobs=*/1);
-  Scheduler Sched(2);
-  ToolOptions Tools;
-  Tools.Sched = &Sched;
-  Tools.PFuzzerSpeculation = 2;
-  CampaignResult Par = runCampaign(ToolKind::PFuzzer, dyckSubject(), 2000, 5,
-                                   2, /*Jobs=*/2, Tools);
-  expectIdentical(Seq, Par);
-  SchedulerStats Stats = Sched.stats();
-  EXPECT_EQ(Stats.Submitted[0], 2u) << "one Jobs task per seed run";
-  EXPECT_GT(Stats.Submitted[2], 0u) << "speculation flowed to the same pool";
-  EXPECT_EQ(Stats.submitted(),
-            Stats.executed() + Stats.RanInline + Stats.Cancelled)
-      << "every task was executed somewhere or retracted";
 }
 
 TEST(CampaignParallelTest, BudgetScaleSaturatesInsteadOfWrapping) {

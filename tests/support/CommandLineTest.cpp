@@ -69,9 +69,9 @@ TEST(CommandLineTest, UnqueriedFlagsReported) {
 }
 
 TEST(CommandLineTest, GetCountAcceptsValidValues) {
-  CommandLine C = parse({"--jobs=4", "--speculate=-1"});
+  CommandLine C = parse({"--jobs=4", "--offset=-1"});
   EXPECT_EQ(C.getCount("jobs", 1), 4);
-  EXPECT_EQ(C.getCount("speculate", 0, /*Min=*/-1), -1);
+  EXPECT_EQ(C.getCount("offset", 0, /*Min=*/-1), -1);
   EXPECT_EQ(C.getCount("absent", 9), 9);
   EXPECT_TRUE(C.ok());
   EXPECT_TRUE(C.errors().empty());
@@ -98,9 +98,9 @@ TEST(CommandLineTest, GetCountRejectsNegativeAndTrailingJunk) {
 }
 
 TEST(CommandLineTest, GetCountHonorsSentinelFloor) {
-  // --speculate admits -1 (auto) but nothing below it.
-  CommandLine C = parse({"--speculate=-2"});
-  EXPECT_EQ(C.getCount("speculate", 0, /*Min=*/-1), 0);
+  // A flag with floor -1 admits -1 but nothing below it.
+  CommandLine C = parse({"--offset=-2"});
+  EXPECT_EQ(C.getCount("offset", 0, /*Min=*/-1), 0);
   EXPECT_FALSE(C.ok());
   ASSERT_EQ(C.errors().size(), 1u);
   EXPECT_NE(C.errors()[0].find(">= -1"), std::string::npos);

@@ -99,7 +99,8 @@ TEST(TelemetryTest, HistogramBucketsByBitWidthWithExactSum) {
   // 2 and 3 -> bucket 2, 1000 -> bucket 10.
   for (uint64_t V : {0ull, 1ull, 2ull, 3ull, 1000ull})
     Reg.record(H, V);
-  const HistogramData *D = Reg.snapshot().histogram("test.hist");
+  RegistrySnapshot Snap = Reg.snapshot();
+  const HistogramData *D = Snap.histogram("test.hist");
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->Count, 5u);
   EXPECT_EQ(D->Sum, 1006u);
@@ -117,7 +118,8 @@ TEST(TelemetryTest, HistogramClampsOversizedValuesToLastBucket) {
   TelemetryRegistry Reg;
   MetricId H = Reg.histogram("test.clamp");
   Reg.record(H, UINT64_MAX);
-  const HistogramData *D = Reg.snapshot().histogram("test.clamp");
+  RegistrySnapshot Snap = Reg.snapshot();
+  const HistogramData *D = Snap.histogram("test.clamp");
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->Buckets[HistogramData::BucketCount - 1], 1u);
   EXPECT_EQ(D->Sum, UINT64_MAX);
@@ -253,7 +255,6 @@ TEST(TelemetryTest, HeartbeatRecordsCarryStableSchemaAndMonotoneColumns) {
         S.QueueBytes = 4096;
         S.RunCacheHitRate = 0.25;
         S.ResumeHitRate = 0.5;
-        S.SchedStealRate = 0.125;
         S.ShardLag = 1;
         HB.emit(S);
       }
@@ -267,7 +268,7 @@ TEST(TelemetryTest, HeartbeatRecordsCarryStableSchemaAndMonotoneColumns) {
                         "wall_s",       "execs_per_sec",
                         "frontier",     "queue_bytes",
                         "run_cache_hit_rate", "resume_hit_rate",
-                        "sched_steal_rate",   "shard_lag"};
+                        "shard_lag"};
   uint64_t LastBeat = 0, LastExecs = 0;
   for (const std::string &Line : Lines) {
     // Every record is a one-line object carrying the full fixed key set.
