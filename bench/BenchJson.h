@@ -9,8 +9,7 @@
 /// as a JSON array of records
 ///
 ///   {"bench": ..., "subject": ..., "execs_per_sec": ...,
-///    "wall_ms": ..., "resume_hit_rate": ..., "resume_rung_depth": ...,
-///    "queue_bytes_peak": ..., "rescore_ns_per_exec": ...,
+///    "wall_ms": ..., "queue_bytes_peak": ..., "rescore_ns_per_exec": ...,
 ///    "shards": ..., "shard_deltas": ..., "shard_migrations": ...,
 ///    "shard_frontier_lag": ...}
 ///
@@ -48,10 +47,6 @@ struct BenchJsonRecord {
   /// explicitly (`.WallMs = Seconds * 1000.0`) — the writer stores what
   /// it is given.
   double WallMs = 0;
-  double ResumeHitRate = 0;
-  /// Average ladder-rung depth of resume-cache hits (0 when the ladder
-  /// is off or never hit).
-  double ResumeRungDepth = 0;
   /// Peak sampled candidate-queue bytes (0 = not a pFuzzer measurement).
   double QueueBytesPeak = 0;
   /// Queue-rescore wall time amortized per execution, in nanoseconds.
@@ -139,14 +134,13 @@ public:
       std::fprintf(Out,
                    "  {\"bench\": \"%s\", \"subject\": \"%s\","
                    " \"execs_per_sec\": %.1f, \"wall_ms\": %.3f,"
-                   " \"resume_hit_rate\": %.4f, \"resume_rung_depth\": %.4f,"
                    " \"queue_bytes_peak\": %.0f,"
                    " \"rescore_ns_per_exec\": %.4f, \"shards\": %.0f,"
                    " \"shard_deltas\": %.0f, \"shard_migrations\": %.0f,"
                    " \"shard_frontier_lag\": %.0f}%s\n",
                    benchJsonEscape(R.Bench).c_str(),
                    benchJsonEscape(R.Subject).c_str(), R.ExecsPerSec, R.WallMs,
-                   R.ResumeHitRate, R.ResumeRungDepth, R.QueueBytesPeak,
+                   R.QueueBytesPeak,
                    R.RescoreNsPerExec, R.Shards, R.ShardDeltas,
                    R.ShardMigrations, R.ShardFrontierLag,
                    I + 1 == Records.size() ? "" : ",");

@@ -43,10 +43,6 @@ int main(int Argc, char **Argv) {
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   ToolOptions ToolCfg;
-  ToolCfg.PFuzzerRunCache =
-      static_cast<uint32_t>(Cli.getCount("run-cache", ToolCfg.PFuzzerRunCache));
-  ToolCfg.PFuzzerResumeCache = static_cast<uint32_t>(
-      Cli.getCount("resume-cache", ToolCfg.PFuzzerResumeCache));
   ToolCfg.PFuzzerShards = static_cast<uint32_t>(
       Cli.getCount("shards", ToolCfg.PFuzzerShards, /*Min=*/1));
   std::string SubjectFilter = Cli.getString("subject", "");
@@ -96,8 +92,7 @@ int main(int Argc, char **Argv) {
     for (const std::string &Err : Cli.errors())
       std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: fig2_coverage [--budget-scale=N]"
-                         " [--runs=N] [--seed=N] [--jobs=N] [--run-cache=N]"
-                         " [--resume-cache=N]"
+                         " [--runs=N] [--seed=N] [--jobs=N]"
                          " [--shards=N] [--subject=NAME] [--tools=LIST]"
                          " [--timeline] [--telemetry=FILE] [--heartbeat=N]"
                          " [--json=PATH]\n");
@@ -157,19 +152,19 @@ int main(int Argc, char **Argv) {
            .Subject = std::string(toolName(Tools[T])) + "/" + Row.Subject,
            .ExecsPerSec = R.execsPerSec(),
            .WallMs = R.WallSeconds * 1000.0,
-           .ResumeHitRate = R.Resume.hitRate(),
-           .ResumeRungDepth = R.Resume.avgHitRungDepth(),
-           .QueueBytesPeak = static_cast<double>(R.Queue.PeakBytes),
+           .QueueBytesPeak = static_cast<double>(R.Telemetry.Queue.PeakBytes),
            .RescoreNsPerExec =
-               static_cast<double>(R.Queue.RescoreNanos) /
+               static_cast<double>(R.Telemetry.Queue.RescoreNanos) /
                static_cast<double>(std::max<uint64_t>(R.TotalExecutions, 1)),
            .Shards = Tools[T] == ToolKind::PFuzzer
                          ? static_cast<double>(ToolCfg.PFuzzerShards)
                          : 0,
-           .ShardDeltas = static_cast<double>(R.Shards.DeltasPublished),
-           .ShardMigrations = static_cast<double>(R.Shards.MigrationsAccepted),
+           .ShardDeltas =
+               static_cast<double>(R.Telemetry.Sharding.DeltasPublished),
+           .ShardMigrations =
+               static_cast<double>(R.Telemetry.Sharding.MigrationsAccepted),
            .ShardFrontierLag =
-               static_cast<double>(R.Shards.MaxFrontierLag)});
+               static_cast<double>(R.Telemetry.Sharding.MaxFrontierLag)});
       Cells.push_back(formatDouble(Row.Ratios[T] * 100, 1));
       std::fprintf(stderr,
                    "  done: %s on %s (%llu execs, %zu valid, %s, %s)\n",

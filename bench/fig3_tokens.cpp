@@ -37,10 +37,6 @@ int main(int Argc, char **Argv) {
   uint64_t Seed = static_cast<uint64_t>(Cli.getInt("seed", 1));
   int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   ToolOptions ToolCfg;
-  ToolCfg.PFuzzerRunCache =
-      static_cast<uint32_t>(Cli.getCount("run-cache", ToolCfg.PFuzzerRunCache));
-  ToolCfg.PFuzzerResumeCache = static_cast<uint32_t>(
-      Cli.getCount("resume-cache", ToolCfg.PFuzzerResumeCache));
   std::string TelemetryPath = Cli.getString("telemetry", "");
   uint64_t HeartbeatEvery = static_cast<uint64_t>(
       Cli.getCount("heartbeat", 4096, /*Min=*/1));
@@ -49,8 +45,7 @@ int main(int Argc, char **Argv) {
     for (const std::string &Err : Cli.errors())
       std::fprintf(stderr, "error: %s\n", Err.c_str());
     std::fprintf(stderr, "usage: fig3_tokens [--budget-scale=N] [--runs=N]"
-                         " [--seed=N] [--jobs=N] [--run-cache=N]"
-                         " [--resume-cache=N]"
+                         " [--seed=N] [--jobs=N]"
                          " [--telemetry=FILE] [--heartbeat=N]"
                          " [--json=PATH]\n");
     return 1;
@@ -113,8 +108,7 @@ int main(int Argc, char **Argv) {
                 .Subject = std::string(toolName(Tools[T])) + "/" +
                            std::string(S->name()),
                 .ExecsPerSec = R.execsPerSec(),
-                .WallMs = R.WallSeconds * 1000.0,
-                .ResumeHitRate = R.Resume.hitRate()});
+                .WallMs = R.WallSeconds * 1000.0});
       std::fprintf(stderr, "  done: %s on %s (%zu tokens, %s, %s)\n",
                    std::string(toolName(Tools[T])).c_str(),
                    std::string(S->name()).c_str(), R.TokensFound.size(),

@@ -289,8 +289,8 @@ int runSweep(int Argc, char **Argv) {
       AllIdentical &= Same;
       Rate[Mode] =
           Wall > 0 ? static_cast<double>(R.TotalExecutions) / Wall : 0;
-      PeakBytes[Mode] = static_cast<double>(R.Queue.PeakBytes);
-      double RescoreNs = static_cast<double>(R.Queue.RescoreNanos) /
+      PeakBytes[Mode] = static_cast<double>(R.Telemetry.Queue.PeakBytes);
+      double RescoreNs = static_cast<double>(R.Telemetry.Queue.RescoreNanos) /
                          static_cast<double>(std::max<uint64_t>(
                              R.TotalExecutions, 1));
       std::printf("%-9s %-10s %9.3f %11.0f %12.0f %11.1f  %s\n",

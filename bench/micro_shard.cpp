@@ -52,7 +52,7 @@ namespace {
 
 struct RunOutcome {
   FuzzReport Report;
-  ShardStats Shards;
+  TelemetrySnapshot Telemetry;
   double WallSeconds = 0;
 };
 
@@ -65,7 +65,7 @@ RunOutcome runOnce(const Subject &S, uint64_t Execs, uint64_t Seed,
     if (SyncInterval != 0)
       Options.ShardSyncInterval = SyncInterval;
   }
-  Options.ShardStatsOut = &Out.Shards;
+  Options.TelemetryOut = &Out.Telemetry;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
@@ -123,7 +123,7 @@ int main(int Argc, char **Argv) {
     RunOutcome Single;
     for (uint32_t N : ShardGrid) {
       RunOutcome Out = runOnce(*S, Execs, Seed, N, Sync);
-      const ShardStats &St = Out.Shards;
+      const ShardStats &St = Out.Telemetry.Sharding;
       bool Identical = true;
       if (N == 1) {
         // Contract 1: --shards=1 is the plain engine, byte for byte.

@@ -12,7 +12,7 @@
 ///
 ///   ./pfuzz_cli --subject=json [--tool=pfuzzer|afl|klee|random]
 ///               [--execs=N] [--seed=N] [--runs=N] [--jobs=N]
-///               [--shards=N] [--shard-sync=N] [--shard-stats]
+///               [--max-queue=N] [--shards=N] [--shard-sync=N]
 ///               [--telemetry=FILE] [--heartbeat=N] [--telemetry-stats]
 ///               [--list-subjects] [--mine] [--quiet]
 ///
@@ -40,14 +40,6 @@ int main(int Argc, char **Argv) {
   int Runs = static_cast<int>(Cli.getCount("runs", 1, /*Min=*/1));
   int Jobs = static_cast<int>(Cli.getCount("jobs", 1));
   ToolOptions Tools;
-  Tools.PFuzzerRunCache =
-      static_cast<uint32_t>(Cli.getCount("run-cache", Tools.PFuzzerRunCache));
-  Tools.PFuzzerResumeCache = static_cast<uint32_t>(
-      Cli.getCount("resume-cache", Tools.PFuzzerResumeCache));
-  Tools.PFuzzerResumeStride = static_cast<uint32_t>(
-      Cli.getCount("resume-stride", Tools.PFuzzerResumeStride));
-  Tools.PFuzzerResumeRungs = static_cast<uint32_t>(
-      Cli.getCount("resume-rungs", Tools.PFuzzerResumeRungs));
   Tools.PFuzzerMaxQueue =
       static_cast<size_t>(Cli.getCount("max-queue", Tools.PFuzzerMaxQueue));
   // getCount with Min=1 rejects 0, negatives and garbage outright —
@@ -56,7 +48,6 @@ int main(int Argc, char **Argv) {
       Cli.getCount("shards", Tools.PFuzzerShards, /*Min=*/1));
   Tools.PFuzzerShardSyncInterval = static_cast<uint32_t>(
       Cli.getCount("shard-sync", Tools.PFuzzerShardSyncInterval));
-  bool ShardStatsFlag = Cli.getBool("shard-stats", false);
   std::string TelemetryPath = Cli.getString("telemetry", "");
   // Interval in executions between heartbeat records; the default keeps
   // the stream small even on long campaigns.
@@ -64,7 +55,6 @@ int main(int Argc, char **Argv) {
       Cli.getCount("heartbeat", 4096, /*Min=*/1));
   bool TelemetryStatsFlag = Cli.getBool("telemetry-stats", false);
   bool ListSubjects = Cli.getBool("list-subjects", false);
-  bool QueueStatsFlag = Cli.getBool("queue-stats", false);
   bool Mine = Cli.getBool("mine", false);
   bool Quiet = Cli.getBool("quiet", false);
   if (!Cli.ok() || !Cli.unqueried().empty()) {
@@ -75,38 +65,25 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "usage: pfuzz_cli [--subject=NAME] [--tool=NAME]"
                  " [--execs=N] [--seed=N] [--runs=N] [--jobs=N]"
-                 " [--run-cache=N] [--resume-cache=N] [--resume-stride=N]"
-                 " [--resume-rungs=N] [--max-queue=N] [--queue-stats]"
-                 " [--shards=N] [--shard-sync=N] [--shard-stats] [--telemetry=FILE]"
-                 " [--heartbeat=N] [--telemetry-stats] [--list-subjects]"
-                 " [--mine] [--quiet]\n"
+                 " [--max-queue=N] [--shards=N] [--shard-sync=N]"
+                 " [--telemetry=FILE] [--heartbeat=N] [--telemetry-stats]"
+                 " [--list-subjects] [--mine] [--quiet]\n"
                  "subjects: arith dyck ini csv json tinyc mjs\n"
                  "tools: pfuzzer afl klee random\n"
-                 "--run-cache: pFuzzer memoized-run LRU entries (0=off;"
-                 " results are identical at any value)\n"
-                 "--resume-cache: pFuzzer prefix-resumption checkpoints"
-                 " (0=off; results are identical at any value)\n"
-                 "--resume-stride: checkpoint-ladder byte stride (0 = only"
-                 " past-end checkpoints; identical results at any value)\n"
-                 "--resume-rungs: ladder checkpoints per run\n"
-                 "--max-queue: candidate-queue cap (0 = default; unlike"
-                 " the knobs above this one changes which candidates"
-                 " survive trims)\n"
-                 "--queue-stats: print candidate-store counters (queue"
-                 " memory, rescore time)\n"
+                 "--max-queue: candidate-queue cap (0 = default; changes"
+                 " which candidates survive trims)\n"
                  "--shards: concurrent pFuzzer shard loops (>= 1; shards=1"
                  " matches the unsharded engine byte for byte, N > 1 is a"
                  " deterministic sharded search)\n"
                  "--shard-sync: executions per coverage-sync epoch"
                  " (needs --shards > 1)\n"
-                 "--shard-stats: print shard-sync counters\n"
                  "--telemetry: stream heartbeat NDJSON records to FILE"
                  " (observational only; results are identical with or"
                  " without)\n"
                  "--heartbeat: executions between heartbeat records"
                  " (needs --telemetry)\n"
-                 "--telemetry-stats: print the consolidated telemetry"
-                 " snapshot\n"
+                 "--telemetry-stats: print the campaign's telemetry"
+                 " (executions, candidate store, shard sync)\n"
                  "--list-subjects: print the built-in subject names and"
                  " exit\n");
     return 1;
@@ -143,9 +120,8 @@ int main(int Argc, char **Argv) {
   if (Cli.has("shard-sync") && Tools.PFuzzerShards == 1)
     Conflicts.push_back("--shard-sync requires --shards > 1");
   if (Kind != ToolKind::PFuzzer)
-    for (const char *Flag : {"shards", "run-cache", "resume-cache",
-                             "resume-stride", "resume-rungs", "max-queue",
-                             "telemetry"})
+    for (const char *Flag :
+         {"shards", "max-queue", "telemetry", "telemetry-stats"})
       if (Cli.has(Flag))
         Conflicts.push_back("--" + std::string(Flag) +
                             " applies only to --tool=pfuzzer");
@@ -185,15 +161,15 @@ int main(int Argc, char **Argv) {
                formatSeconds(Best.WallSeconds).c_str(),
                formatExecsPerSec(Best.TotalExecutions, Best.WallSeconds)
                    .c_str());
-  if (Best.Resume.Probes > 0)
+  if (TelemetryStatsFlag) {
+    const TelemetrySnapshot &T = Best.Telemetry;
     std::fprintf(stderr,
-                 "prefix resumption: %.1f%% hit rate, %llu bytes skipped,"
-                 " avg rung depth %.2f\n",
-                 100 * Best.Resume.hitRate(),
-                 static_cast<unsigned long long>(Best.Resume.BytesSkipped),
-                 Best.Resume.avgHitRungDepth());
-  if (QueueStatsFlag) {
-    const QueueStats &Q = Best.Queue;
+                 "telemetry: %llu executions, %llu valid inputs,"
+                 " frontier %llu\n",
+                 static_cast<unsigned long long>(T.Executions),
+                 static_cast<unsigned long long>(T.ValidInputs),
+                 static_cast<unsigned long long>(T.FrontierSize));
+    const QueueStats &Q = T.Queue;
     std::fprintf(stderr,
                  "candidate store: %llu pushes, %llu rescores (%.1f ms,"
                  " %llu group slices), %llu trims (%llu dropped),"
@@ -216,9 +192,7 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Q.PeakArenaBytes),
                  static_cast<unsigned long long>(Q.PeakGroups),
                  static_cast<unsigned long long>(Q.PeakPathTable));
-  }
-  if (ShardStatsFlag) {
-    const ShardStats &Sh = Best.Shards;
+    const ShardStats &Sh = T.Sharding;
     std::fprintf(stderr,
                  "shard sync: %llu sync points, %llu deltas published"
                  " (%llu merged), %llu branches imported, migrations"
@@ -232,25 +206,6 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Sh.MigrationsRejected),
                  static_cast<unsigned long long>(Sh.MigrationsOffered),
                  static_cast<unsigned long long>(Sh.MaxFrontierLag));
-  }
-  if (TelemetryStatsFlag) {
-    const TelemetrySnapshot &T = Best.Telemetry;
-    std::fprintf(stderr,
-                 "telemetry: %llu executions, %llu valid inputs,"
-                 " frontier %llu, run cache %llu/%llu (%.1f%%)\n",
-                 static_cast<unsigned long long>(T.Executions),
-                 static_cast<unsigned long long>(T.ValidInputs),
-                 static_cast<unsigned long long>(T.FrontierSize),
-                 static_cast<unsigned long long>(T.RunCacheHits),
-                 static_cast<unsigned long long>(T.RunCacheLookups),
-                 100 * T.runCacheHitRate());
-    std::fprintf(stderr,
-                 "telemetry: resume %llu/%llu probes, queue peak %llu"
-                 " bytes, %llu shard sync points\n",
-                 static_cast<unsigned long long>(T.Resume.Hits),
-                 static_cast<unsigned long long>(T.Resume.Probes),
-                 static_cast<unsigned long long>(T.Queue.PeakBytes),
-                 static_cast<unsigned long long>(T.Sharding.SyncPoints));
   }
   if (Heartbeat.enabled()) {
     uint64_t Beats = Heartbeat.beats();

@@ -28,8 +28,6 @@ SCHEMA = {
     "execs_per_sec": ((int, float), lambda v: v >= 0),
     "frontier": (int, lambda v: v >= 0),
     "queue_bytes": (int, lambda v: v >= 0),
-    "run_cache_hit_rate": ((int, float), lambda v: 0 <= v <= 1),
-    "resume_hit_rate": ((int, float), lambda v: 0 <= v <= 1),
     "shard_lag": (int, lambda v: v >= 0),
 }
 

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -52,140 +51,11 @@ uint64_t extendHash(uint64_t H, std::string_view Bytes) {
   return H;
 }
 
-/// FNV-1a over input bytes; keys both the run cache and the
-/// seen-candidate dedup set.
+/// FNV-1a over input bytes; keys the seen-candidate dedup set and the
+/// candidate store's records.
 uint64_t hashInput(std::string_view Input) {
   return extendHash(FnvBasis, Input);
 }
-
-/// Bounded LRU memoization of bare subject runs, keyed by input bytes.
-/// Subjects are deterministic, so a recorded RunResult *is* the result of
-/// re-executing the input; the fuzzer replays it without running the
-/// subject. Entries verify the stored input on lookup, so a 64-bit hash
-/// collision degrades to a miss, never to a wrong replay. Evicted entries
-/// are recycled in place (RunResult::assignFrom reuses their buffer
-/// capacities), so a warm cache performs no steady-state allocation.
-class RunCache {
-public:
-  explicit RunCache(uint32_t Capacity) : Capacity(Capacity) {}
-
-  /// Telemetry only (heartbeat hit rate, TelemetrySnapshot): probes of
-  /// an enabled cache and how many replayed a recorded result. Never
-  /// read by the search.
-  uint64_t Lookups = 0;
-  uint64_t Hits = 0;
-
-  /// Returns the recorded result of running \p Input, or nullptr. The
-  /// pointer is valid until the next insert(). \p Hash must be
-  /// hashInput(Input) — the caller computes it once and shares it with
-  /// insert().
-  const RunResult *lookup(uint64_t Hash, std::string_view Input) {
-    if (Capacity == 0)
-      return nullptr;
-    ++Lookups;
-    auto It = Index.find(Hash);
-    if (It == Index.end())
-      return nullptr;
-    Entry &E = Entries[It->second];
-    if (E.Input != Input)
-      return nullptr; // hash collision: treat as a miss
-    touch(It->second);
-    ++Hits;
-    return &E.Result;
-  }
-
-  /// Records \p RR as the result of running \p Input, evicting the least
-  /// recently used entry when full.
-  ///
-  /// Most inputs the search executes are unique, and storing a result
-  /// copies its full traces — paid on every miss, recouped only on a
-  /// later hit. The doorkeeper makes storage lazy: the first sighting of
-  /// an input only records its hash, and the result is stored from the
-  /// second execution on. Repeating inputs (requeued prefixes, revisited
-  /// candidates) repeat again, so the hits that matter survive while the
-  /// unique-input stream pays one hash probe instead of a trace copy.
-  void insert(uint64_t H, std::string_view Input, const RunResult &RR) {
-    if (Capacity == 0)
-      return;
-    auto It = Index.find(H);
-    if (It != Index.end()) {
-      // Hash already present (same input again, or a collision with a
-      // different input): the slot adopts the newer run.
-      Entry &E = Entries[It->second];
-      E.Input.assign(Input);
-      E.Result.assignFrom(RR);
-      touch(It->second);
-      return;
-    }
-    if (Doorkeeper.insert(H).second)
-      return; // first sighting: note the hash, defer the copy
-    uint32_t Idx;
-    if (Entries.size() < Capacity) {
-      Idx = static_cast<uint32_t>(Entries.size());
-      Entries.emplace_back();
-      pushFront(Idx);
-    } else {
-      Idx = Tail;
-      Index.erase(Entries[Idx].Hash);
-      touch(Idx);
-    }
-    Entry &E = Entries[Idx];
-    E.Hash = H;
-    E.Input.assign(Input);
-    E.Result.assignFrom(RR);
-    Index.emplace(H, Idx);
-  }
-
-private:
-  static constexpr uint32_t None = ~0u;
-
-  struct Entry {
-    uint64_t Hash = 0;
-    std::string Input;
-    RunResult Result;
-    uint32_t Prev = None;
-    uint32_t Next = None;
-  };
-
-  void unlink(uint32_t Idx) {
-    Entry &E = Entries[Idx];
-    if (E.Prev != None)
-      Entries[E.Prev].Next = E.Next;
-    else
-      Head = E.Next;
-    if (E.Next != None)
-      Entries[E.Next].Prev = E.Prev;
-    else
-      Tail = E.Prev;
-  }
-
-  void pushFront(uint32_t Idx) {
-    Entry &E = Entries[Idx];
-    E.Prev = None;
-    E.Next = Head;
-    if (Head != None)
-      Entries[Head].Prev = Idx;
-    Head = Idx;
-    if (Tail == None)
-      Tail = Idx;
-  }
-
-  void touch(uint32_t Idx) {
-    if (Head == Idx)
-      return;
-    unlink(Idx);
-    pushFront(Idx);
-  }
-
-  uint32_t Capacity;
-  std::vector<Entry> Entries;
-  std::unordered_map<uint64_t, uint32_t> Index;
-  /// Hashes of every input ever executed; grows with the campaign like
-  /// the fuzzer's own Enqueued set (8 bytes per distinct input).
-  std::unordered_set<uint64_t> Doorkeeper;
-  uint32_t Head = None;
-  uint32_t Tail = None;
-};
 
 /// One pFuzzer campaign against one subject.
 class Campaign {
@@ -193,33 +63,16 @@ public:
   Campaign(const Subject &S, const FuzzerOptions &Opts,
            const PFuzzerOptions &Config)
       : S(S), Opts(Opts), Config(Config), Heur(Config.Heur), R(Opts.Seed),
-        Cache(Config.RunCacheSize),
-        Store(Config.ReferenceQueue, Config.MaxQueue) {
-    // The prefix-resumption engine: only for subjects audited as safe to
-    // checkpoint, and only when this build can switch stacks — anything
-    // else falls back to plain full re-execution, which records the
-    // same bytes. The engine is owned by (and confined to) this
-    // sequential loop.
-    if (Config.ResumeCacheSize > 0 && S.resumeSafe() &&
-        PrefixResumeEngine::available())
-      Resume = std::make_unique<PrefixResumeEngine>(
-          [Subj = &S](ExecutionContext &Ctx) { return Subj->run(Ctx); },
-          Config.ResumeCacheSize, Config.ResumeMinLength,
-          Config.ResumeStride, Config.ResumeRungs);
-    Sync = Config.SyncEndpoint;
-  }
+        Store(Config.ReferenceQueue, Config.MaxQueue),
+        Sync(Config.SyncEndpoint) {}
 
   FuzzReport run();
 
 private:
-  /// Runs \p Input; on a valid run with new coverage performs the
-  /// validInp bookkeeping and sets \p Valid (line 27-35). Returns the
-  /// run's result, which may live in \p Scratch, the run cache, or the
-  /// resumption engine's pool — read it through the returned pointer
-  /// only, which stays valid until the next runCheck call.
-  /// \p Hash must be hashInput(Input); candidates carry it precomputed.
-  const RunResult *runCheck(const std::string &Input, uint64_t Hash,
-                            RunResult &Scratch, bool &Valid);
+  /// Runs \p Input into \p RR (line 7); on a valid run with new
+  /// coverage performs the validInp bookkeeping and returns true (lines
+  /// 27-35).
+  bool runCheck(const std::string &Input, RunResult &RR);
 
   /// Appends an (Executions, |vBr|) sample unless it duplicates the last
   /// one — runCheck's valid-input sample and the budget-interval sampler
@@ -288,12 +141,6 @@ private:
     HS.Shard = Sync ? Sync->index() : 0;
     HS.Frontier = VBr.size();
     HS.QueueBytes = Store.bytesInUse();
-    HS.RunCacheHitRate =
-        Cache.Lookups == 0 ? 0
-                           : static_cast<double>(Cache.Hits) /
-                                 static_cast<double>(Cache.Lookups);
-    if (Resume)
-      HS.ResumeHitRate = Resume->stats().hitRate();
     HS.ShardLag = Sync ? Sync->Stats.MaxFrontierLag : 0;
     Config.Heartbeat->emit(HS);
   }
@@ -391,15 +238,10 @@ private:
   /// redundant by design, and the set costs 8 bytes per entry instead of
   /// a stored string.
   std::unordered_set<uint64_t> Enqueued;
-  /// Memoized bare runs; see PFuzzerOptions::RunCacheSize.
-  RunCache Cache;
   /// The candidate priority queue (max-heap by score): compact
   /// prefix-suffix records by default, by-value strings when
   /// Config.ReferenceQueue — see core/CandidateStore.h.
   CandidateStore Store;
-  /// Prefix-resumption engine, or null when disabled/ineligible; see
-  /// PFuzzerOptions::ResumeCacheSize.
-  std::unique_ptr<PrefixResumeEngine> Resume;
   /// How often each prefix was re-enqueued for another random extension;
   /// bounded so retired prefixes stop consuming budget. Keyed by the
   /// prefix's 64-bit input hash (the campaign already carries it)
@@ -421,7 +263,7 @@ private:
   /// extendHash(PrefixHashes[SpliceAt], Rep) — no string is built.
   std::vector<uint64_t> PrefixHashes;
   /// Shard-sync endpoint, or null when this campaign is unsharded.
-  ShardEndpoint *Sync = nullptr;
+  ShardEndpoint *Sync;
   /// Epoch boundaries crossed so far (== packets published).
   uint64_t EpochsDone = 0;
   /// vBr epoch at the last publish: the exportDelta anchor, so each
@@ -449,26 +291,22 @@ FuzzReport Campaign::run() {
   // keeps capacity), so the steady state allocates nothing per run.
   RunResult RR, RE;
   while (Report.Executions < Opts.MaxExecutions) {
-    bool Valid = false;
-    const RunResult *Run = runCheck(Input, InputHash, RR, Valid); // line 7
-    RunStats Stats = computeStats(*Run, ParentCount);
+    bool Valid = runCheck(Input, RR); // line 7
+    RunStats Stats = computeStats(RR, ParentCount);
     notePath(Stats.PathHash);
-    // Captured now: *Run may point into the resumption engine's pool,
-    // which the extension run below recycles.
-    bool WantsMore = Run->hitEof();
     // The extension input's record, when this iteration makes one; its
     // substitution children splice below its one-char suffix.
     uint32_t EId = CandidateStore::None;
     if (Valid) {
       if (!Config.ResetOnValid)
-        addInputs(Input, *Run, Stats, ParentCount,
+        addInputs(Input, RR, Stats, ParentCount,
                   CurId); // via validInp, line 44
     } else {
       // "After every rejection, we satisfy the comparisons leading to
       // rejection": substitutions from the bare run first. (A random
       // extension could merge into the last token -- e.g. a letter after
       // a keyword -- and hide these alternatives.)
-      addInputs(Input, *Run, Stats, ParentCount, CurId);
+      addInputs(Input, RR, Stats, ParentCount, CurId);
       if (Report.Executions >= Opts.MaxExecutions) {
         Store.releaseRun(Stats.Run);
         break;
@@ -477,20 +315,19 @@ FuzzReport Campaign::run() {
       uint64_t EHash = hashInput(EInp);
       // Line 9-12: run the extended input; whether it turned out valid or
       // not, its comparisons seed the next substitutions.
-      bool EValid = false;
-      const RunResult *ERun = runCheck(EInp, EHash, RE, EValid);
-      RunStats EStats = computeStats(*ERun, ParentCount);
+      runCheck(EInp, RE);
+      RunStats EStats = computeStats(RE, ParentCount);
       notePath(EStats.PathHash);
       EId = Store.internChild(CurId, Input.size(), Input,
                               std::string_view(EInp).substr(Input.size()),
                               EHash);
-      addInputs(EInp, *ERun, EStats, ParentCount, EId);
+      addInputs(EInp, RE, EStats, ParentCount, EId);
       Store.releaseRun(EStats.Run);
     }
     // A run that read past the end wants more input: keep the prefix
     // alive so it receives further random extensions (unless valid
     // inputs are configured to reset instead of continue).
-    if (WantsMore && Input.size() < Opts.MaxInputLen &&
+    if (RR.hitEof() && Input.size() < Opts.MaxInputLen &&
         !(Valid && Config.ResetOnValid))
       requeuePrefix(Input, InputHash, Stats, ParentCount, CurId);
     Store.releaseRun(Stats.Run);
@@ -550,23 +387,12 @@ FuzzReport Campaign::run() {
         [this](const ShardPacket &P) { handleShardPacket(P, false); });
   }
   Store.samplePeaks();
-  if (Config.ResumeStatsOut)
-    *Config.ResumeStatsOut = Resume ? Resume->stats() : ResumeStats();
-  if (Config.QueueStatsOut)
-    *Config.QueueStatsOut = Store.Stats;
-  // The consolidated tree is filled from the very sources the individual
-  // sinks above just read, so the old `*StatsOut` pointers are thin
-  // views over this snapshot: both always report field-identical values.
   if (Config.TelemetryOut) {
     TelemetrySnapshot &T = *Config.TelemetryOut;
     T = TelemetrySnapshot();
     T.Executions = Report.Executions;
     T.ValidInputs = Report.ValidInputs.size();
     T.FrontierSize = VBr.size();
-    T.RunCacheLookups = Cache.Lookups;
-    T.RunCacheHits = Cache.Hits;
-    if (Resume)
-      T.Resume = Resume->stats();
     T.Queue = Store.Stats;
     if (Sync)
       T.Sharding = Sync->Stats;
@@ -574,45 +400,21 @@ FuzzReport Campaign::run() {
   return std::move(Report);
 }
 
-const RunResult *Campaign::runCheck(const std::string &Input, uint64_t Hash,
-                                    RunResult &Scratch, bool &Valid) {
+bool Campaign::runCheck(const std::string &Input, RunResult &RR) {
   TELEMETRY_SPAN("run");
-  Valid = false;
-  const RunResult *Run;
-  // Memoized replay: the search re-executes identical inputs routinely
-  // (requeued prefixes, candidates regenerated after a queue trim). A hit
-  // reads the recorded result in place instead of re-running the subject,
-  // still counts against the execution budget, and flows through the
-  // identical bookkeeping below — the report cannot tell a replay from a
-  // run.
-  if (const RunResult *Cached = Cache.lookup(Hash, Input)) {
-    Run = Cached;
-  } else if (Resume) {
-    // Resume-from-checkpoint when a cached prefix matches, cold run on
-    // the fiber otherwise; either way the result is byte-identical to a
-    // plain execution and flows into the run cache the same. The engine
-    // may return a reference into its checkpoint pool rather than
-    // Scratch — all downstream reads go through Run.
-    const RunResult &Res = Resume->execute(Input, Scratch);
-    Cache.insert(Hash, Input, Res);
-    Run = &Res;
-  } else {
-    // Recycles Scratch's buffers.
-    S.execute(Input, InstrumentationMode::Full, Scratch);
-    Cache.insert(Hash, Input, Scratch);
-    Run = &Scratch;
-  }
+  // Recycles RR's buffers.
+  S.execute(Input, InstrumentationMode::Full, RR);
   ++Report.Executions;
   // Heartbeat: one branch when disabled, one relaxed increment when
   // armed. The claiming tick samples and emits; nothing here reads back
   // into the search.
   if (Config.Heartbeat && Config.Heartbeat->tick())
     emitHeartbeat();
-  if (Run->ExitCode != 0)
-    return Run;
+  if (RR.ExitCode != 0)
+    return false;
   if (Opts.OnValidInput)
     Opts.OnValidInput(Input);
-  Run->coveredBranches(CoveredScratch);
+  RR.coveredBranches(CoveredScratch);
   bool NewCoverage = false;
   for (uint32_t B : CoveredScratch) {
     if (!VBr.test(B)) {
@@ -621,14 +423,13 @@ const RunResult *Campaign::runCheck(const std::string &Input, uint64_t Hash,
     }
   }
   if (!NewCoverage)
-    return Run; // line 29: valid requires exit 0 AND new branches
+    return false; // line 29: valid requires exit 0 AND new branches
   // validInp (lines 37-45): print, grow vBr, re-rank the queue.
   Report.ValidInputs.push_back(Input);
   VBr.insert(CoveredScratch.begin(), CoveredScratch.end());
   sampleTimeline();
   rescoreQueue();
-  Valid = true;
-  return Run;
+  return true;
 }
 
 std::vector<std::string> Campaign::expansions(const RunResult &RR,
@@ -766,9 +567,9 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
            Input.compare(SpliceAt, Rep.size(), Rep) == 0) ||
           NewLen > Opts.MaxInputLen)
         continue;
-      // One FNV-1a extension serves the dedup set here and the run-cache
-      // key later: the hash rides on the record instead of being
-      // recomputed at pop time.
+      // One FNV-1a extension serves the dedup set here and the store
+      // record: the hash rides on the record instead of being recomputed
+      // at pop time.
       uint64_t Hash = extendHash(PrefixHashes[SpliceAt], Rep);
       if (!Enqueued.insert(Hash).second)
         continue;
@@ -917,12 +718,10 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
                       const PFuzzerOptions &Config) {
   uint32_t N = Config.Shards;
   ShardHub Hub(N);
-  // Option blocks and stat sinks live here so the campaign-held
+  // Option blocks and telemetry sinks live here so the campaign-held
   // references stay valid for the threads' whole lifetime.
   std::vector<FuzzerOptions> ShardOpts(N);
   std::vector<PFuzzerOptions> ShardConfigs(N);
-  std::vector<ResumeStats> ResumeStats_(N);
-  std::vector<QueueStats> QueueStats_(N);
   std::vector<TelemetrySnapshot> Telemetry_(N);
   std::vector<FuzzReport> Reports(N);
   // OnValidInput is caller-supplied and not required to be thread-safe;
@@ -949,9 +748,6 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
     SC = Config;
     SC.Shards = 1;
     SC.SyncEndpoint = &Hub.endpoint(I);
-    SC.ResumeStatsOut = &ResumeStats_[I];
-    SC.QueueStatsOut = &QueueStats_[I];
-    SC.ShardStatsOut = nullptr;
     SC.TelemetryOut = Config.TelemetryOut ? &Telemetry_[I] : nullptr;
   }
   // Dedicated threads by design — see PFuzzerOptions::Shards.
@@ -964,25 +760,8 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
   for (std::thread &T : Threads)
     T.join();
 
-  // Aggregate the optional diagnostic sinks.
-  if (Config.ResumeStatsOut) {
-    *Config.ResumeStatsOut = ResumeStats();
-    for (const ResumeStats &St : ResumeStats_)
-      Config.ResumeStatsOut->accumulate(St);
-  }
-  if (Config.QueueStatsOut) {
-    *Config.QueueStatsOut = QueueStats();
-    for (const QueueStats &St : QueueStats_)
-      Config.QueueStatsOut->accumulate(St);
-  }
-  if (Config.ShardStatsOut) {
-    *Config.ShardStatsOut = ShardStats();
-    for (uint32_t I = 0; I != N; ++I)
-      Config.ShardStatsOut->accumulate(Hub.endpoint(I).Stats);
-  }
   if (Config.TelemetryOut) {
-    // Fold per-shard snapshots in stable shard order, exactly as the
-    // individual sinks above fold their per-shard vectors.
+    // Fold per-shard snapshots in stable shard order.
     *Config.TelemetryOut = TelemetrySnapshot();
     for (uint32_t I = 0; I != N; ++I)
       Config.TelemetryOut->accumulate(Telemetry_[I]);
@@ -1036,7 +815,5 @@ FuzzReport PFuzzer::run(const Subject &S, const FuzzerOptions &Opts) {
     return runSharded(S, Opts, Options);
   // Unsharded: the plain sequential engine, untouched — --shards=1 is
   // byte-identical to every prior release by construction.
-  if (Options.ShardStatsOut)
-    *Options.ShardStatsOut = ShardStats();
   return Campaign(S, Opts, Options).run();
 }

@@ -21,19 +21,14 @@
 #include "core/Fuzzer.h"
 #include "core/Heuristic.h"
 #include "core/ShardSync.h"
-#include "runtime/PrefixResumeCache.h"
 
 namespace pfuzz {
 
 class HeartbeatEmitter;
 
-/// One coherent tree of every diagnostic counter a campaign exports —
-/// the per-layer `*StatsOut` structs (resume ladder, candidate store,
-/// shard sync) plus the campaign-level counts none of them carry
-/// (executions, frontier size, run-cache hit counters). Filled from the
-/// *same* per-layer sources the individual `*StatsOut` pointers read, at
-/// the same point in the campaign, so the old sinks are thin views over
-/// this tree: requesting both always yields field-identical values.
+/// Every diagnostic counter a campaign exports, in one tree: the
+/// candidate store's and shard sync's counters plus the campaign-level
+/// counts neither carries (executions, valid inputs, frontier size).
 /// Purely observational — never part of the report, never feeds back
 /// into the search.
 struct TelemetrySnapshot {
@@ -45,34 +40,25 @@ struct TelemetrySnapshot {
   /// the max — frontiers of different runs overlap, so a sum would
   /// double-count; the max reports the largest single-run frontier.
   uint64_t FrontierSize = 0;
-  /// Memoized-run LRU cache probes (counted while the cache is enabled).
+  /// Always 0: every execution runs the subject, nothing is replayed.
+  /// Kept only because the campaign benchmark's run accounting
+  /// (bench/campaign) still reads these two fields; with both at 0 its
+  /// check says that every execution ran the subject exactly once.
   uint64_t RunCacheLookups = 0;
-  /// Probes that replayed a recorded result.
   uint64_t RunCacheHits = 0;
 
-  ResumeStats Resume;
   QueueStats Queue;
   ShardStats Sharding;
-
-  double runCacheHitRate() const {
-    return RunCacheLookups == 0 ? 0
-                                : static_cast<double>(RunCacheHits) /
-                                      static_cast<double>(RunCacheLookups);
-  }
 
   /// Folds \p Other into this: counters sum, FrontierSize takes the max.
   /// The sharded engine folds per-shard snapshots into one campaign
   /// total; campaign runners fold per-seed totals into one per-cell
-  /// total — mirroring exactly how each embedded stats struct was
-  /// already aggregated through its own sink.
+  /// total.
   void accumulate(const TelemetrySnapshot &Other) {
     Executions += Other.Executions;
     ValidInputs += Other.ValidInputs;
     FrontierSize =
         FrontierSize > Other.FrontierSize ? FrontierSize : Other.FrontierSize;
-    RunCacheLookups += Other.RunCacheLookups;
-    RunCacheHits += Other.RunCacheHits;
-    Resume.accumulate(Other.Resume);
     Queue.accumulate(Other.Queue);
     Sharding.accumulate(Other.Sharding);
   }
@@ -89,50 +75,6 @@ struct PFuzzerOptions {
   /// children and re-extensions are not enqueued).
   bool ResetOnValid = false;
 
-  /// Capacity (in entries) of the memoized-run LRU cache; 0 disables it.
-  /// The search re-executes identical inputs routinely (requeued
-  /// prefixes, candidates regenerated after a queue trim); a hit replays
-  /// the recorded RunResult instead of re-running the subject. Replay is
-  /// behavior-invariant: a hit still counts against the execution budget
-  /// and performs identical bookkeeping, so FuzzReports are byte-for-byte
-  /// unchanged at any cache size.
-  uint32_t RunCacheSize = 64;
-
-  /// Capacity (in suspended runs) of the prefix-resumption pool; 0
-  /// disables the engine. With N > 0, executions of resume-safe subjects
-  /// run on a fiber, checkpoint themselves at their first past-end read,
-  /// and later candidates extending a cached prefix resume from the
-  /// checkpoint instead of re-executing the prefix (see
-  /// runtime/PrefixResumeCache.h). Resumed runs record byte-for-byte
-  /// what cold runs record, so FuzzReports are unchanged at any cache
-  /// size — including on builds without fiber support, where the engine
-  /// silently degrades to full re-execution.
-  uint32_t ResumeCacheSize = 0;
-
-  /// Inputs shorter than this run off the engine's fast path: no fiber,
-  /// no checkpoint. The search executes short inputs by the thousands
-  /// and each is cheaper to interpret than to checkpoint, so the engine
-  /// pays for itself only past a break-even length (~16 bytes on the
-  /// built-in subjects). Throughput knob only — reports are identical at
-  /// any value.
-  uint32_t ResumeMinLength = 16;
-
-  /// Byte stride of the resumption engine's checkpoint ladder: besides
-  /// the past-end checkpoint, a run mints a checkpoint at the first read
-  /// crossing each multiple of this stride (up to ResumeRungs per run).
-  /// Ladder rungs let candidates spliced *below* their parent's EOF
-  /// point — every substitution candidate — resume near their splice
-  /// instead of running cold. 0 disables mid-run checkpoints. Throughput
-  /// knob only — reports are identical at any value.
-  uint32_t ResumeStride = 16;
-
-  /// Per-run cap on ladder checkpoints (see ResumeStride).
-  uint32_t ResumeRungs = 3;
-
-  /// Optional out-param: the resumption engine's diagnostic counters
-  /// (hit rate, bytes skipped). Never part of the report.
-  ResumeStats *ResumeStatsOut = nullptr;
-
   /// Queue cap: when a push or rescore finds more candidates than this,
   /// the next re-rank drops the worst-scored half (the paper's prototype
   /// lets the queue grow; we bound memory). Also caps the path-count
@@ -148,22 +90,16 @@ struct PFuzzerOptions {
   /// representations honestly.
   bool ReferenceQueue = false;
 
-  /// Optional out-param: the candidate store's diagnostic counters
-  /// (pushes, rescore count/time, peak bytes). Never part of the report.
-  QueueStats *QueueStatsOut = nullptr;
-
   /// Shard count of the campaign. 1 (the default) runs the plain
   /// sequential Algorithm 1 loop, byte-identical to every prior engine.
   /// With N > 1 the campaign splits into N concurrent shard loops — each
-  /// a full pFuzzer with its own candidate store, run cache and resume
-  /// ladder, on its own dedicated thread — that exchange coverage-
-  /// frontier deltas and migrate top candidates through core/ShardSync
-  /// at deterministic execution-count epochs. The execution budget is
-  /// split across shards and the shard reports are merged in stable
-  /// shard order, so for a fixed (seed, N) the merged report is
-  /// bit-reproducible; different N values explore differently (sharding
-  /// is the one perf layer that is *not* behavior-invariant across its
-  /// settings — it changes the search, deterministically).
+  /// a full pFuzzer with its own candidate store, on its own dedicated
+  /// thread — that exchange coverage-frontier deltas and migrate top
+  /// candidates through core/ShardSync at deterministic execution-count
+  /// epochs. The execution budget is split across shards and the shard
+  /// reports are merged in stable shard order, so for a fixed (seed, N)
+  /// the merged report is bit-reproducible; different N values explore
+  /// differently (sharding changes the search, deterministically).
   ///
   /// Shard loops run on dedicated threads, all started at once: a shard
   /// blocks at epoch boundaries waiting for peers, so every peer must be
@@ -176,19 +112,14 @@ struct PFuzzerOptions {
   /// protocol: changing it changes the (reproducible) sharded search.
   uint32_t ShardSyncInterval = 512;
 
-  /// Optional out-param: aggregated ShardSync counters of the campaign
-  /// (all zero when Shards <= 1). Never part of the report.
-  ShardStats *ShardStatsOut = nullptr;
-
   /// Internal wiring of the sharded engine: the sync endpoint of the
   /// shard campaign being constructed. Callers never set this — the
   /// engine fills it for each shard it spawns.
   ShardEndpoint *SyncEndpoint = nullptr;
 
-  /// Optional out-param: the consolidated telemetry tree, filled when
-  /// the campaign finishes from the same sources as the individual
-  /// `*StatsOut` sinks above (which remain as thin views). Never part of
-  /// the report; filling it changes no report byte.
+  /// Optional out-param: the campaign's telemetry tree, filled when the
+  /// campaign finishes. Never part of the report; filling it changes no
+  /// report byte.
   TelemetrySnapshot *TelemetryOut = nullptr;
 
   /// Optional heartbeat stream (see support/Telemetry.h): every

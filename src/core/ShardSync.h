@@ -7,8 +7,8 @@
 /// \file
 /// The exchange layer of the sharded campaign engine (PFuzzerOptions::
 /// Shards): N shard loops — each a full Algorithm 1 campaign with its own
-/// candidate store, run cache and resume ladder — periodically trade two
-/// things through per-pair SPSC packet rings:
+/// candidate store — periodically trade two things through per-pair SPSC
+/// packet rings:
 ///
 ///   1. *Coverage-frontier deltas*: the branch outcomes a shard's valid
 ///      inputs newly covered since its last packet (exported from the
@@ -120,7 +120,7 @@ struct ShardPacket {
   /// empty at the boundary (or on Final packets).
   bool HasCandidate = false;
   std::string CandidateBytes;
-  /// FNV-1a hash of CandidateBytes (the campaign's dedup/run-cache key).
+  /// FNV-1a hash of CandidateBytes (the campaign's dedup key).
   uint64_t CandidateHash = 0;
   /// The candidate run's new-branch list as the producer last filtered
   /// it; importers re-filter against their own vBr.

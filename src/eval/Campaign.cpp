@@ -21,19 +21,12 @@ std::unique_ptr<Fuzzer> pfuzz::makeFuzzer(ToolKind Kind,
   switch (Kind) {
   case ToolKind::PFuzzer: {
     PFuzzerOptions Options;
-    Options.RunCacheSize = Tools.PFuzzerRunCache;
-    Options.ResumeCacheSize = Tools.PFuzzerResumeCache;
-    Options.ResumeStride = Tools.PFuzzerResumeStride;
-    Options.ResumeRungs = Tools.PFuzzerResumeRungs;
-    Options.ResumeStatsOut = Tools.PFuzzerResumeStatsOut;
     Options.ReferenceQueue = Tools.PFuzzerReferenceQueue;
     if (Tools.PFuzzerMaxQueue != 0)
       Options.MaxQueue = Tools.PFuzzerMaxQueue;
-    Options.QueueStatsOut = Tools.PFuzzerQueueStatsOut;
     Options.Shards = std::max(1u, Tools.PFuzzerShards);
     if (Tools.PFuzzerShardSyncInterval != 0)
       Options.ShardSyncInterval = Tools.PFuzzerShardSyncInterval;
-    Options.ShardStatsOut = Tools.PFuzzerShardStatsOut;
     Options.TelemetryOut = Tools.PFuzzerTelemetryOut;
     Options.Heartbeat = Tools.PFuzzerHeartbeat;
     return std::make_unique<PFuzzer>(Options);
@@ -98,9 +91,6 @@ struct SeedRunOutcome {
   FuzzReport Report;
   std::set<std::string> TokensFound;
   double WallSeconds = 0;
-  ResumeStats Resume;
-  QueueStats Queue;
-  ShardStats Shards;
   TelemetrySnapshot Telemetry;
 };
 
@@ -111,12 +101,9 @@ SeedRunOutcome runOneSeed(ToolKind Kind, const Subject &S,
                           uint64_t Executions, uint64_t RunSeed,
                           const ToolOptions &Tools) {
   SeedRunOutcome Out;
-  // Each seed run gets its own stats sink: concurrent runs must not
+  // Each seed run gets its own telemetry sink: concurrent runs must not
   // share whatever pointer the caller put in Tools.
   ToolOptions SeedTools = Tools;
-  SeedTools.PFuzzerResumeStatsOut = &Out.Resume;
-  SeedTools.PFuzzerQueueStatsOut = &Out.Queue;
-  SeedTools.PFuzzerShardStatsOut = &Out.Shards;
   SeedTools.PFuzzerTelemetryOut = &Out.Telemetry;
   std::unique_ptr<Fuzzer> Tool = makeFuzzer(Kind, SeedTools);
   TokenCoverage Tokens(S.name());
@@ -147,9 +134,6 @@ CampaignResult reduceCell(ToolKind Kind, const Subject &S,
   for (SeedRunOutcome &Out : Outcomes) {
     Best.WallSeconds += Out.WallSeconds;
     Best.TotalExecutions += Out.Report.Executions;
-    Best.Resume.accumulate(Out.Resume);
-    Best.Queue.accumulate(Out.Queue);
-    Best.Shards.accumulate(Out.Shards);
     Best.Telemetry.accumulate(Out.Telemetry);
     bool Better =
         !HaveBest ||

@@ -25,8 +25,6 @@
 
 #include "core/Fuzzer.h"
 #include "core/PFuzzer.h"
-#include "core/ShardSync.h"
-#include "runtime/PrefixResumeCache.h"
 #include "tokens/TokenCoverage.h"
 
 #include <memory>
@@ -42,35 +40,12 @@ enum class ToolKind {
 };
 
 /// Per-tool configuration the campaign runners thread through to the
-/// fuzzer instances they create. Everything here is behavior-invariant
-/// for reports (performance knobs only), so the defaults are safe for
-/// every caller.
+/// fuzzer instances they create. The defaults are safe for every caller.
+/// PFuzzerReferenceQueue, PFuzzerTelemetryOut and PFuzzerHeartbeat leave
+/// reports byte-identical. PFuzzerMaxQueue, PFuzzerShards and
+/// PFuzzerShardSyncInterval change the search, deterministically for a
+/// fixed seed.
 struct ToolOptions {
-  /// PFuzzerOptions::RunCacheSize for pFuzzer campaigns: memoized-run
-  /// LRU capacity, 0 disables. Reports are byte-identical at any value.
-  uint32_t PFuzzerRunCache = 64;
-
-  /// PFuzzerOptions::ResumeCacheSize for pFuzzer campaigns: prefix-
-  /// resumption checkpoints kept per campaign, 0 disables. Reports are
-  /// byte-identical at any value; subjects that are not resume-safe and
-  /// builds without fiber support silently run cold.
-  uint32_t PFuzzerResumeCache = 64;
-
-  /// PFuzzerOptions::ResumeStride: byte stride of the engine's
-  /// checkpoint ladder (0 = past-end checkpoints only). Reports are
-  /// byte-identical at any value.
-  uint32_t PFuzzerResumeStride = 16;
-
-  /// PFuzzerOptions::ResumeRungs: per-run cap on ladder checkpoints.
-  uint32_t PFuzzerResumeRungs = 3;
-
-  /// When set, receives the resume-engine counters of a pFuzzer run
-  /// (zeroes when the engine never engaged). The campaign runners manage
-  /// this per seed run and aggregate into CampaignResult::Resume; leave
-  /// null when constructing fuzzers directly unless you own the pointee
-  /// for the fuzzer's whole run.
-  ResumeStats *PFuzzerResumeStatsOut = nullptr;
-
   /// PFuzzerOptions::ReferenceQueue: store candidates as full by-value
   /// strings instead of compact prefix-suffix records. Reports are
   /// byte-identical either way; the identity sweep test and the queue
@@ -79,14 +54,10 @@ struct ToolOptions {
 
   /// PFuzzerOptions::MaxQueue: candidate-queue cap (trims drop the
   /// worst-scored half past it). 0 keeps the PFuzzerOptions default.
-  /// Unlike the knobs above this one is score-visible in principle —
-  /// both queue representations share it, so compact-vs-reference
-  /// comparisons stay valid at any value.
+  /// Changes which candidates survive trims; both queue representations
+  /// share it, so compact-vs-reference comparisons stay valid at any
+  /// value.
   size_t PFuzzerMaxQueue = 0;
-
-  /// Like PFuzzerResumeStatsOut, for the candidate store's counters
-  /// (aggregated into CampaignResult::Queue).
-  QueueStats *PFuzzerQueueStatsOut = nullptr;
 
   /// PFuzzerOptions::Shards: shard loops per pFuzzer campaign. 1 (the
   /// default) is the plain engine, byte-identical to every prior
@@ -97,19 +68,16 @@ struct ToolOptions {
   /// PFuzzerOptions::ShardSyncInterval. 0 keeps the engine default.
   uint32_t PFuzzerShardSyncInterval = 0;
 
-  /// Like PFuzzerResumeStatsOut, for the shard-sync counters
-  /// (aggregated into CampaignResult::Shards).
-  ShardStats *PFuzzerShardStatsOut = nullptr;
-
-  /// Like PFuzzerResumeStatsOut, for the consolidated telemetry snapshot
-  /// (aggregated into CampaignResult::Telemetry). The campaign runners
-  /// manage a per-seed sink automatically, so callers normally leave
-  /// this null and read CampaignResult::Telemetry instead.
+  /// When set, receives the telemetry snapshot of a pFuzzer run. The
+  /// campaign runners manage a per-seed sink and aggregate it into
+  /// CampaignResult::Telemetry, so callers normally leave this null and
+  /// read CampaignResult::Telemetry instead; when constructing fuzzers
+  /// directly, the pointee must outlive the fuzzer's run.
   TelemetrySnapshot *PFuzzerTelemetryOut = nullptr;
 
   /// Heartbeat emitter threaded through to every pFuzzer the runners
-  /// create (PFuzzerOptions::Heartbeat). Unlike the stats sinks this is
-  /// shared, not per-seed: the emitter is internally synchronized and
+  /// create (PFuzzerOptions::Heartbeat). Unlike the telemetry sink this
+  /// is shared, not per-seed: the emitter is internally synchronized and
   /// stamps each record with the shard index, so concurrent seed runs
   /// interleave records in one NDJSON stream. Null disables heartbeats.
   /// Purely observational: reports are byte-identical with or without.
@@ -159,26 +127,11 @@ struct CampaignResult {
   /// count stays in Report.Executions).
   uint64_t TotalExecutions = 0;
 
-  /// Prefix-resumption counters summed over every run of the cell; all
-  /// zero when the engine was disabled, unavailable, or the subject is
-  /// not resume-safe. Like WallSeconds, diagnostic only — never part of
-  /// the deterministic result.
-  ResumeStats Resume;
-
-  /// Candidate-store counters summed over every run of the cell (peak
-  /// byte figures are maxed, not summed — see QueueStats::accumulate).
-  /// Diagnostic only.
-  QueueStats Queue;
-
-  /// Shard-sync counters summed over every run of the cell (lag figures
-  /// are maxed — see ShardStats::accumulate); all zero for unsharded
-  /// campaigns. Diagnostic only.
-  ShardStats Shards;
-
-  /// Consolidated telemetry accumulated over every run of the cell: the
-  /// one tree holding executions plus the Resume/Queue/Sharding
-  /// subtrees (see TelemetrySnapshot::accumulate for the per-field
-  /// sum/max semantics). Diagnostic only.
+  /// Telemetry accumulated over every run of the cell: executions,
+  /// valid inputs, frontier, and the Queue/Sharding subtrees (see
+  /// TelemetrySnapshot::accumulate for the per-field sum/max
+  /// semantics). Diagnostic only — never part of the deterministic
+  /// result.
   TelemetrySnapshot Telemetry;
 
   /// Throughput over all runs of the cell; 0 when nothing was timed.

@@ -52,36 +52,6 @@ void RunResult::clear() {
   }
 }
 
-void RunResult::assignFrom(const RunResult &Other) {
-  ExitCode = Other.ExitCode;
-  // Member-wise vector copy assignment reuses existing capacity; an
-  // evicted cache entry recycled through here stops allocating once its
-  // buffers have grown to the working-set size.
-  Comparisons = Other.Comparisons;
-  EofAccesses = Other.EofAccesses;
-  BranchTrace = Other.BranchTrace;
-  CallTrace = Other.CallTrace;
-  FunctionNames = Other.FunctionNames;
-  EventChars.assign(Other.EventChars);
-}
-
-void RunResult::assignPrefixFrom(const RunResult &Full, const RunMark &At) {
-  // The marked moment predates the run's completion, so its exit code is
-  // the not-yet-finished default regardless of how the run ended.
-  ExitCode = 1;
-  Comparisons.assign(Full.Comparisons.begin(),
-                     Full.Comparisons.begin() + At.NumComparisons);
-  EofAccesses.assign(Full.EofAccesses.begin(),
-                     Full.EofAccesses.begin() + At.NumEofAccesses);
-  BranchTrace.assign(Full.BranchTrace.begin(),
-                     Full.BranchTrace.begin() + At.NumBranches);
-  CallTrace.assign(Full.CallTrace.begin(),
-                   Full.CallTrace.begin() + At.NumCalls);
-  FunctionNames.assign(Full.FunctionNames.begin(),
-                       Full.FunctionNames.begin() + At.NumNames);
-  EventChars.assign(Full.EventChars.data(), At.NumEventChars);
-}
-
 TChar ExecutionContext::nextChar() {
   TChar C = peekChar(0);
   // Advance even past the end so repeated EOF reads access fresh indices,
@@ -91,67 +61,24 @@ TChar ExecutionContext::nextChar() {
 }
 
 TChar ExecutionContext::peekChar(uint32_t Lookahead) {
-  for (;;) {
-    uint64_t Index = static_cast<uint64_t>(Cursor) + Lookahead;
-    if (Index >= Input.size()) {
-      // Give the resumption engine its suspension point. A true return
-      // means the input may have grown underneath us (this very read was
-      // re-entered from a checkpoint with a longer input), so the bounds
-      // check repeats; the hook stops reporting growth once it has taken
-      // its one checkpoint for the current input.
-      if (Hook && Hook->onPastEnd(*this))
-        continue;
-      if (Mode == InstrumentationMode::Full) {
-        // Re-reads at the same position collapse into one EofEvent: a
-        // parser retrying its lookahead at one cursor wants one character,
-        // and counting every attempt would inflate the "wants more input"
-        // signal the search extends on.
-        uint32_t At = static_cast<uint32_t>(Index);
-        if (Result.EofAccesses.empty() ||
-            Result.EofAccesses.back().AccessIndex != At)
-          Result.EofAccesses.push_back({At});
-      }
-      // The EOF sentinel still carries the accessed index as taint so that
-      // comparisons against it can be attributed to a position.
-      return TChar(EofChar, TaintSet::forIndex(static_cast<uint32_t>(Index)));
+  uint64_t Index = static_cast<uint64_t>(Cursor) + Lookahead;
+  if (Index >= Input.size()) {
+    if (Mode == InstrumentationMode::Full) {
+      // Re-reads at the same position collapse into one EofEvent: a
+      // parser retrying its lookahead at one cursor wants one character,
+      // and counting every attempt would inflate the "wants more input"
+      // signal the search extends on.
+      uint32_t At = static_cast<uint32_t>(Index);
+      if (Result.EofAccesses.empty() ||
+          Result.EofAccesses.back().AccessIndex != At)
+        Result.EofAccesses.push_back({At});
     }
-    // Mid-run suspension point for checkpoint ladders: an in-bounds read
-    // crossing the rung limit suspends before the byte is served. A true
-    // return again means this read was re-entered with a different
-    // (longer) input, so both checks above repeat against it.
-    if (Index >= RungLimit && Hook &&
-        Hook->onRungReached(*this, static_cast<uint32_t>(Index)))
-      continue;
-    return TChar(static_cast<unsigned char>(Input[Index]),
-                 TaintSet::forIndex(static_cast<uint32_t>(Index)));
+    // The EOF sentinel still carries the accessed index as taint so that
+    // comparisons against it can be attributed to a position.
+    return TChar(EofChar, TaintSet::forIndex(static_cast<uint32_t>(Index)));
   }
-}
-
-void ExecutionContext::restoreFrom(const RunResult &Full, const RunMark &At,
-                                   std::string_view NewInput) {
-  Input = NewInput;
-  Cursor = At.Cursor;
-  StackDepth = At.StackDepth;
-  MaxStackDepth = At.MaxStackDepth;
-  Result.assignPrefixFrom(Full, At);
-  // assignFrom copies contents, not scratch: rebuild the interned-id
-  // remap so functions re-entered by the continuation find the ids the
-  // restored FunctionNames already assigned instead of re-appending.
-  // The views' data() are the registered __func__ literals, the intern
-  // table's very keys.
-  if (++Result.FuncPass == 0) {
-    std::fill(Result.FuncStamp.begin(), Result.FuncStamp.end(), 0u);
-    Result.FuncPass = 1;
-  }
-  for (size_t I = 0; I != Result.FunctionNames.size(); ++I) {
-    uint32_t Global = internFunctionName(Result.FunctionNames[I].data());
-    if (Global >= Result.FuncStamp.size()) {
-      Result.FuncStamp.resize(Global + 1, 0u);
-      Result.FuncId.resize(Global + 1, 0);
-    }
-    Result.FuncStamp[Global] = Result.FuncPass;
-    Result.FuncId[Global] = static_cast<int32_t>(I);
-  }
+  return TChar(static_cast<unsigned char>(Input[Index]),
+               TaintSet::forIndex(static_cast<uint32_t>(Index)));
 }
 
 void ExecutionContext::ungetChar() {

@@ -136,18 +136,6 @@ struct RunResult {
   /// reallocating BranchTrace/Comparisons/CallTrace/EventChars.
   void clear();
 
-  /// Deep-copies \p Other's recorded contents into this result, reusing
-  /// this result's existing buffer capacities (the run cache recycles
-  /// evicted entries through this). Scratch state is not copied.
-  void assignFrom(const RunResult &Other);
-
-  /// Deep-copies the first-\p At slice of \p Full's event containers into
-  /// this result — exactly the state \p Full's run had recorded at the
-  /// moment ExecutionContext::markTo captured \p At. Valid because
-  /// recording is strictly append-only (see markTo); ExitCode is reset to
-  /// the not-yet-finished default, never copied from the completed run.
-  void assignPrefixFrom(const RunResult &Full, const struct RunMark &At);
-
 private:
   friend class ExecutionContext;
 
@@ -165,57 +153,6 @@ private:
   std::vector<uint32_t> FuncStamp;
   std::vector<int32_t> FuncId;
   uint32_t FuncPass = 1;
-};
-
-class ExecutionContext;
-
-/// Callback with the engine's two suspension points: a read past the end
-/// of the input (the exact moment the search would extend the candidate)
-/// and an in-bounds read crossing the context's rung limit (where the
-/// resumption engine mints mid-run "ladder" checkpoints). Both fire
-/// *before* the read's effect is recorded, so a checkpoint taken inside
-/// the hook captures exactly the state a cold run of any input sharing
-/// the observed prefix would reach.
-struct PastEndHook {
-  /// Fired when an execution attempts to read past the end of its input,
-  /// before the EofEvent is recorded. Returns true when the context's
-  /// input may have grown underneath the caller (the read re-checks its
-  /// bounds), false to proceed to the EOF sentinel.
-  virtual bool onPastEnd(ExecutionContext &Ctx) = 0;
-
-  /// Fired when an in-bounds read first touches byte \p Index >= the
-  /// context's rung limit (setRungLimit), before the byte is served:
-  /// every byte observed so far lies below the limit, so the state here
-  /// depends only on Input[0..Index) and is a valid resume point for any
-  /// input sharing that prefix. Same return contract as onPastEnd; the
-  /// default never suspends.
-  virtual bool onRungReached(ExecutionContext &Ctx, uint32_t Index) {
-    (void)Ctx;
-    (void)Index;
-    return false;
-  }
-
-protected:
-  ~PastEndHook() = default;
-};
-
-/// An O(1) watermark of everything an ExecutionContext has recorded up to
-/// one point of its run: the cursor and stack-depth counters plus the
-/// size of every event container. Because recording is append-only, the
-/// completed run's RunResult truncated at these sizes *is* the state at
-/// the marked moment — checkpoints store a mark plus a shared pointer to
-/// the final result instead of a deep copy (the stack side of the state
-/// is a FiberCheckpoint; see runtime/PrefixResumeCache.h).
-struct RunMark {
-  uint32_t Cursor = 0;
-  uint32_t StackDepth = 0;
-  uint32_t MaxStackDepth = 0;
-  uint32_t NumComparisons = 0;
-  uint32_t NumEofAccesses = 0;
-  uint32_t NumBranches = 0;
-  uint32_t NumCalls = 0;
-  uint32_t NumNames = 0;
-  uint32_t NumEventChars = 0;
 };
 
 /// The per-execution instrumentation state handed to a Subject::run call.
@@ -329,48 +266,6 @@ public:
 
   void setExitCode(int Code) { Result.ExitCode = Code; }
 
-  //===--------------------------------------------------------------------===
-  // Suspend/resume entry points (prefix-resumption engine)
-  //===--------------------------------------------------------------------===
-
-  /// Installs \p H to observe suspension points; null detaches. The hook
-  /// is engine-internal — subjects never see it, and a context without
-  /// one behaves exactly as before.
-  void setPastEndHook(PastEndHook *H) { Hook = H; }
-
-  /// Arms PastEndHook::onRungReached: the next in-bounds read of any byte
-  /// at index >= \p Limit fires the hook before the byte is served. The
-  /// default (no limit) adds one predictable compare to the read path and
-  /// nothing else.
-  void setRungLimit(uint64_t Limit) { RungLimit = Limit; }
-
-  static constexpr uint64_t NoRungLimit = ~0ULL;
-
-  /// Captures the recorded-so-far state as an O(1) watermark (see
-  /// RunMark). Every recorder in this class only ever appends — any new
-  /// instrumentation must preserve that, or marks stop reconstructing
-  /// mid-run state.
-  void markTo(RunMark &Out) const {
-    Out.Cursor = Cursor;
-    Out.StackDepth = StackDepth;
-    Out.MaxStackDepth = MaxStackDepth;
-    Out.NumComparisons = static_cast<uint32_t>(Result.Comparisons.size());
-    Out.NumEofAccesses = static_cast<uint32_t>(Result.EofAccesses.size());
-    Out.NumBranches = static_cast<uint32_t>(Result.BranchTrace.size());
-    Out.NumCalls = static_cast<uint32_t>(Result.CallTrace.size());
-    Out.NumNames = static_cast<uint32_t>(Result.FunctionNames.size());
-    Out.NumEventChars = static_cast<uint32_t>(Result.EventChars.size());
-  }
-
-  /// Restores the state \p Full's run had at mark \p At as this context's
-  /// recorded state and swaps the input for \p NewInput, which must share
-  /// the marked run's observed prefix — the continuation then records
-  /// exactly what a cold run of \p NewInput would from that point on.
-  /// Rebuilds the interned-name remap scratch so re-entered functions
-  /// resolve to their restored FunctionNames ids.
-  void restoreFrom(const RunResult &Full, const RunMark &At,
-                   std::string_view NewInput);
-
 private:
   /// Appends \p Bytes to the result's event arena and returns its slice.
   EventSlice internEventChars(std::string_view Bytes);
@@ -387,9 +282,6 @@ private:
   uint32_t StackDepth = 0;
   uint32_t MaxStackDepth = 0;
   RunResult Result;
-  PastEndHook *Hook = nullptr;
-  /// First in-bounds index whose read fires onRungReached.
-  uint64_t RungLimit = NoRungLimit;
 };
 
 } // namespace pfuzz

@@ -96,9 +96,6 @@ namespace {
 class ArithSubject final : public Subject {
 public:
   std::string_view name() const override { return "arith"; }
-  // Audited resume-safe: a pure validator; frames hold only chars and
-  // flags, and no taints are ever merged (all stay inline intervals).
-  bool resumeSafe() const override { return true; }
   uint32_t numBranchSites() const override { return ArithNumBranchSites; }
   int run(ExecutionContext &Ctx) const override {
     return ArithParser(Ctx).parse();

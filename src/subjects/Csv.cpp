@@ -113,9 +113,6 @@ namespace {
 class CsvSubject final : public Subject {
 public:
   std::string_view name() const override { return "csv"; }
-  // Audited resume-safe: a pure validator; frames hold only chars and
-  // flags, and no taints are ever merged (all stay inline intervals).
-  bool resumeSafe() const override { return true; }
   uint32_t numBranchSites() const override { return CsvNumBranchSites; }
   int run(ExecutionContext &Ctx) const override {
     return CsvParser(Ctx).parse();

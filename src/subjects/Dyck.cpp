@@ -92,9 +92,6 @@ namespace {
 class DyckSubject final : public Subject {
 public:
   std::string_view name() const override { return "dyck"; }
-  // Audited resume-safe: a pure validator; frames hold only chars and
-  // flags, and no taints are ever merged (all stay inline intervals).
-  bool resumeSafe() const override { return true; }
   uint32_t numBranchSites() const override { return DyckNumBranchSites; }
   int run(ExecutionContext &Ctx) const override {
     return DyckParser(Ctx).parse();

@@ -170,9 +170,6 @@ namespace {
 class IniSubject final : public Subject {
 public:
   std::string_view name() const override { return "ini"; }
-  // Audited resume-safe: a pure validator; frames hold only chars and
-  // flags, and no taints are ever merged (all stay inline intervals).
-  bool resumeSafe() const override { return true; }
   uint32_t numBranchSites() const override { return IniNumBranchSites; }
   int run(ExecutionContext &Ctx) const override {
     return IniParser(Ctx).parse();

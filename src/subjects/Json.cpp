@@ -347,10 +347,6 @@ namespace {
 class JsonSubject final : public Subject {
 public:
   std::string_view name() const override { return "json"; }
-  // Audited resume-safe: a pure recursive-descent validator whose frames
-  // hold chars, counters and one <=5-char keyword TString (SSO, with a
-  // contiguous inline taint interval) -- no heap-owning locals.
-  bool resumeSafe() const override { return true; }
   uint32_t numBranchSites() const override { return JsonNumBranchSites; }
   int run(ExecutionContext &Ctx) const override {
     return JsonParser(Ctx).parse();

@@ -44,18 +44,10 @@ public:
   /// \p Ctx. Returns 0 iff the input is valid.
   virtual int run(ExecutionContext &Ctx) const = 0;
 
-  /// True if this subject's executions may be suspended at end-of-input
-  /// reads and resumed from a stack-byte checkpoint (the prefix-
-  /// resumption engine, runtime/PrefixResumeCache.h). Eligible subjects
-  /// must hold only trivially restorable state in the frames live at any
-  /// input read: plain values, inline taint sets, small-string-optimized
-  /// strings — never heap-owning locals, whose handles would dangle when
-  /// one continuation frees them and another restores the bytes. They
-  /// must also never observe end-of-input except by reading (no atEnd()
-  /// before the first past-end read), since a checkpoint must represent
-  /// every extension of its prefix. Default false: opting in requires an
-  /// audit of the subject's frames.
-  virtual bool resumeSafe() const { return false; }
+  /// Always false, and nothing in the program reads it. Kept only
+  /// because the campaign benchmark's subject wrapper
+  /// (bench/campaign/TracedSubject.h) still forwards it.
+  bool resumeSafe() const { return false; }
 
   /// Convenience wrapper: one instrumented execution of \p Input.
   RunResult execute(std::string_view Input,

@@ -67,7 +67,7 @@ int64_t CommandLine::getCount(const std::string &Name, int64_t Default,
   if (It == Values.end())
     return Default;
   // Silent-wrap protection: where getInt shrugs off garbage, a count
-  // flag must reject it — "--jobs=abc" or "--run-cache=-5" running a
+  // flag must reject it — "--jobs=abc" or "--max-queue=-5" running a
   // default-configured campaign hides the typo from the user.
   char *End = nullptr;
   errno = 0;

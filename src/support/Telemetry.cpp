@@ -184,15 +184,12 @@ void HeartbeatEmitter::emit(const HeartbeatSample &S) {
       Out,
       "{\"ts_ms\": %llu, \"beat\": %llu, \"shard\": %u,"
       " \"executions\": %llu, \"wall_s\": %.3f, \"execs_per_sec\": %.1f,"
-      " \"frontier\": %llu, \"queue_bytes\": %llu,"
-      " \"run_cache_hit_rate\": %.4f, \"resume_hit_rate\": %.4f,"
-      " \"shard_lag\": %llu}\n",
+      " \"frontier\": %llu, \"queue_bytes\": %llu, \"shard_lag\": %llu}\n",
       static_cast<unsigned long long>(TsMs),
       static_cast<unsigned long long>(Beat), S.Shard,
       static_cast<unsigned long long>(ExecsNow), WallS, Rate,
       static_cast<unsigned long long>(S.Frontier),
-      static_cast<unsigned long long>(S.QueueBytes), S.RunCacheHitRate,
-      S.ResumeHitRate,
+      static_cast<unsigned long long>(S.QueueBytes),
       static_cast<unsigned long long>(S.ShardLag));
   if (Rc < 0 || std::fflush(Out) != 0)
     WriteError = true;

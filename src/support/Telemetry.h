@@ -258,10 +258,6 @@ struct HeartbeatSample {
   uint64_t Frontier = 0;
   /// Candidate-queue bytes currently held by the sampling shard.
   uint64_t QueueBytes = 0;
-  /// Memoized-run LRU hit rate so far (hits / lookups).
-  double RunCacheHitRate = 0;
-  /// Prefix-resumption engine hit rate so far (hits / probes).
-  double ResumeHitRate = 0;
   /// Worst frontier lag this shard has observed, in sync epochs.
   uint64_t ShardLag = 0;
 };

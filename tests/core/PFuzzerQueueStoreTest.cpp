@@ -9,10 +9,9 @@
 /// representation only, never behavior. A campaign run on compact
 /// prefix-suffix records must produce a FuzzReport byte-identical to the
 /// same campaign run on the string-backed reference queue — on every
-/// evaluation subject, crossed with the resume engine, run cache and
-/// queue-trim pressure. Plus direct store unit tests
-/// (materialization chains, trim + arena compaction) and the PathCounts
-/// decay regression.
+/// evaluation subject, with and without queue-trim pressure. Plus direct
+/// store unit tests (materialization chains, trim + arena compaction) and
+/// the PathCounts decay regression.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,28 +30,25 @@ namespace {
 
 struct QueueConfig {
   const char *Name;
-  uint32_t RunCache = 64;
-  uint32_t ResumeCache = 0;
   size_t MaxQueue = 100000;
 };
 
 FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
                      const QueueConfig &C, bool Reference,
                      QueueStats *Stats = nullptr) {
+  TelemetrySnapshot Telemetry;
   PFuzzerOptions Options;
-  Options.RunCacheSize = C.RunCache;
-  Options.ResumeCacheSize = C.ResumeCache;
-  // Engage the resume engine on every input so short campaign inputs
-  // exercise the warm handoff paths too.
-  Options.ResumeMinLength = 0;
   Options.MaxQueue = C.MaxQueue;
   Options.ReferenceQueue = Reference;
-  Options.QueueStatsOut = Stats;
+  Options.TelemetryOut = &Telemetry;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
   Opts.MaxExecutions = Execs;
-  return Tool.run(S, Opts);
+  FuzzReport Report = Tool.run(S, Opts);
+  if (Stats)
+    *Stats = Telemetry.Queue;
+  return Report;
 }
 
 void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
@@ -66,13 +62,12 @@ void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
 
 TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
   // The identity sweep: compact records against the by-value reference
-  // queue, on all five evaluation subjects, crossed with every execution
-  // optimization and with queue caps small enough to force trims.
+  // queue, on all five evaluation subjects, at the default cap and at
+  // caps small enough to force trims.
   const QueueConfig Configs[] = {
       {"default"},
-      {"nocache-trim", /*RunCache=*/0, 0, /*MaxQueue=*/256},
-      {"resume", 64, /*ResumeCache=*/64},
-      {"all-trim", 64, /*ResumeCache=*/64, /*MaxQueue=*/512},
+      {"trim-256", /*MaxQueue=*/256},
+      {"trim-512", /*MaxQueue=*/512},
   };
   for (const Subject *S : evaluationSubjects()) {
     uint64_t Execs = S == &jsonSubject() ? 3000 : 1500;
@@ -88,7 +83,7 @@ TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
 TEST(PFuzzerQueueStoreTest, TrimPressureConfigActuallyTrims) {
   // Guard against the sweep silently losing its trim coverage: the
   // small-cap config must overflow the queue and drop candidates.
-  QueueConfig C{"nocache-trim", /*RunCache=*/0, 0, /*MaxQueue=*/256};
+  QueueConfig C{"trim-256", /*MaxQueue=*/256};
   QueueStats Stats;
   fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Stats);
   EXPECT_GT(Stats.Trims, 0u);
@@ -116,7 +111,7 @@ TEST(PFuzzerQueueStoreTest, PathTableDecaysInsteadOfGrowingUnbounded) {
   // Regression for the unbounded PathCounts growth: with a small cap the
   // campaign must decay the table (halve counts, drop zeros) instead of
   // letting it grow past the cap, and still complete its budget.
-  QueueConfig C{"tiny-cap", 64, 0, /*MaxQueue=*/32};
+  QueueConfig C{"tiny-cap", /*MaxQueue=*/32};
   QueueStats Stats;
   FuzzReport Report =
       fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Stats);

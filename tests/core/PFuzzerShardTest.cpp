@@ -7,12 +7,12 @@
 /// \file
 /// The contract of the sharded campaign engine (PFuzzerOptions::Shards):
 /// --shards=1 takes the plain sequential code path, so its report is
-/// byte-identical to the unsharded engine under every composition of the
-/// other performance layers (run cache, resume ladder). For N > 1 the
-/// search is different by design but deterministic: a fixed (seed, N, interval) reproduces the merged
-/// report bit for bit, the budget is spent exactly, the valid-input
-/// stream and coverage union are consistent, and the sync ledger
-/// balances (published == merged, accepted + rejected == offered).
+/// byte-identical to the unsharded engine at any sync interval. For N > 1
+/// the search is different by design but deterministic: a fixed (seed, N,
+/// interval) reproduces the merged report bit for bit, the budget is spent
+/// exactly, the valid-input stream and coverage union are consistent, and
+/// the sync ledger balances (published == merged, accepted + rejected ==
+/// offered).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,21 +32,17 @@ namespace {
 struct ShardRunConfig {
   uint32_t Shards = 1;
   uint32_t SyncInterval = 0; // 0 = engine default
-  uint32_t RunCache = 64;
-  uint32_t ResumeCache = 64;
 };
 
 FuzzReport fuzzWith(const Subject &S, uint64_t Execs, uint64_t Seed,
                     const ShardRunConfig &Cfg,
-                    ShardStats *Stats = nullptr,
+                    TelemetrySnapshot *Telemetry = nullptr,
                     std::vector<std::string> *ValidLog = nullptr) {
   PFuzzerOptions Options;
   Options.Shards = Cfg.Shards;
   if (Cfg.SyncInterval != 0)
     Options.ShardSyncInterval = Cfg.SyncInterval;
-  Options.RunCacheSize = Cfg.RunCache;
-  Options.ResumeCacheSize = Cfg.ResumeCache;
-  Options.ShardStatsOut = Stats;
+  Options.TelemetryOut = Telemetry;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
@@ -70,35 +66,30 @@ void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
 } // namespace
 
 TEST(PFuzzerShardTest, SingleShardIdenticalToUnshardedAcrossSubjects) {
-  // The identity sweep of the acceptance contract: --shards=1 composed
-  // with every other perf layer must reproduce the default engine on
-  // every evaluation subject.
-  const ShardRunConfig Compositions[] = {
-      {1, 0, 64, 64},   // plain
-      {1, 0, 64, 0},    // resume cache off
-      {1, 128, 0, 0},   // caches off, odd interval
-  };
+  // --shards=1 must reproduce a default-constructed engine on every
+  // evaluation subject, at the default and at an odd sync interval (which
+  // a single shard never reaches).
+  const ShardRunConfig Configs[] = {{1, 0}, {1, 128}};
   for (const Subject *S : evaluationSubjects()) {
     uint64_t Execs = 1500;
-    ShardRunConfig Unsharded; // Shards = 1 via the unsharded code path
-    FuzzReport Baseline = fuzzWith(*S, Execs, 7, Unsharded);
-    for (const ShardRunConfig &Cfg : Compositions) {
-      SCOPED_TRACE(std::string(S->name()) + " run-cache " +
-                   std::to_string(Cfg.RunCache) + " resume-cache " +
-                   std::to_string(Cfg.ResumeCache) + " interval " +
+    FuzzerOptions Opts;
+    Opts.Seed = 7;
+    Opts.MaxExecutions = Execs;
+    FuzzReport Baseline = PFuzzer().run(*S, Opts);
+    for (const ShardRunConfig &Cfg : Configs) {
+      SCOPED_TRACE(std::string(S->name()) + " interval " +
                    std::to_string(Cfg.SyncInterval));
-      // Same seed, same budget: every composition row must agree with
-      // the plain baseline (the perf layers are behavior-invariant, and
-      // shards=1 must not change that).
       expectIdenticalReports(Baseline, fuzzWith(*S, Execs, 7, Cfg));
     }
   }
 }
 
 TEST(PFuzzerShardTest, SingleShardLeavesStatsZeroed) {
-  ShardStats Stats;
-  Stats.DeltasPublished = 99; // stale sink content must be overwritten
-  fuzzWith(jsonSubject(), 500, 1, ShardRunConfig(), &Stats);
+  TelemetrySnapshot Telemetry;
+  // Stale sink content must be overwritten.
+  Telemetry.Sharding.DeltasPublished = 99;
+  fuzzWith(jsonSubject(), 500, 1, ShardRunConfig(), &Telemetry);
+  const ShardStats &Stats = Telemetry.Sharding;
   EXPECT_EQ(Stats.DeltasPublished, 0u);
   EXPECT_EQ(Stats.SyncPoints, 0u);
   EXPECT_EQ(Stats.MigrationsOffered, 0u);
@@ -134,11 +125,12 @@ TEST(PFuzzerShardTest, ShardedBudgetIsSpentExactly) {
 }
 
 TEST(PFuzzerShardTest, ShardedLedgerBalances) {
-  ShardStats Stats;
+  TelemetrySnapshot Telemetry;
   ShardRunConfig Cfg;
   Cfg.Shards = 4;
   Cfg.SyncInterval = 100;
-  FuzzReport R = fuzzWith(jsonSubject(), 4000, 3, Cfg, &Stats);
+  FuzzReport R = fuzzWith(jsonSubject(), 4000, 3, Cfg, &Telemetry);
+  const ShardStats &Stats = Telemetry.Sharding;
   EXPECT_EQ(R.Executions, 4000u);
   // Every published packet consumed exactly once; every offered
   // candidate either accepted or rejected.

@@ -80,18 +80,18 @@ TEST(CommandLineTest, GetCountAcceptsValidValues) {
 TEST(CommandLineTest, GetCountRejectsGarbage) {
   // Where getInt silently falls back, a count flag must turn the whole
   // parse into a usage error naming the flag and the offending value.
-  CommandLine C = parse({"--run-cache=abc"});
-  EXPECT_EQ(C.getCount("run-cache", 64), 64);
+  CommandLine C = parse({"--max-queue=abc"});
+  EXPECT_EQ(C.getCount("max-queue", 64), 64);
   EXPECT_FALSE(C.ok());
   ASSERT_EQ(C.errors().size(), 1u);
-  EXPECT_NE(C.errors()[0].find("--run-cache"), std::string::npos);
+  EXPECT_NE(C.errors()[0].find("--max-queue"), std::string::npos);
   EXPECT_NE(C.errors()[0].find("abc"), std::string::npos);
 }
 
 TEST(CommandLineTest, GetCountRejectsNegativeAndTrailingJunk) {
-  CommandLine C = parse({"--jobs=-2", "--resume-cache=12x", "--depth="});
+  CommandLine C = parse({"--jobs=-2", "--shard-sync=12x", "--depth="});
   EXPECT_EQ(C.getCount("jobs", 1), 1);
-  EXPECT_EQ(C.getCount("resume-cache", 0), 0);
+  EXPECT_EQ(C.getCount("shard-sync", 0), 0);
   EXPECT_EQ(C.getCount("depth", 3), 3);
   EXPECT_FALSE(C.ok());
   EXPECT_EQ(C.errors().size(), 3u);
