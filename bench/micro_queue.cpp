@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Micro-benchmarks of the fuzzing loop's hot bookkeeping: branch-coverage
-/// membership tests (the per-execution runCheck pattern and the per-rescore
-/// novelty filter), comparing the old std::set representation against the
-/// dense BranchCoverageMap bitmap, plus candidate max-heap push/pop. The
-/// *Set* and *Bitmap* pairs run the same workload, so their ratio is the
-/// speedup of the dense representation.
+/// membership tests (the per-execution runCheck pattern), comparing the
+/// old std::set representation against the dense BranchCoverageMap bitmap,
+/// the candidate store's rescore pass on a json-sized queue, plus
+/// candidate max-heap push/pop. The *Set* and *Bitmap* pair runs the same
+/// workload, so its ratio is the speedup of the dense representation.
 ///
 /// `--sweep` switches to the queue representation sweep instead: each
 /// cell runs sequentially on the compact candidate store and on the
@@ -24,6 +24,7 @@
 
 #include "BenchJson.h"
 #include "core/BranchCoverageMap.h"
+#include "core/CandidateStore.h"
 #include "eval/Campaign.h"
 #include "runtime/ExecutionContext.h"
 #include "support/CommandLine.h"
@@ -35,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <set>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -108,38 +110,43 @@ static void BM_RunCheckBookkeepingBitmap(benchmark::State &State) {
 }
 BENCHMARK(BM_RunCheckBookkeepingBitmap);
 
-// The rescoreQueue pattern: re-filter every queued candidate's branch
-// list against grown global coverage.
-static void BM_RescoreFilterSet(benchmark::State &State) {
-  std::vector<std::vector<uint32_t>> Lists = candidateLists(256, 60, 1000);
+// The candidate store's rescore pass (Algorithm 1 lines 40-43) on a
+// queue shaped like json at 400k executions: ~100k queued candidates in
+// ~25k run groups, a path table as large as the group count, and a
+// frontier that has not grown since the last pass — the common case, so
+// the pass is the group walk, the entry stream and make_heap.
+static void BM_StoreRescore(benchmark::State &State) {
+  constexpr uint32_t NumGroups = 25000, PerGroup = 4;
+  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/200000,
+                       HeuristicOptions());
+  BranchCoverageMap VBr;
   std::vector<uint32_t> Covered = traceKeys(800, 1000, 99);
-  std::set<uint32_t> Valid(Covered.begin(), Covered.end());
-  for (auto _ : State) {
-    size_t Surviving = 0;
-    for (const std::vector<uint32_t> &List : Lists)
-      for (uint32_t B : List)
-        if (!Valid.count(B))
-          ++Surviving;
-    benchmark::DoNotOptimize(Surviving);
+  VBr.insert(Covered.begin(), Covered.end());
+  PathCountMap PathCounts;
+  std::string Parent(40, 'a');
+  uint32_t Root = Store.internRoot(Parent, 0x1);
+  std::vector<uint32_t> Keys = traceKeys(NumGroups * 2, 1 << 20, 7);
+  uint64_t Hash = 2;
+  for (uint32_t G = 0; G != NumGroups; ++G) {
+    std::vector<uint32_t> Branches = traceKeys(4, 1000, G + 17);
+    uint64_t PathHash = Keys[2 * G];
+    PathCounts[PathHash] = Keys[2 * G + 1] % 40;
+    uint32_t Run = Store.makeRun(Branches, VBr.epoch(), (G % 9) / 2.0,
+                                 PathHash, G % 7);
+    for (uint32_t C = 0; C != PerGroup; ++C) {
+      size_t SpliceAt = 30 + (Keys[2 * G] + C) % 10;
+      std::string_view Rep = std::string_view("true").substr(0, C + 1);
+      Store.push(Run, Root, Parent, SpliceAt, Rep, Hash++,
+                 static_cast<uint32_t>(Rep.size()), 1,
+                 -static_cast<double>(Keys[2 * G + 1] % 64));
+    }
+    Store.releaseRun(Run);
   }
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Store.rescore(VBr, PathCounts));
+  State.counters["entries"] = static_cast<double>(Store.queueSize());
 }
-BENCHMARK(BM_RescoreFilterSet);
-
-static void BM_RescoreFilterBitmap(benchmark::State &State) {
-  std::vector<std::vector<uint32_t>> Lists = candidateLists(256, 60, 1000);
-  std::vector<uint32_t> Covered = traceKeys(800, 1000, 99);
-  BranchCoverageMap Valid;
-  Valid.insert(Covered.begin(), Covered.end());
-  for (auto _ : State) {
-    size_t Surviving = 0;
-    for (const std::vector<uint32_t> &List : Lists)
-      for (uint32_t B : List)
-        if (!Valid.test(B))
-          ++Surviving;
-    benchmark::DoNotOptimize(Surviving);
-  }
-}
-BENCHMARK(BM_RescoreFilterBitmap);
+BENCHMARK(BM_StoreRescore)->Unit(benchmark::kMillisecond);
 
 // Candidate queue push/pop: the max-heap discipline PFuzzer::run uses
 // (push_heap on add, pop_heap on pick).

@@ -18,6 +18,9 @@ using namespace pfuzz;
 
 namespace {
 
+/// Magnitude bound of each score part; see CandidateStore::Entry.
+[[maybe_unused]] constexpr double MaxExactTerm = 1 << 22;
+
 /// Score-only comparators — the single comparator property the
 /// determinism argument rests on: for equal scores they return exactly
 /// what the by-value queue's comparator returned, so every positional
@@ -52,8 +55,9 @@ void QueueStats::accumulate(const QueueStats &Other) {
   PeakPathTable = std::max(PeakPathTable, Other.PeakPathTable);
 }
 
-CandidateStore::CandidateStore(bool Reference, size_t MaxQueue)
-    : Reference(Reference), MaxQueue(MaxQueue) {}
+CandidateStore::CandidateStore(bool Reference, size_t MaxQueue,
+                               const HeuristicOptions &Heur)
+    : Reference(Reference), MaxQueue(MaxQueue), Heur(Heur) {}
 
 CandidateStore::~CandidateStore() = default;
 
@@ -301,13 +305,22 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
     // identity sweep would flag a truncation as a score divergence.
     R.ReplacementLen = static_cast<uint16_t>(ReplacementLen);
     R.ParentDelta = static_cast<uint8_t>(ParentDelta);
+    // The Entry exactness precondition (see the header).
+    int64_t Base = candidateTerm(R.SpliceAt + R.SuffixLen, ReplacementLen,
+                                 ParentDelta, Heur);
+    assert(Base > -MaxExactTerm && Base < MaxExactTerm &&
+           "candidate term outside the exact float range");
+    assert(Score > -2 * MaxExactTerm && Score < 2 * MaxExactTerm &&
+           static_cast<float>(Score) == Score &&
+           "push score not exactly representable in the heap entry");
     // The caller trims past MaxQueue, so the heap never outgrows
     // MaxQueue + 1 entries — clamp growth there instead of letting the
     // final doubling overshoot the cap by nearly 2x.
     if (Entries.size() == Entries.capacity())
       Entries.reserve(std::min(MaxQueue + 1, Entries.capacity() +
                                                  Entries.capacity() / 4 + 64));
-    Entries.push_back(Entry{Score, Id});
+    Entries.push_back(Entry{static_cast<float>(Score),
+                            static_cast<int32_t>(Base), Id, Run});
     std::push_heap(Entries.begin(), Entries.end(), EntryScoreLess());
   }
   if ((++PushTick & 1023) == 0)
@@ -406,23 +419,8 @@ void CandidateStore::exportAt(size_t Pos, Exported &Out) const {
 // Rescore
 //===----------------------------------------------------------------------===//
 
-double CandidateStore::scoreRecord(const Record &R, const Group &G,
-                                   const PathCountMap &PathCounts,
-                                   const HeuristicOptions &Heur) const {
-  CandidateFeatures F;
-  F.NewBranches = static_cast<uint32_t>(G.Branches.size());
-  F.InputLen = R.SpliceAt + R.SuffixLen;
-  F.ReplacementLen = R.ReplacementLen;
-  F.AvgStackSize = G.AvgStack;
-  F.NumParents = G.NumParentsBase + R.ParentDelta;
-  auto It = PathCounts.find(G.PathHash);
-  F.PathCount = It == PathCounts.end() ? 0 : It->second;
-  return heuristicScore(F, Heur);
-}
-
 bool CandidateStore::rescore(const BranchCoverageMap &VBr,
-                             const PathCountMap &PathCounts,
-                             const HeuristicOptions &Heur) {
+                             const PathCountMap &PathCounts) {
   auto Begin = std::chrono::steady_clock::now();
   ++Stats.Rescores;
   bool Trimmed = false;
@@ -455,16 +453,16 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
         C.NewBranches = Slot.Replacement;
       }
       C.FilterEpoch = Now;
-      CandidateFeatures F;
-      F.NewBranches =
+      HeuristicInputs In;
+      In.NewBranches =
           C.NewBranches ? static_cast<uint32_t>(C.NewBranches->size()) : 0;
-      F.InputLen = static_cast<uint32_t>(C.Input.size());
-      F.ReplacementLen = C.ReplacementLen;
-      F.AvgStackSize = C.AvgStack;
-      F.NumParents = C.NumParents;
+      In.InputLen = static_cast<uint32_t>(C.Input.size());
+      In.ReplacementLen = C.ReplacementLen;
+      In.AvgStackSize = C.AvgStack;
+      In.NumParents = C.NumParents;
       auto It = PathCounts.find(C.PathHash);
-      F.PathCount = It == PathCounts.end() ? 0 : It->second;
-      C.Score = heuristicScore(F, Heur);
+      In.PathCount = It == PathCounts.end() ? 0 : It->second;
+      C.Score = heuristicScore(In, Heur);
     }
     if (RefQueue.size() > MaxQueue) {
       TELEMETRY_SPAN("trim");
@@ -477,14 +475,14 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
     }
     std::make_heap(RefQueue.begin(), RefQueue.end(), EntryScoreLess());
   } else {
-    // Group-sliced pass: each distinct branch list is filtered exactly
-    // once per rescore — the group's filter epoch is the memo, replacing
-    // the per-pass pointer-keyed map. Filtering is in place; see the
-    // header for why that is observationally identical to
-    // copy-on-rescore.
-    for (Entry &E : Entries) {
-      Record &R = Records[E.Id];
-      Group &G = Groups[R.Group];
+    // Group-factored pass. Step 1: every live group — exactly the
+    // groups some queued entry references — filters its list in place
+    // (see the header for why that equals copy-on-rescore) and computes
+    // its run term, one path-count lookup per group instead of per entry.
+    for (size_t I = 0, N = Groups.size(); I != N; ++I) {
+      Group &G = Groups[I];
+      if (G.Members == 0)
+        continue;
       if (G.FilterEpoch != Now) {
         if (!G.Branches.empty()) {
           size_t Kept = 0;
@@ -496,14 +494,26 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
         }
         G.FilterEpoch = Now;
       }
-      E.Score = scoreRecord(R, G, PathCounts, Heur);
+      auto It = PathCounts.find(G.PathHash);
+      double Term = runTerm(static_cast<uint32_t>(G.Branches.size()),
+                            G.AvgStack, G.NumParentsBase,
+                            It == PathCounts.end() ? 0 : It->second, Heur);
+      assert(Term > -MaxExactTerm && Term < MaxExactTerm &&
+             "run term outside the exact float range");
+      G.RunTerm = static_cast<float>(Term);
     }
+    // Step 2: stream over the heap. Both addends are exact half-integers
+    // below 2^22, so the float sum is the exact score.
+    const Group *Gs = Groups.data();
+    for (Entry &E : Entries)
+      E.Score = static_cast<float>(E.Base) + Gs[E.Group].RunTerm;
     if (Entries.size() > MaxQueue) {
       TELEMETRY_SPAN("trim");
-      // Same positional nth_element + resize as the by-value queue; it
-      // sees the same score sequence at the same positions, so the same
-      // candidates survive. The dropped ids release their suffix bytes
-      // and (via the pin cascade) any ancestry nothing else holds.
+      // Step 3: the same positional nth_element + resize as the by-value
+      // queue, then make_heap; it sees the same score sequence at the
+      // same positions, so the same candidates survive. The dropped ids
+      // release their suffix bytes and (via the pin cascade) any ancestry
+      // nothing else holds.
       std::nth_element(Entries.begin(), Entries.begin() + MaxQueue / 2,
                        Entries.end(), EntryScoreGreater());
       for (size_t I = MaxQueue / 2, N = Entries.size(); I < N; ++I)

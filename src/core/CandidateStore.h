@@ -9,18 +9,21 @@
 /// queued candidate is a 40-byte POD record (parent id, splice point,
 /// suffix slice in a shared byte arena, input hash) instead of an owned
 /// std::string, and the heap itself is an array of 16-byte
-/// (Score, CandidateId) pairs. A candidate's full input bytes exist only
-/// on demand — materialize() walks the parent chain and reassembles the
-/// prefix + suffix segments — so queue memory is O(candidates +
-/// distinct-suffix-bytes) instead of O(candidates x input-length), and
-/// pushing a candidate allocates nothing in steady state.
+/// (Score, Base, CandidateId, Group) entries. A candidate's full input
+/// bytes exist only on demand — materialize() walks the parent chain and
+/// reassembles the prefix + suffix segments — so queue memory is
+/// O(candidates + distinct-suffix-bytes) instead of O(candidates x
+/// input-length), and pushing a candidate allocates nothing in steady
+/// state.
 ///
 /// Records that share one parent run's new-branch list are chained into a
 /// *group* holding the list plus the run-constant heuristic terms
-/// (average stack depth, path hash, parent-chain base). A rescore then
-/// filters each distinct list exactly once — the group's filter epoch is
-/// the memo — instead of hashing shared_ptr addresses into a per-pass
-/// map the way the original implementation did.
+/// (average stack depth, path hash, parent-chain base). A score is the
+/// sum of a run term shared by the whole group and a candidate term fixed
+/// at push (see core/Heuristic.h), so a rescore walks the live groups
+/// once — filtering each list and looking its path count up once — and
+/// then streams over the heap setting Score = Base + the group's run
+/// term without touching the records.
 ///
 /// Determinism contract: the heap uses the exact positional
 /// std::push_heap / std::pop_heap / std::make_heap / std::nth_element
@@ -30,11 +33,13 @@
 /// Scores are identical because (a) push-time scores are computed by the
 /// campaign from the run's captured (unfiltered) branch count, exactly
 /// as the string-backed queue scores pushes after a mid-iteration
-/// rescore, and (b) in-place group filtering is observationally
+/// rescore, (b) in-place group filtering is observationally
 /// equivalent to copy-on-rescore: vBr only grows, so
 /// filter(filter(L, vBr1), vBr2) == filter(L, vBr2) whenever vBr1 is a
 /// subset of vBr2 — a list filtered early yields the same count at every
-/// later rescore as the original list filtered late. See DESIGN.md §14.
+/// later rescore as the original list filtered late, and (c) every score
+/// is a half-integer small enough for the heap entry's float to hold it
+/// exactly (see Entry). See DESIGN.md §14.
 ///
 /// Constructed with Reference = true the store instead keeps a faithful
 /// by-value candidate heap (owned std::string + shared_ptr branch list +
@@ -128,7 +133,13 @@ public:
     uint32_t NewBranchCount = 0;
   };
 
-  CandidateStore(bool Reference, size_t MaxQueue);
+  /// Longest input the store accepts: it keeps every candidate term
+  /// below 2^22 in magnitude, the Entry precondition. PFuzzer rejects a
+  /// FuzzerOptions::MaxInputLen above it.
+  static constexpr uint32_t MaxExactInputLen = 1u << 20;
+
+  CandidateStore(bool Reference, size_t MaxQueue,
+                 const HeuristicOptions &Heur);
   ~CandidateStore();
 
   CandidateStore(const CandidateStore &) = delete;
@@ -181,8 +192,10 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Pushes the candidate parent[0, SpliceAt) + \p Suffix with
-  /// \p Score, attached to \p Run's group. \p Hash must be the FNV-1a
-  /// hash of the full candidate bytes (the campaign derives it from a
+  /// \p Score, attached to \p Run's group; the store derives the
+  /// candidate term from the length, \p ReplacementLen and
+  /// \p ParentDelta. \p Hash must be the FNV-1a hash of the full
+  /// candidate bytes (the campaign derives it from a
   /// prefix-hash array without building the string). \p ParentDelta is
   /// the candidate's parent-chain growth over the group's base (1 for
   /// substitutions, 0 for requeued prefixes). Compact mode stores a
@@ -207,8 +220,7 @@ public:
   /// queue cap by dropping the worst-scored half when exceeded. Returns
   /// true when a trim happened (the campaign resets its requeue counters
   /// on trim, as before).
-  bool rescore(const BranchCoverageMap &VBr, const PathCountMap &PathCounts,
-               const HeuristicOptions &Heur);
+  bool rescore(const BranchCoverageMap &VBr, const PathCountMap &PathCounts);
 
   //===--------------------------------------------------------------------===//
   // Shard export
@@ -284,11 +296,26 @@ private:
                 "DESIGN.md section 14 assumes 40-byte records");
 
   /// One heap element; the comparator reads Score only, so heap
-  /// permutations match the by-value queue's exactly.
+  /// permutations match the by-value queue's exactly. Base is the
+  /// candidate term and Group the record's group, so a rescore computes
+  /// Score = Base + Groups[Group].RunTerm without reading the record.
+  ///
+  /// Exactness precondition: a float holds every half-integer of
+  /// magnitude below 2^23 exactly. Candidate terms are integers below
+  /// 2^22 in magnitude (inputs are at most MaxExactInputLen bytes) and
+  /// run terms are half-integers below 2^22, so their sum — and every
+  /// score stored here — is the exact value the by-value queue computes
+  /// in double. Asserted on every pushed score and candidate term and on
+  /// every run term a rescore computes.
   struct Entry {
-    double Score = 0;
+    float Score = 0;
+    int32_t Base = 0;
     uint32_t Id = 0;
+    uint32_t Group = 0;
   };
+  static_assert(sizeof(Entry) == 16,
+                "a wider heap entry costs the json queue-memory ratio its "
+                "2x floor; see DESIGN.md section 14");
 
   /// Run-constant data shared by all candidates of one executed run.
   /// Reference mode's shared_ptr list lives in the parallel RefShared
@@ -305,6 +332,8 @@ private:
     double AvgStack = 0;
     uint32_t NumParentsBase = 0;
     uint32_t Members = 0;
+    /// Run term of the last rescore pass (live groups only).
+    float RunTerm = 0;
     bool RunPinned = false;
   };
 
@@ -330,13 +359,11 @@ private:
   void maybeFreeGroup(uint32_t GroupId);
   void unlinkGroup(uint32_t Id);
   void materialize(uint32_t Id, std::string &Out) const;
-  double scoreRecord(const Record &R, const Group &G,
-                     const PathCountMap &PathCounts,
-                     const HeuristicOptions &Heur) const;
   void maybeCompactArena();
 
   const bool Reference;
   const size_t MaxQueue;
+  const HeuristicOptions Heur;
 
   // Compact mode state.
   std::vector<Record> Records;

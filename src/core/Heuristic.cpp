@@ -10,33 +10,39 @@
 
 using namespace pfuzz;
 
-double pfuzz::heuristicScore(const HeuristicInputs &In,
-                             const HeuristicOptions &Opt) {
-  double Cov = In.NewBranches;
-  if (Opt.LengthPenalty)
-    Cov -= In.InputLen;
-  if (Opt.ReplacementBonus)
-    Cov += 2.0 * In.ReplacementLen;
+double pfuzz::runTerm(uint32_t NewBranches, double AvgStackSize,
+                      uint32_t NumParents, uint32_t PathCount,
+                      const HeuristicOptions &Opt) {
+  double Term = NewBranches;
   if (Opt.StackSizeTerm)
-    Cov -= In.AvgStackSize;
+    Term -= AvgStackSize;
   if (Opt.ParentCountTerm)
-    Cov -= In.NumParents;
+    Term -= NumParents;
   // Path-novelty ranking (Section 3.2): inputs whose parse path was seen
   // often sink in the queue. Capped so a hot path cannot dominate the
   // coverage signal entirely.
   if (Opt.PathNovelty)
-    Cov -= std::min<uint32_t>(In.PathCount, 24);
-  return Cov;
+    Term -= std::min<uint32_t>(PathCount, 24);
+  return Term;
 }
 
-double pfuzz::heuristicScore(const CandidateFeatures &F,
+int64_t pfuzz::candidateTerm(uint32_t InputLen, uint32_t ReplacementLen,
+                             uint32_t ParentDelta,
                              const HeuristicOptions &Opt) {
-  HeuristicInputs In;
-  In.NewBranches = F.NewBranches;
-  In.InputLen = F.InputLen;
-  In.ReplacementLen = F.ReplacementLen;
-  In.AvgStackSize = F.AvgStackSize;
-  In.NumParents = F.NumParents;
-  In.PathCount = F.PathCount;
-  return heuristicScore(In, Opt);
+  int64_t Term = 0;
+  if (Opt.LengthPenalty)
+    Term -= InputLen;
+  if (Opt.ReplacementBonus)
+    Term += 2 * static_cast<int64_t>(ReplacementLen);
+  if (Opt.ParentCountTerm)
+    Term -= ParentDelta;
+  return Term;
+}
+
+double pfuzz::heuristicScore(const HeuristicInputs &In,
+                             const HeuristicOptions &Opt) {
+  return runTerm(In.NewBranches, In.AvgStackSize, In.NumParents, In.PathCount,
+                 Opt) +
+         static_cast<double>(
+             candidateTerm(In.InputLen, In.ReplacementLen, 0, Opt));
 }

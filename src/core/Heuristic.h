@@ -20,6 +20,21 @@
 /// higher", which under a pop-max queue requires subtraction; we follow
 /// the prose. Every term can be disabled for the ablation bench.
 ///
+/// The score is defined once, as the sum of two parts:
+///
+///   runTerm       — the terms every candidate of one executed run shares:
+///                   new branches, stack depth, the run's parent-chain
+///                   length and the path penalty;
+///   candidateTerm — the terms fixed when the candidate is pushed: its
+///                   length, its replacement and its extra parent link
+///                   (1 for a substitution, 0 for a requeued prefix).
+///
+/// Every term is an integer except the average stack depth, which is the
+/// mean of two integer depths, so both parts are integers or
+/// half-integers and their floating-point sum is exact: splitting the
+/// score changes no value, and the candidate store can recompute a whole
+/// run group's share once per rescore (see core/CandidateStore.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PFUZZ_CORE_HEURISTIC_H
@@ -52,26 +67,20 @@ struct HeuristicInputs {
   uint32_t PathCount = 0;
 };
 
-/// Computes the candidate score; the queue pops the maximum.
+/// The run-constant part of the score: |branches \ vBr| - avgStackSize -
+/// numParents - min(pathCount, 24). \p NumParents is the run's own
+/// parent-chain length; a candidate's extra link is in candidateTerm.
+double runTerm(uint32_t NewBranches, double AvgStackSize, uint32_t NumParents,
+               uint32_t PathCount, const HeuristicOptions &Opt);
+
+/// The push-time part of the score: -len(input) + 2 * len(replacement) -
+/// \p ParentDelta. Always an integer.
+int64_t candidateTerm(uint32_t InputLen, uint32_t ReplacementLen,
+                      uint32_t ParentDelta, const HeuristicOptions &Opt);
+
+/// Computes the candidate score; the queue pops the maximum. Equal, bit
+/// for bit, to runTerm + candidateTerm with ParentDelta 0.
 double heuristicScore(const HeuristicInputs &In, const HeuristicOptions &Opt);
-
-/// A queued candidate as the compact store describes it: the same terms
-/// as HeuristicInputs, but with the path-novelty count already resolved
-/// by the caller (the store keeps path hashes, not counts — the campaign
-/// owns the path table). Both the campaign's push-time scoring and the
-/// store's rescore pass go through this one function, so a candidate's
-/// score is computed identically no matter which layer asks.
-struct CandidateFeatures {
-  uint32_t NewBranches = 0;
-  uint32_t InputLen = 0;
-  uint32_t ReplacementLen = 0;
-  double AvgStackSize = 0;
-  uint32_t NumParents = 0;
-  uint32_t PathCount = 0;
-};
-
-/// Scores a candidate described by its compact record features.
-double heuristicScore(const CandidateFeatures &F, const HeuristicOptions &Opt);
 
 } // namespace pfuzz
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -63,7 +64,7 @@ public:
   Campaign(const Subject &S, const FuzzerOptions &Opts,
            const PFuzzerOptions &Config)
       : S(S), Opts(Opts), Config(Config), Heur(Config.Heur), R(Opts.Seed),
-        Store(Config.ReferenceQueue, Config.MaxQueue),
+        Store(Config.ReferenceQueue, Config.MaxQueue, Config.Heur),
         Sync(Config.SyncEndpoint) {}
 
   FuzzReport run();
@@ -127,7 +128,7 @@ private:
   /// counters, as before.
   void rescoreQueue() {
     TELEMETRY_SPAN("rescore");
-    if (Store.rescore(VBr, PathCounts, Heur) &&
+    if (Store.rescore(VBr, PathCounts) &&
         RequeueCounts.size() > Config.MaxQueue)
       RequeueCounts.clear();
   }
@@ -174,21 +175,16 @@ private:
   std::vector<std::string> expansions(const RunResult &RR,
                                       const ComparisonEvent &E);
 
-  /// Push-time candidate score; the store's rescore pass recomputes the
-  /// same features through the same heuristicScore overload, so a
+  /// Push-time run term of the candidates one run spawns; a push adds
+  /// its candidateTerm. The store's rescore sums the same two terms, so a
   /// candidate's score is identical no matter which layer computes it.
-  double scoreCandidate(uint32_t NewBranchCount, size_t InputLen,
-                        size_t ReplacementLen, double AvgStack,
-                        uint32_t NumParents, uint64_t PathHash) {
-    CandidateFeatures F;
-    F.NewBranches = NewBranchCount;
-    F.InputLen = static_cast<uint32_t>(InputLen);
-    F.ReplacementLen = static_cast<uint32_t>(ReplacementLen);
-    F.AvgStackSize = AvgStack;
-    F.NumParents = NumParents;
+  /// PathCounts only changes between executions, so callers compute this
+  /// once per addInputs / requeuePrefix call, not once per candidate.
+  double pushRunTerm(uint32_t NewBranchCount, double AvgStack,
+                     uint32_t NumParents, uint64_t PathHash) const {
     auto It = PathCounts.find(PathHash);
-    F.PathCount = It == PathCounts.end() ? 0 : It->second;
-    return heuristicScore(F, Heur);
+    uint32_t PathCount = It == PathCounts.end() ? 0 : It->second;
+    return runTerm(NewBranchCount, AvgStack, NumParents, PathCount, Heur);
   }
 
   /// Crosses every epoch boundary the execution count has passed:
@@ -545,6 +541,10 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
     H *= FnvPrime;
     PrefixHashes[I + 1] = H;
   }
+  // Every candidate of this call shares the run's term; only the
+  // candidate term differs.
+  double RunTerm = pushRunTerm(Stats.NewBranchCount, Stats.AvgStack,
+                               ParentCount, Stats.PathHash);
   for (const ComparisonEvent &E : RR.Comparisons) {
     if (E.Implicit || E.OnEof || E.Taint.empty())
       continue;
@@ -574,8 +574,10 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
       if (!Enqueued.insert(Hash).second)
         continue;
       double Score =
-          scoreCandidate(Stats.NewBranchCount, NewLen, Rep.size(),
-                         Stats.AvgStack, ParentCount + 1, Stats.PathHash);
+          RunTerm + static_cast<double>(candidateTerm(
+                        static_cast<uint32_t>(NewLen),
+                        static_cast<uint32_t>(Rep.size()), /*ParentDelta=*/1,
+                        Heur));
       Store.push(Stats.Run, ParentRec, Input, SpliceAt, Rep, Hash,
                  static_cast<uint32_t>(Rep.size()), /*ParentDelta=*/1, Score);
       if (Store.queueSize() > Config.MaxQueue)
@@ -594,8 +596,11 @@ void Campaign::requeuePrefix(const std::string &Input, uint64_t Hash,
   // Deliberately bypasses the Enqueued dedup: the same prefix re-enters
   // once per execution so a fresh random extension gets its chance; each
   // round costs it an extra score point so retries drain gradually.
-  double Score = scoreCandidate(Stats.NewBranchCount, Input.size(), 1,
-                                Stats.AvgStack, ParentCount, Stats.PathHash) -
+  double Score = pushRunTerm(Stats.NewBranchCount, Stats.AvgStack,
+                             ParentCount, Stats.PathHash) +
+                 static_cast<double>(candidateTerm(
+                     static_cast<uint32_t>(Input.size()), 1,
+                     /*ParentDelta=*/0, Heur)) -
                  Count;
   if (Opts.Verbose)
     std::fprintf(stderr, "requeue score=%.1f count=%u [%s]\n", Score, Count,
@@ -678,10 +683,13 @@ void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
   uint32_t Run = Store.makeRun(ImportFilterScratch, VBr.epoch(),
                                P.CandidateAvgStack, P.CandidatePathHash,
                                P.CandidateNumParents);
-  double Score = scoreCandidate(
-      static_cast<uint32_t>(ImportFilterScratch.size()),
-      P.CandidateBytes.size(), P.CandidateReplacementLen, P.CandidateAvgStack,
-      P.CandidateNumParents, P.CandidatePathHash);
+  double Score =
+      pushRunTerm(static_cast<uint32_t>(ImportFilterScratch.size()),
+                  P.CandidateAvgStack, P.CandidateNumParents,
+                  P.CandidatePathHash) +
+      static_cast<double>(
+          candidateTerm(static_cast<uint32_t>(P.CandidateBytes.size()),
+                        P.CandidateReplacementLen, /*ParentDelta=*/0, Heur));
   // Root-shaped push: no parent record, splice at 0, the full bytes as
   // the suffix — the one record shape that materializes identically in
   // both queue representations.
@@ -811,6 +819,11 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
 } // namespace
 
 FuzzReport PFuzzer::run(const Subject &S, const FuzzerOptions &Opts) {
+  // The candidate store's heap entries hold scores as exact floats, which
+  // bounds the input length (see CandidateStore::Entry).
+  if (Opts.MaxInputLen > CandidateStore::MaxExactInputLen)
+    throw std::invalid_argument(
+        "pfuzzer: MaxInputLen exceeds CandidateStore::MaxExactInputLen");
   if (Options.Shards > 1)
     return runSharded(S, Opts, Options);
   // Unsharded: the plain sequential engine, untouched — --shards=1 is

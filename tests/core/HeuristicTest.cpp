@@ -122,3 +122,38 @@ TEST(HeuristicTest, DisabledTermsHaveNoEffect) {
   EXPECT_DOUBLE_EQ(heuristicScore(Hot, NoPath),
                    heuristicScore(base(), NoPath));
 }
+
+TEST(HeuristicTest, RunTermPlusCandidateTermIsTheScoreExactly) {
+  // The split the candidate store rescores with: the run term carries the
+  // run's parent-chain base, the candidate term the extra link. A
+  // half-integer stack depth and a path count past the cap exercise the
+  // two terms that are not plain integers of the inputs.
+  HeuristicInputs In;
+  In.NewBranches = 17;
+  In.InputLen = 9;
+  In.ReplacementLen = 3;
+  In.AvgStackSize = 2.5;
+  In.NumParents = 4;
+  In.PathCount = 30;
+  for (unsigned Mask = 0; Mask != 32; ++Mask) {
+    HeuristicOptions Opt;
+    Opt.LengthPenalty = Mask & 1;
+    Opt.ReplacementBonus = Mask & 2;
+    Opt.StackSizeTerm = Mask & 4;
+    Opt.ParentCountTerm = Mask & 8;
+    Opt.PathNovelty = Mask & 16;
+    SCOPED_TRACE("mask " + std::to_string(Mask));
+    double Expected = 17.0 - (Opt.LengthPenalty ? 9 : 0) +
+                      (Opt.ReplacementBonus ? 6 : 0) -
+                      (Opt.StackSizeTerm ? 2.5 : 0) -
+                      (Opt.ParentCountTerm ? 4 : 0) -
+                      (Opt.PathNovelty ? 24 : 0);
+    double Score = heuristicScore(In, Opt);
+    EXPECT_EQ(Score, Expected);
+    double Split = runTerm(In.NewBranches, In.AvgStackSize, In.NumParents - 1,
+                           In.PathCount, Opt) +
+                   static_cast<double>(candidateTerm(
+                       In.InputLen, In.ReplacementLen, /*ParentDelta=*/1, Opt));
+    EXPECT_EQ(Split, Score);
+  }
+}

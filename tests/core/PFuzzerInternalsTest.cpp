@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace pfuzz;
 
 namespace {
@@ -189,4 +191,17 @@ TEST(PFuzzerInternalsTest, ResetOnValidKeepsInputsShorter) {
   PFuzzer Resetting(Reset);
   EXPECT_GE(MaxLen(Continue.run(arithSubject(), Opts)),
             MaxLen(Resetting.run(arithSubject(), Opts)));
+}
+
+TEST(PFuzzerInternalsTest, RejectsMaxInputLenBeyondExactScores) {
+  // Heap entries hold scores as exact floats, which holds only while the
+  // length term stays small; a longer cap is refused up front instead of
+  // silently reordering the queue.
+  PFuzzer Tool;
+  FuzzerOptions Opts;
+  Opts.MaxExecutions = 10;
+  Opts.MaxInputLen = CandidateStore::MaxExactInputLen + 1;
+  EXPECT_THROW(Tool.run(arithSubject(), Opts), std::invalid_argument);
+  Opts.MaxInputLen = CandidateStore::MaxExactInputLen;
+  EXPECT_EQ(Tool.run(arithSubject(), Opts).Executions, 10u);
 }

@@ -31,7 +31,20 @@ namespace {
 struct QueueConfig {
   const char *Name;
   size_t MaxQueue = 100000;
+  HeuristicOptions Heur = HeuristicOptions();
 };
+
+/// The ablation bench's heuristic configs (bench/ablation_heuristic.cpp):
+/// each term off on its own, then every term off at once.
+HeuristicOptions ablated(unsigned OffMask) {
+  HeuristicOptions H;
+  H.LengthPenalty = !(OffMask & 1);
+  H.ReplacementBonus = !(OffMask & 2);
+  H.StackSizeTerm = !(OffMask & 4);
+  H.ParentCountTerm = !(OffMask & 8);
+  H.PathNovelty = !(OffMask & 16);
+  return H;
+}
 
 FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
                      const QueueConfig &C, bool Reference,
@@ -39,6 +52,7 @@ FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
   TelemetrySnapshot Telemetry;
   PFuzzerOptions Options;
   Options.MaxQueue = C.MaxQueue;
+  Options.Heur = C.Heur;
   Options.ReferenceQueue = Reference;
   Options.TelemetryOut = &Telemetry;
   PFuzzer Tool(Options);
@@ -62,12 +76,19 @@ void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
 
 TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
   // The identity sweep: compact records against the by-value reference
-  // queue, on all five evaluation subjects, at the default cap and at
-  // caps small enough to force trims.
+  // queue, on all five evaluation subjects, at the default cap, at caps
+  // small enough to force trims, and under every heuristic ablation (each
+  // switch changes which terms the group-factored rescore sums).
   const QueueConfig Configs[] = {
       {"default"},
       {"trim-256", /*MaxQueue=*/256},
       {"trim-512", /*MaxQueue=*/512},
+      {"no-length", 100000, ablated(1)},
+      {"no-replacement", 100000, ablated(2)},
+      {"no-stack", 100000, ablated(4)},
+      {"no-parents", 100000, ablated(8)},
+      {"no-path-novelty", 100000, ablated(16)},
+      {"coverage-only", 100000, ablated(31)},
   };
   for (const Subject *S : evaluationSubjects()) {
     uint64_t Execs = S == &jsonSubject() ? 3000 : 1500;
@@ -125,7 +146,8 @@ TEST(PFuzzerQueueStoreTest, PathTableDecaysInsteadOfGrowingUnbounded) {
 TEST(PFuzzerQueueStoreTest, MaterializesParentChains) {
   // Direct store exercise: a substitution chain three records deep, each
   // splicing below its parent, must reassemble exactly.
-  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/100);
+  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/100,
+                       HeuristicOptions());
   uint32_t Root = Store.internRoot("abc", 0x1);
   std::vector<uint32_t> Branches{10, 20, 30};
   uint32_t Run = Store.makeRun(Branches, 0, 1.5, 0x99, 0);
@@ -164,10 +186,10 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
   // must drop the worst-scored half, and with most of the arena then
   // dead, compaction must rebuild it — after which the survivors must
   // still materialize byte for byte (offsets patched correctly).
-  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/4);
+  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/4,
+                       HeuristicOptions());
   BranchCoverageMap VBr;
   PathCountMap PathCounts;
-  HeuristicOptions Heur;
   uint32_t Root = Store.internRoot("", 0x1);
   std::vector<uint32_t> NoBranches;
   uint32_t Run = Store.makeRun(NoBranches, 0, 0.0, 0, 0);
@@ -180,7 +202,7 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
                /*ParentDelta=*/1, 2.0 * I - 601);
   }
   ASSERT_EQ(Store.queueSize(), 12u);
-  bool Trimmed = Store.rescore(VBr, PathCounts, Heur);
+  bool Trimmed = Store.rescore(VBr, PathCounts);
   EXPECT_TRUE(Trimmed);
   EXPECT_EQ(Store.queueSize(), 2u);
   EXPECT_EQ(Store.Stats.Trims, 1u);
@@ -194,4 +216,61 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
   Store.pop(Out);
   EXPECT_EQ(Out, std::string(600, 'a' + 10));
   EXPECT_TRUE(Store.empty());
+}
+
+TEST(PFuzzerQueueStoreTest, RescoredScoresEqualHeuristicOfFeatures) {
+  // The group-factored rescore against the one-candidate formula: two run
+  // groups with non-zero path counts (one past the 24 cap), a
+  // half-integer stack depth, branches partly covered since the push,
+  // and a requeue-shaped record (empty suffix, ParentDelta 0). Every
+  // score popped after rescore must equal heuristicScore of that
+  // candidate's features exactly.
+  HeuristicOptions Heur;
+  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/100, Heur);
+  BranchCoverageMap VBr;
+  PathCountMap PathCounts{{0xA, 3}, {0xB, 40}};
+  uint32_t Root = Store.internRoot("{\"k\":", 0x1);
+  std::vector<uint32_t> BranchesA{2, 4, 6, 8};
+  std::vector<uint32_t> BranchesB{10, 12};
+  uint32_t RunA = Store.makeRun(BranchesA, VBr.epoch(), 2.5, 0xA, 3);
+  uint32_t RunB = Store.makeRun(BranchesB, VBr.epoch(), 7.0, 0xB, 1);
+  // Push scores are placeholders; rescore replaces every one of them.
+  Store.push(RunA, Root, "{\"k\":", 5, "true", 0x2, 4, 1, 0.0);
+  Store.push(RunA, Root, "{\"k\":", 5, "1", 0x3, 1, 1, 0.0);
+  Store.push(RunA, Root, "{\"k\":", 5, std::string_view(), 0x4, 1, 0, 0.0);
+  Store.push(RunB, Root, "{\"k\":", 3, "null", 0x5, 4, 1, 0.0);
+  Store.releaseRun(RunA);
+  Store.releaseRun(RunB);
+  std::vector<uint32_t> Covered{4, 10};
+  VBr.insert(Covered.begin(), Covered.end());
+  EXPECT_FALSE(Store.rescore(VBr, PathCounts));
+
+  struct Want {
+    uint64_t Hash;
+    HeuristicInputs In;
+  };
+  // Branches after filtering: A keeps {2, 6, 8}, B keeps {12}.
+  std::vector<Want> Wants = {
+      {0x2, {3, 9, 4, 2.5, 4, 3}},
+      {0x3, {3, 6, 1, 2.5, 4, 3}},
+      {0x4, {3, 5, 1, 2.5, 3, 3}},
+      {0x5, {1, 7, 4, 7.0, 2, 40}},
+  };
+  std::string Out;
+  for (size_t I = 0; I != Wants.size(); ++I) {
+    CandidateStore::Popped P = Store.pop(Out);
+    bool Found = false;
+    for (const Want &W : Wants) {
+      if (W.Hash != P.InputHash)
+        continue;
+      Found = true;
+      EXPECT_EQ(Out.size(), W.In.InputLen);
+      EXPECT_EQ(P.NumParents, W.In.NumParents);
+      EXPECT_EQ(P.Score, heuristicScore(W.In, Heur)) << "hash " << W.Hash;
+    }
+    EXPECT_TRUE(Found);
+    Store.release(P.Id);
+  }
+  EXPECT_TRUE(Store.empty());
+  Store.release(Root);
 }
