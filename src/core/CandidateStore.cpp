@@ -12,6 +12,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace pfuzz;
@@ -129,10 +130,12 @@ void CandidateStore::maybeFreeGroup(uint32_t GroupId) {
   // of branches, so reuse skips the realloc) but release outliers: early
   // runs discover dozens of branches at once, and without the cap every
   // slot ratchets up to the largest list it ever held.
-  if (G.Branches.capacity() > 16)
+  if (G.Branches.capacity() > 16) {
+    GroupListBytes -= G.Branches.capacity() * sizeof(uint32_t);
     std::vector<uint32_t>().swap(G.Branches);
-  else
+  } else {
     G.Branches.clear();
+  }
   FreeGroups.push_back(GroupId);
   --LiveGroups;
 }
@@ -232,10 +235,13 @@ uint32_t CandidateStore::makeRun(const std::vector<uint32_t> &NewBranches,
                                  uint64_t PathHash, uint32_t NumParentsBase) {
   uint32_t Id = allocGroup();
   Group &G = Groups[Id];
-  if (Reference)
+  if (Reference) {
     RefShared[Id] = std::make_shared<const std::vector<uint32_t>>(NewBranches);
-  else
+  } else {
+    GroupListBytes -= G.Branches.capacity() * sizeof(uint32_t);
     G.Branches = NewBranches;
+    GroupListBytes += G.Branches.capacity() * sizeof(uint32_t);
+  }
   G.FilterEpoch = FilterEpoch;
   G.PathHash = PathHash;
   G.AvgStack = AvgStack;
@@ -460,8 +466,8 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
       In.ReplacementLen = C.ReplacementLen;
       In.AvgStackSize = C.AvgStack;
       In.NumParents = C.NumParents;
-      auto It = PathCounts.find(C.PathHash);
-      In.PathCount = It == PathCounts.end() ? 0 : It->second;
+      const uint32_t *PathCount = PathCounts.find(C.PathHash);
+      In.PathCount = PathCount ? *PathCount : 0;
       C.Score = heuristicScore(In, Heur);
     }
     if (RefQueue.size() > MaxQueue) {
@@ -494,10 +500,10 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
         }
         G.FilterEpoch = Now;
       }
-      auto It = PathCounts.find(G.PathHash);
+      const uint32_t *PathCount = PathCounts.find(G.PathHash);
       double Term = runTerm(static_cast<uint32_t>(G.Branches.size()),
                             G.AvgStack, G.NumParentsBase,
-                            It == PathCounts.end() ? 0 : It->second, Heur);
+                            PathCount ? *PathCount : 0, Heur);
       assert(Term > -MaxExactTerm && Term < MaxExactTerm &&
              "run term outside the exact float range");
       G.RunTerm = static_cast<float>(Term);
@@ -580,13 +586,16 @@ size_t CandidateStore::bytesInUse() const {
     }
     return Bytes;
   }
-  size_t Bytes = Records.capacity() * sizeof(Record) +
-                 Entries.capacity() * sizeof(Entry) + Arena.capacity() +
-                 Groups.capacity() * sizeof(Group) +
-                 FreeGroups.capacity() * sizeof(uint32_t);
+#ifndef NDEBUG
+  size_t Walked = 0;
   for (const Group &G : Groups)
-    Bytes += G.Branches.capacity() * sizeof(uint32_t);
-  return Bytes;
+    Walked += G.Branches.capacity() * sizeof(uint32_t);
+  assert(Walked == GroupListBytes && "group-list byte total out of sync");
+#endif
+  return Records.capacity() * sizeof(Record) +
+         Entries.capacity() * sizeof(Entry) + Arena.capacity() +
+         Groups.capacity() * sizeof(Group) +
+         FreeGroups.capacity() * sizeof(uint32_t) + GroupListBytes;
 }
 
 void CandidateStore::samplePeaks() {

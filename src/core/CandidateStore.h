@@ -56,19 +56,19 @@
 #include "core/BranchCoverageMap.h"
 #include "core/Heuristic.h"
 #include "support/ByteArena.h"
+#include "support/FlatHashMap.h"
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace pfuzz {
 
 /// How often each parse path was taken; owned by the campaign (which
 /// also decays it), read by the store's rescore pass.
-using PathCountMap = std::unordered_map<uint64_t, uint32_t>;
+using PathCountMap = FlatHashMap<uint32_t>;
 
 /// Diagnostic counters of the candidate store. Purely observational:
 /// none feed back into the search, so they can vary while the FuzzReport
@@ -377,6 +377,11 @@ private:
   /// Suffix bytes owned by freed records; compaction reclaims them.
   size_t ArenaGarbage = 0;
   size_t LiveGroups = 0;
+  /// Capacity bytes of every group slot's branch list, kept current where
+  /// a list's capacity changes (makeRun's copy, maybeFreeGroup's release)
+  /// so bytesInUse need not walk the slab. Filtering shrinks a list's
+  /// size, never its capacity.
+  size_t GroupListBytes = 0;
   uint64_t PushTick = 0;
 
   // Reference mode state.

@@ -7,6 +7,7 @@
 #include "core/PFuzzer.h"
 
 #include "core/ShardSync.h"
+#include "support/FlatHashMap.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 
@@ -15,8 +16,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace pfuzz;
 
@@ -160,20 +159,20 @@ private:
         std::max<uint64_t>(Store.Stats.PeakPathTable, PathCounts.size());
     if (PathCounts.size() <= Config.MaxQueue)
       return;
-    for (auto It = PathCounts.begin(); It != PathCounts.end();) {
-      It->second /= 2;
-      if (It->second == 0)
-        It = PathCounts.erase(It);
-      else
-        ++It;
-    }
+    // Each count's fate depends on that count alone, so the result does
+    // not depend on the table's iteration order.
+    PathCounts.retainIf([](uint64_t, uint32_t &Count) {
+      Count /= 2;
+      return Count != 0;
+    });
     ++Store.Stats.PathDecays;
   }
 
-  /// The possible replacement strings a comparison admits. \p RR owns the
-  /// arena the event's operand slices resolve against.
-  std::vector<std::string> expansions(const RunResult &RR,
-                                      const ComparisonEvent &E);
+  /// Fills Expansions with the possible replacement strings a comparison
+  /// admits. The views point into \p RR's arena (the event's operand
+  /// slices) or into RangeChars, so they stay valid until the next call
+  /// or the next execution into \p RR.
+  void expansions(const RunResult &RR, const ComparisonEvent &E);
 
   /// Push-time run term of the candidates one run spawns; a push adds
   /// its candidateTerm. The store's rescore sums the same two terms, so a
@@ -182,9 +181,9 @@ private:
   /// once per addInputs / requeuePrefix call, not once per candidate.
   double pushRunTerm(uint32_t NewBranchCount, double AvgStack,
                      uint32_t NumParents, uint64_t PathHash) const {
-    auto It = PathCounts.find(PathHash);
-    uint32_t PathCount = It == PathCounts.end() ? 0 : It->second;
-    return runTerm(NewBranchCount, AvgStack, NumParents, PathCount, Heur);
+    const uint32_t *PathCount = PathCounts.find(PathHash);
+    return runTerm(NewBranchCount, AvgStack, NumParents,
+                   PathCount ? *PathCount : 0, Heur);
   }
 
   /// Crosses every epoch boundary the execution count has passed:
@@ -227,13 +226,13 @@ private:
   /// runCheck/computeStats/rescoreQueue are the campaign's hottest code.
   BranchCoverageMap &VBr = Report.ValidBranches;
   /// Per-path execution counts, bounded by notePath's decay.
-  std::unordered_map<uint64_t, uint32_t> PathCounts;
+  PathCountMap PathCounts;
   /// Seen-candidate dedup keyed by 64-bit input hash instead of the input
   /// bytes. A colliding hash drops a genuinely new candidate; tolerated —
   /// at ~1e5 live entries the odds are ~1e-9 per insert, the search is
-  /// redundant by design, and the set costs 8 bytes per entry instead of
-  /// a stored string.
-  std::unordered_set<uint64_t> Enqueued;
+  /// redundant by design, and the set costs one 8-byte slot per entry
+  /// (at 3/8 to 3/4 load) instead of a stored string.
+  FlatHashSet Enqueued;
   /// The candidate priority queue (max-heap by score): compact
   /// prefix-suffix records by default, by-value strings when
   /// Config.ReferenceQueue — see core/CandidateStore.h.
@@ -241,11 +240,11 @@ private:
   /// How often each prefix was re-enqueued for another random extension;
   /// bounded so retired prefixes stop consuming budget. Keyed by the
   /// prefix's 64-bit input hash (the campaign already carries it)
-  /// instead of the prefix bytes: no O(len) copy + hash per requeue, 12
-  /// bytes per entry instead of a stored string. A colliding hash merges
-  /// two prefixes' retry counters; tolerated for the same reason as the
-  /// Enqueued set above.
-  std::unordered_map<uint64_t, uint32_t> RequeueCounts;
+  /// instead of the prefix bytes: no O(len) copy + hash per requeue, one
+  /// 16-byte slot per entry instead of a stored string. A colliding hash
+  /// merges two prefixes' retry counters; tolerated for the same reason
+  /// as the Enqueued set above.
+  FlatHashMap<uint32_t> RequeueCounts;
   uint64_t LastRescore = 0;
   /// Reusable scratch for per-run distinct-branch extraction; cleared,
   /// never reallocated, on each execution.
@@ -258,6 +257,10 @@ private:
   /// PrefixHashes[i] hashes the first i bytes, so a candidate's hash is
   /// extendHash(PrefixHashes[SpliceAt], Rep) — no string is built.
   std::vector<uint64_t> PrefixHashes;
+  /// expansions()'s output and its CharRange characters; recycled across
+  /// comparisons so addInputs allocates nothing per event.
+  std::vector<std::string_view> Expansions;
+  std::string RangeChars;
   /// Shard-sync endpoint, or null when this campaign is unsharded.
   ShardEndpoint *Sync;
   /// Epoch boundaries crossed so far (== packets published).
@@ -428,17 +431,17 @@ bool Campaign::runCheck(const std::string &Input, RunResult &RR) {
   return true;
 }
 
-std::vector<std::string> Campaign::expansions(const RunResult &RR,
-                                              const ComparisonEvent &E) {
+void Campaign::expansions(const RunResult &RR, const ComparisonEvent &E) {
   std::string_view Expected = RR.expected(E);
-  std::vector<std::string> Out;
+  Expansions.clear();
   switch (E.Kind) {
   case CompareKind::CharEq:
-    Out.push_back(std::string(Expected));
+  case CompareKind::StrEq:
+    Expansions.push_back(Expected);
     break;
   case CompareKind::CharSet:
-    for (char C : Expected)
-      Out.push_back(std::string(1, C));
+    for (size_t I = 0; I != Expected.size(); ++I)
+      Expansions.push_back(Expected.substr(I, 1));
     break;
   case CompareKind::CharRange: {
     unsigned Lo = static_cast<unsigned char>(Expected[0]);
@@ -448,24 +451,24 @@ std::vector<std::string> Campaign::expansions(const RunResult &RR,
     // a huge sample bound and fabricates out-of-range candidates.
     if (Hi < Lo)
       break;
+    RangeChars.clear();
     if (Hi - Lo + 1 <= 16) {
       for (unsigned C = Lo; C <= Hi; ++C)
-        Out.push_back(std::string(1, static_cast<char>(C)));
+        RangeChars.push_back(static_cast<char>(C));
     } else {
       // Large range: the boundaries plus a deterministic random sample.
-      Out.push_back(std::string(1, static_cast<char>(Lo)));
-      Out.push_back(std::string(1, static_cast<char>(Hi)));
+      RangeChars.push_back(static_cast<char>(Lo));
+      RangeChars.push_back(static_cast<char>(Hi));
       for (int I = 0; I < 6; ++I)
-        Out.push_back(std::string(
-            1, static_cast<char>(Lo + R.below(Hi - Lo + 1))));
+        RangeChars.push_back(static_cast<char>(Lo + R.below(Hi - Lo + 1)));
     }
+    // Views are taken only once RangeChars is complete, so no append can
+    // move the bytes under them.
+    for (size_t I = 0; I != RangeChars.size(); ++I)
+      Expansions.push_back(std::string_view(RangeChars).substr(I, 1));
     break;
   }
-  case CompareKind::StrEq:
-    Out.push_back(std::string(Expected));
-    break;
   }
-  return Out;
 }
 
 Campaign::RunStats Campaign::computeStats(const RunResult &RR,
@@ -559,7 +562,8 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
         E.Kind != CompareKind::StrEq)
       continue;
     size_t SpliceAt = std::min<size_t>(E.Taint.minIndex(), Input.size());
-    for (std::string &Rep : expansions(RR, E)) {
+    expansions(RR, E);
+    for (std::string_view Rep : Expansions) {
       // The candidate is Input[0, SpliceAt) + Rep; compare and hash it
       // against the parent in place.
       size_t NewLen = SpliceAt + Rep.size();
@@ -571,7 +575,7 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
       // record: the hash rides on the record instead of being recomputed
       // at pop time.
       uint64_t Hash = extendHash(PrefixHashes[SpliceAt], Rep);
-      if (!Enqueued.insert(Hash).second)
+      if (!Enqueued.insert(Hash))
         continue;
       double Score =
           RunTerm + static_cast<double>(candidateTerm(
@@ -666,7 +670,7 @@ void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
   if (!P.HasCandidate)
     return;
   if (!Alive || P.CandidateBytes.size() > Opts.MaxInputLen ||
-      !Enqueued.insert(P.CandidateHash).second) {
+      !Enqueued.insert(P.CandidateHash)) {
     // Already enqueued here (or previously migrated in), oversize, or
     // arriving after this campaign's budget ended.
     ++Sync->Stats.MigrationsRejected;

@@ -57,8 +57,15 @@ static void dumpNode(const DerivationTree &Tree, uint32_t NodeIdx,
   const DerivationNode &Node = Tree.nodes()[NodeIdx];
   Out.append(Indent * 2, ' ');
   Out += Tree.functionNames()[Node.NameId];
-  Out += "[" + std::to_string(Node.Begin) + "," + std::to_string(Node.End) +
-         ") \"" + escapeString(Tree.textOf(Node)) + "\"\n";
+  // Successive appends, not an operator+ chain: GCC 12 flags the chain's
+  // inlined libstdc++ copies with a false-positive -Wrestrict.
+  Out += '[';
+  Out += std::to_string(Node.Begin);
+  Out += ',';
+  Out += std::to_string(Node.End);
+  Out += ") \"";
+  Out += escapeString(Tree.textOf(Node));
+  Out += "\"\n";
   for (uint32_t Child : Node.Children)
     dumpNode(Tree, Child, Indent + 1, Out);
 }

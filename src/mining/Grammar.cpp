@@ -117,10 +117,15 @@ std::string Grammar::toString() const {
         if (I != 0)
           Out += " ";
         const GrammarSymbol &Sym = Rule.Symbols[I];
-        if (Sym.IsTerminal)
-          Out += "\"" + escapeString(Sym.Text) + "\"";
-        else
+        if (Sym.IsTerminal) {
+          // Appended piecewise for the same -Wrestrict false positive as
+          // DerivationTree's dumpNode.
+          Out += '"';
+          Out += escapeString(Sym.Text);
+          Out += '"';
+        } else {
           Out += Names[Sym.NonTerminal];
+        }
       }
     }
     Out += "\n";

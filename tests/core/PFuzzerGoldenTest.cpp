@@ -11,7 +11,11 @@
 /// digest; a change that alters the search on purpose updates them here
 /// and says why. Covered: the five evaluation subjects at a fixed seed
 /// and a 3,000-execution budget, unsharded and at 4 shards. The digests
-/// were recorded in both a Debug and a Release build and match.
+/// were recorded in both a Debug and a Release build and match. Two more
+/// rows run json and mjs at a 64-candidate cap, where the path-count
+/// table decays and the queue trims; they pin the hash-keyed side tables
+/// (dedup set, path counts, requeue counts) that the default cap leaves
+/// untouched by decay.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,21 +60,31 @@ uint64_t reportDigest(const FuzzReport &R) {
   return H;
 }
 
-uint64_t campaignDigest(const Subject &S, uint32_t Shards) {
-  PFuzzerOptions Options;
-  Options.Shards = Shards;
-  PFuzzer Tool(Options);
-  FuzzerOptions Opts;
-  Opts.Seed = GoldenSeed;
-  Opts.MaxExecutions = GoldenExecs;
-  return reportDigest(Tool.run(S, Opts));
-}
-
 struct Golden {
   const char *Subject;
   uint32_t Shards;
   uint64_t Digest;
+  size_t MaxQueue = PFuzzerOptions().MaxQueue;
 };
+
+uint64_t campaignDigest(const Subject &S, const Golden &G,
+                        QueueStats &Stats) {
+  TelemetrySnapshot Telemetry;
+  PFuzzerOptions Options;
+  Options.Shards = G.Shards;
+  Options.MaxQueue = G.MaxQueue;
+  Options.TelemetryOut = &Telemetry;
+  PFuzzer Tool(Options);
+  FuzzerOptions Opts;
+  Opts.Seed = GoldenSeed;
+  Opts.MaxExecutions = GoldenExecs;
+  uint64_t Digest = reportDigest(Tool.run(S, Opts));
+  Stats = Telemetry.Queue;
+  return Digest;
+}
+
+/// The cap of the decay rows.
+constexpr size_t SmallCap = 64;
 
 const Golden Goldens[] = {
     {"ini", 1, 0x2D047806B089C7E8ULL},   {"csv", 1, 0xA1A532CC2762ED13ULL},
@@ -78,6 +92,8 @@ const Golden Goldens[] = {
     {"mjs", 1, 0x1ECD88BEE2DCFD8DULL},   {"ini", 4, 0xDF37EC6897302A98ULL},
     {"csv", 4, 0xEF0DDDFA9332D558ULL},   {"json", 4, 0x703F4D32AF615E37ULL},
     {"tinyc", 4, 0x7D295423BDB370D4ULL}, {"mjs", 4, 0xB754EEE0B1FE5C89ULL},
+    {"json", 1, 0xF70DF6102B3DBF74ULL, SmallCap},
+    {"mjs", 1, 0x5AF8893CBD3C463CULL, SmallCap},
 };
 
 } // namespace
@@ -86,11 +102,18 @@ TEST(PFuzzerGoldenTest, ReportsMatchRecordedDigests) {
   for (const Golden &G : Goldens) {
     const Subject *S = findSubject(G.Subject);
     ASSERT_NE(S, nullptr) << G.Subject;
-    uint64_t Got = campaignDigest(*S, G.Shards);
+    QueueStats Stats;
+    uint64_t Got = campaignDigest(*S, G, Stats);
     char Hex[19];
     std::snprintf(Hex, sizeof(Hex), "0x%016llX",
                   static_cast<unsigned long long>(Got));
     EXPECT_EQ(Got, G.Digest) << G.Subject << " at " << G.Shards
-                             << " shards: got " << Hex;
+                             << " shards, cap " << G.MaxQueue << ": got "
+                             << Hex;
+    // A decay row that stopped decaying would pin nothing about decay.
+    if (G.MaxQueue == SmallCap) {
+      EXPECT_GT(Stats.PathDecays, 0u) << G.Subject;
+      EXPECT_GT(Stats.Trims, 0u) << G.Subject;
+    }
   }
 }

@@ -228,7 +228,9 @@ TEST(PFuzzerQueueStoreTest, RescoredScoresEqualHeuristicOfFeatures) {
   HeuristicOptions Heur;
   CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/100, Heur);
   BranchCoverageMap VBr;
-  PathCountMap PathCounts{{0xA, 3}, {0xB, 40}};
+  PathCountMap PathCounts;
+  PathCounts[0xA] = 3;
+  PathCounts[0xB] = 40;
   uint32_t Root = Store.internRoot("{\"k\":", 0x1);
   std::vector<uint32_t> BranchesA{2, 4, 6, 8};
   std::vector<uint32_t> BranchesB{10, 12};

@@ -77,8 +77,9 @@ TEST(JsonTest, HexDigitChecksAreImplicit) {
   for (const ComparisonEvent &E : RR.Comparisons) {
     if (E.Kind == CompareKind::CharRange &&
         (RR.expected(E) == "09" || RR.expected(E) == "af" ||
-         RR.expected(E) == "AF"))
+         RR.expected(E) == "AF")) {
       EXPECT_TRUE(E.Implicit);
+    }
   }
 }
 
