@@ -12,28 +12,23 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace pfuzz;
 
 namespace {
 
 /// Magnitude bound of each score part; see CandidateStore::Entry.
-[[maybe_unused]] constexpr double MaxExactTerm = 1 << 22;
+[[maybe_unused]] constexpr int64_t MaxExactTerm = int64_t(1) << 22;
 
-/// Score-only comparators — the single comparator property the
-/// determinism argument rests on: for equal scores they return exactly
-/// what the by-value queue's comparator returned, so every positional
-/// heap algorithm produces the same permutation.
-struct EntryScoreLess {
+/// Heap order on the packed key: the max-heap's top is the next pop.
+struct KeyLess {
   template <typename T> bool operator()(const T &A, const T &B) const {
-    return A.Score < B.Score;
+    return A.Key < B.Key;
   }
 };
-struct EntryScoreGreater {
+struct KeyGreater {
   template <typename T> bool operator()(const T &A, const T &B) const {
-    return A.Score > B.Score;
+    return A.Key > B.Key;
   }
 };
 
@@ -56,9 +51,8 @@ void QueueStats::accumulate(const QueueStats &Other) {
   PeakPathTable = std::max(PeakPathTable, Other.PeakPathTable);
 }
 
-CandidateStore::CandidateStore(bool Reference, size_t MaxQueue,
-                               const HeuristicOptions &Heur)
-    : Reference(Reference), MaxQueue(MaxQueue), Heur(Heur) {}
+CandidateStore::CandidateStore(size_t MaxQueue, const HeuristicOptions &Heur)
+    : MaxQueue(MaxQueue), Heur(Heur) {}
 
 CandidateStore::~CandidateStore() = default;
 
@@ -102,14 +96,10 @@ uint32_t CandidateStore::allocGroup() {
       Groups.reserve(Groups.capacity() + Groups.capacity() / 4 + 16);
     Groups.emplace_back();
     Id = static_cast<uint32_t>(Groups.size()) - 1;
-    if (Reference)
-      RefShared.resize(Groups.size());
   }
   Group &G = Groups[Id];
   G.Branches.clear(); // keeps capacity: a recycled group copies its run's
                       // list into an already-sized buffer
-  if (Reference)
-    RefShared[Id].reset();
   G.FilterEpoch = 0;
   G.PathHash = 0;
   G.AvgStack = 0;
@@ -124,8 +114,6 @@ void CandidateStore::maybeFreeGroup(uint32_t GroupId) {
   Group &G = Groups[GroupId];
   if (G.RunPinned || G.Members > 0)
     return;
-  if (Reference)
-    RefShared[GroupId].reset();
   // Recycled slots keep small buffers (steady-state lists are a handful
   // of branches, so reuse skips the realloc) but release outliers: early
   // runs discover dozens of branches at once, and without the cap every
@@ -155,8 +143,6 @@ void CandidateStore::unlinkGroup(uint32_t Id) {
 //===----------------------------------------------------------------------===//
 
 uint32_t CandidateStore::internRoot(std::string_view Input, uint64_t Hash) {
-  if (Reference)
-    return None;
   uint32_t Id = allocRecord();
   Record &R = Records[Id];
   R.InputHash = Hash;
@@ -171,8 +157,6 @@ uint32_t CandidateStore::internRoot(std::string_view Input, uint64_t Hash) {
 uint32_t CandidateStore::internChild(uint32_t Parent, size_t SpliceAt,
                                      std::string_view ParentInput,
                                      std::string_view Suffix, uint64_t Hash) {
-  if (Reference)
-    return None;
   if (Parent != None)
     maybeRebase(Parent, ParentInput);
   uint32_t Id = allocRecord();
@@ -235,13 +219,9 @@ uint32_t CandidateStore::makeRun(const std::vector<uint32_t> &NewBranches,
                                  uint64_t PathHash, uint32_t NumParentsBase) {
   uint32_t Id = allocGroup();
   Group &G = Groups[Id];
-  if (Reference) {
-    RefShared[Id] = std::make_shared<const std::vector<uint32_t>>(NewBranches);
-  } else {
-    GroupListBytes -= G.Branches.capacity() * sizeof(uint32_t);
-    G.Branches = NewBranches;
-    GroupListBytes += G.Branches.capacity() * sizeof(uint32_t);
-  }
+  GroupListBytes -= G.Branches.capacity() * sizeof(uint32_t);
+  G.Branches = NewBranches;
+  GroupListBytes += G.Branches.capacity() * sizeof(uint32_t);
   G.FilterEpoch = FilterEpoch;
   G.PathHash = PathHash;
   G.AvgStack = AvgStack;
@@ -267,68 +247,51 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
                           uint32_t ReplacementLen, uint32_t ParentDelta,
                           double Score) {
   ++Stats.Pushes;
-  Group &G = Groups[Run];
-  if (Reference) {
-    RefCandidate C;
-    C.Input.reserve(SpliceAt + Suffix.size());
-    C.Input.assign(ParentInput.substr(0, SpliceAt));
-    C.Input.append(Suffix);
-    C.NumParents = G.NumParentsBase + ParentDelta;
-    C.AvgStack = G.AvgStack;
-    C.ReplacementLen = ReplacementLen;
-    C.NewBranches = RefShared[Run];
-    C.FilterEpoch = G.FilterEpoch;
-    C.PathHash = G.PathHash;
-    C.InputHash = Hash;
-    C.Score = Score;
-    RefQueue.push_back(std::move(C));
-    std::push_heap(RefQueue.begin(), RefQueue.end(), EntryScoreLess());
-  } else {
-    if (Parent != None)
-      maybeRebase(Parent, ParentInput);
-    // Dead rebased roots and released ancestry can pile up whole-input
-    // blocks in the arena between trims, so garbage collection cannot
-    // wait for trim pressure alone; the threshold check makes the
-    // periodic call nearly free.
-    if ((PushTick & 255) == 0)
-      maybeCompactArena();
-    uint32_t Id = allocRecord();
-    Record &R = Records[Id];
-    R.InputHash = Hash;
-    R.Parent = Parent;
-    if (Parent != None) {
-      ++Records[Parent].Refs;
-      R.Depth = static_cast<uint8_t>(Records[Parent].Depth + 1);
-    }
-    R.SpliceAt = static_cast<uint32_t>(SpliceAt);
-    R.SuffixOfs = Arena.append(Suffix);
-    R.SuffixLen = static_cast<uint32_t>(Suffix.size());
-    R.Group = Run;
-    ++G.Members;
-    R.Refs = 1; // the queue entry's pin; pop transfers it to the caller
-    // Replacements are comparison operands (single chars or string-equality
-    // literals); 64 KiB headroom is far beyond any grammar token, and the
-    // identity sweep would flag a truncation as a score divergence.
-    R.ReplacementLen = static_cast<uint16_t>(ReplacementLen);
-    R.ParentDelta = static_cast<uint8_t>(ParentDelta);
-    // The Entry exactness precondition (see the header).
-    int64_t Base = candidateTerm(R.SpliceAt + R.SuffixLen, ReplacementLen,
-                                 ParentDelta, Heur);
-    assert(Base > -MaxExactTerm && Base < MaxExactTerm &&
-           "candidate term outside the exact float range");
-    assert(Score > -2 * MaxExactTerm && Score < 2 * MaxExactTerm &&
-           static_cast<float>(Score) == Score &&
-           "push score not exactly representable in the heap entry");
-    // The caller trims past MaxQueue, so the heap never outgrows
-    // MaxQueue + 1 entries — clamp growth there instead of letting the
-    // final doubling overshoot the cap by nearly 2x.
-    if (Entries.size() == Entries.capacity())
-      Entries.reserve(std::min(MaxQueue + 1, Entries.capacity() +
-                                                 Entries.capacity() / 4 + 64));
-    Entries.push_back(Entry{static_cast<float>(Score),
-                            static_cast<int32_t>(Base), Id, Run});
-    std::push_heap(Entries.begin(), Entries.end(), EntryScoreLess());
+  if (Parent != None)
+    maybeRebase(Parent, ParentInput);
+  // Dead rebased roots and released ancestry can pile up whole-input
+  // blocks in the arena between trims, so garbage collection cannot
+  // wait for trim pressure alone; the threshold check makes the
+  // periodic call nearly free.
+  if ((PushTick & 255) == 0)
+    maybeCompactArena();
+  uint32_t Id = allocRecord();
+  Record &R = Records[Id];
+  R.InputHash = Hash;
+  R.Parent = Parent;
+  if (Parent != None) {
+    ++Records[Parent].Refs;
+    R.Depth = static_cast<uint8_t>(Records[Parent].Depth + 1);
   }
+  R.SpliceAt = static_cast<uint32_t>(SpliceAt);
+  R.SuffixOfs = Arena.append(Suffix);
+  R.SuffixLen = static_cast<uint32_t>(Suffix.size());
+  R.Group = Run;
+  ++Groups[Run].Members;
+  R.Refs = 1; // the queue entry's pin; pop transfers it to the caller
+  R.ReplacementLen = ReplacementLen;
+  R.ParentDelta = static_cast<uint8_t>(ParentDelta);
+  // The Entry key precondition (see the header).
+  int64_t Base = candidateTerm(R.SpliceAt + R.SuffixLen, ReplacementLen,
+                               ParentDelta, Heur);
+  assert(Base > -MaxExactTerm && Base < MaxExactTerm &&
+         "candidate term outside the packed key's range");
+  int64_t TwiceScore = static_cast<int64_t>(2 * Score);
+  assert(static_cast<double>(TwiceScore) == 2 * Score &&
+         TwiceScore > -KeyBias && TwiceScore < KeyBias &&
+         "push score is not a half-integer within the packed key's range");
+  assert(NextSeq <= KeySeqMask && "push sequence number overflows the key");
+  uint64_t SeqBits = KeySeqMask - NextSeq++;
+  // The caller trims past MaxQueue, so the heap never outgrows
+  // MaxQueue + 1 entries — clamp growth there instead of letting the
+  // final doubling overshoot the cap by nearly 2x.
+  if (Entries.size() == Entries.capacity())
+    Entries.reserve(std::min(MaxQueue + 1, Entries.capacity() +
+                                               Entries.capacity() / 4 + 64));
+  Entries.push_back(Entry{
+      static_cast<uint64_t>(TwiceScore + KeyBias) << KeySeqBits | SeqBits,
+      static_cast<int32_t>(Base), Id, Run});
+  std::push_heap(Entries.begin(), Entries.end(), KeyLess());
   if ((++PushTick & 1023) == 0)
     samplePeaks();
 }
@@ -358,27 +321,15 @@ void CandidateStore::materialize(uint32_t Id, std::string &Out) const {
 }
 
 CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
-  Popped P;
-  if (Reference) {
-    std::pop_heap(RefQueue.begin(), RefQueue.end(), EntryScoreLess());
-    RefCandidate &Best = RefQueue.back();
-    P.Score = Best.Score;
-    P.InputHash = Best.InputHash;
-    P.NumParents = Best.NumParents;
-    P.ReplacementLen = Best.ReplacementLen;
-    P.NewBranchCount =
-        Best.NewBranches ? static_cast<uint32_t>(Best.NewBranches->size()) : 0;
-    InputOut = std::move(Best.Input);
-    RefQueue.pop_back();
-    return P;
-  }
-  std::pop_heap(Entries.begin(), Entries.end(), EntryScoreLess());
+  std::pop_heap(Entries.begin(), Entries.end(), KeyLess());
   Entry E = Entries.back();
   Entries.pop_back();
   Record &R = Records[E.Id];
   Group &G = Groups[R.Group];
+  Popped P;
   P.Id = E.Id;
-  P.Score = E.Score;
+  int64_t TwiceScore = static_cast<int64_t>(E.Key >> KeySeqBits) - KeyBias;
+  P.Score = static_cast<double>(TwiceScore) / 2;
   P.InputHash = R.InputHash;
   P.NumParents = G.NumParentsBase + R.ParentDelta;
   P.ReplacementLen = R.ReplacementLen;
@@ -391,28 +342,14 @@ CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
   return P; // the queue pin transfers to the caller — no Refs change
 }
 
-size_t CandidateStore::queueSize() const {
-  return Reference ? RefQueue.size() : Entries.size();
-}
+size_t CandidateStore::queueSize() const { return Entries.size(); }
 
-void CandidateStore::exportAt(size_t Pos, Exported &Out) const {
-  if (Reference) {
-    const RefCandidate &C = RefQueue[Pos];
-    Out.Bytes = C.Input;
-    Out.Hash = C.InputHash;
-    if (C.NewBranches)
-      Out.Branches = *C.NewBranches;
-    else
-      Out.Branches.clear();
-    Out.AvgStack = C.AvgStack;
-    Out.PathHash = C.PathHash;
-    Out.NumParents = C.NumParents;
-    Out.ReplacementLen = C.ReplacementLen;
-    return;
-  }
-  const Record &R = Records[Entries[Pos].Id];
+void CandidateStore::exportTop(Exported &Out) const {
+  assert(!Entries.empty() && "export from an empty queue");
+  const Entry &Top = Entries.front(); // the heap's maximum: the next pop
+  const Record &R = Records[Top.Id];
   const Group &G = Groups[R.Group];
-  materialize(Entries[Pos].Id, Out.Bytes);
+  materialize(Top.Id, Out.Bytes);
   Out.Hash = R.InputHash;
   Out.Branches = G.Branches;
   Out.AvgStack = G.AvgStack;
@@ -431,107 +368,58 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
   ++Stats.Rescores;
   bool Trimmed = false;
   uint64_t Now = VBr.epoch();
-  if (Reference) {
-    // The pre-store pass, verbatim: vBr only grows, so each candidate's
-    // not-yet-covered list only shrinks. Candidates spawned from the same
-    // run share one immutable list, so filter each distinct list once
-    // (copy-on-rescore) and hand the filtered copy back to every sharer;
-    // the epoch check skips even that when coverage has not grown since
-    // the list was built.
-    struct FilterEntry {
-      SharedBranches Original; // pins the key's address for this pass
-      SharedBranches Replacement;
-    };
-    std::unordered_map<const void *, FilterEntry> Filtered;
-    for (RefCandidate &C : RefQueue) {
-      if (C.NewBranches && !C.NewBranches->empty() && C.FilterEpoch != Now) {
-        FilterEntry &Slot = Filtered[C.NewBranches.get()];
-        if (!Slot.Replacement) {
-          Slot.Original = C.NewBranches;
-          auto Kept = std::make_shared<std::vector<uint32_t>>();
-          Kept->reserve(C.NewBranches->size());
-          for (uint32_t B : *C.NewBranches)
-            if (!VBr.test(B))
-              Kept->push_back(B);
-          Slot.Replacement = std::move(Kept);
-          ++Stats.GroupsFiltered;
-        }
-        C.NewBranches = Slot.Replacement;
+  // Step 1: every live group — exactly the groups some queued entry
+  // references — filters its list in place (see the header for why that
+  // equals filtering per candidate) and computes its run term, one
+  // path-count lookup per group instead of per entry.
+  for (size_t I = 0, N = Groups.size(); I != N; ++I) {
+    Group &G = Groups[I];
+    if (G.Members == 0)
+      continue;
+    if (G.FilterEpoch != Now) {
+      if (!G.Branches.empty()) {
+        size_t Kept = 0;
+        for (uint32_t B : G.Branches)
+          if (!VBr.test(B))
+            G.Branches[Kept++] = B;
+        G.Branches.resize(Kept);
+        ++Stats.GroupsFiltered;
       }
-      C.FilterEpoch = Now;
-      HeuristicInputs In;
-      In.NewBranches =
-          C.NewBranches ? static_cast<uint32_t>(C.NewBranches->size()) : 0;
-      In.InputLen = static_cast<uint32_t>(C.Input.size());
-      In.ReplacementLen = C.ReplacementLen;
-      In.AvgStackSize = C.AvgStack;
-      In.NumParents = C.NumParents;
-      const uint32_t *PathCount = PathCounts.find(C.PathHash);
-      In.PathCount = PathCount ? *PathCount : 0;
-      C.Score = heuristicScore(In, Heur);
+      G.FilterEpoch = Now;
     }
-    if (RefQueue.size() > MaxQueue) {
-      TELEMETRY_SPAN("trim");
-      std::nth_element(RefQueue.begin(), RefQueue.begin() + MaxQueue / 2,
-                       RefQueue.end(), EntryScoreGreater());
-      Stats.TrimmedCandidates += RefQueue.size() - MaxQueue / 2;
-      ++Stats.Trims;
-      RefQueue.resize(MaxQueue / 2);
-      Trimmed = true;
-    }
-    std::make_heap(RefQueue.begin(), RefQueue.end(), EntryScoreLess());
-  } else {
-    // Group-factored pass. Step 1: every live group — exactly the
-    // groups some queued entry references — filters its list in place
-    // (see the header for why that equals copy-on-rescore) and computes
-    // its run term, one path-count lookup per group instead of per entry.
-    for (size_t I = 0, N = Groups.size(); I != N; ++I) {
-      Group &G = Groups[I];
-      if (G.Members == 0)
-        continue;
-      if (G.FilterEpoch != Now) {
-        if (!G.Branches.empty()) {
-          size_t Kept = 0;
-          for (uint32_t B : G.Branches)
-            if (!VBr.test(B))
-              G.Branches[Kept++] = B;
-          G.Branches.resize(Kept);
-          ++Stats.GroupsFiltered;
-        }
-        G.FilterEpoch = Now;
-      }
-      const uint32_t *PathCount = PathCounts.find(G.PathHash);
-      double Term = runTerm(static_cast<uint32_t>(G.Branches.size()),
-                            G.AvgStack, G.NumParentsBase,
-                            PathCount ? *PathCount : 0, Heur);
-      assert(Term > -MaxExactTerm && Term < MaxExactTerm &&
-             "run term outside the exact float range");
-      G.RunTerm = static_cast<float>(Term);
-    }
-    // Step 2: stream over the heap. Both addends are exact half-integers
-    // below 2^22, so the float sum is the exact score.
-    const Group *Gs = Groups.data();
-    for (Entry &E : Entries)
-      E.Score = static_cast<float>(E.Base) + Gs[E.Group].RunTerm;
-    if (Entries.size() > MaxQueue) {
-      TELEMETRY_SPAN("trim");
-      // Step 3: the same positional nth_element + resize as the by-value
-      // queue, then make_heap; it sees the same score sequence at the
-      // same positions, so the same candidates survive. The dropped ids
-      // release their suffix bytes and (via the pin cascade) any ancestry
-      // nothing else holds.
-      std::nth_element(Entries.begin(), Entries.begin() + MaxQueue / 2,
-                       Entries.end(), EntryScoreGreater());
-      for (size_t I = MaxQueue / 2, N = Entries.size(); I < N; ++I)
-        release(Entries[I].Id);
-      Stats.TrimmedCandidates += Entries.size() - MaxQueue / 2;
-      ++Stats.Trims;
-      Entries.resize(MaxQueue / 2);
-      Trimmed = true;
-      maybeCompactArena();
-    }
-    std::make_heap(Entries.begin(), Entries.end(), EntryScoreLess());
+    const uint32_t *PathCount = PathCounts.find(G.PathHash);
+    double Term = runTerm(static_cast<uint32_t>(G.Branches.size()),
+                          G.AvgStack, G.NumParentsBase,
+                          PathCount ? *PathCount : 0, Heur);
+    assert(Term > -MaxExactTerm && Term < MaxExactTerm &&
+           "run term outside the packed key's range");
+    G.TwiceRunTerm = static_cast<int32_t>(2 * Term);
   }
+  // Step 2: stream over the heap, rewriting each key's score bits and
+  // keeping its sequence bits. Both terms are exact, so the key holds
+  // the exact score.
+  const Group *Gs = Groups.data();
+  for (Entry &E : Entries) {
+    int64_t Biased = 2 * int64_t(E.Base) + Gs[E.Group].TwiceRunTerm + KeyBias;
+    E.Key = static_cast<uint64_t>(Biased) << KeySeqBits | (E.Key & KeySeqMask);
+  }
+  if (Entries.size() > MaxQueue) {
+    TELEMETRY_SPAN("trim");
+    // Step 3: keep the first MaxQueue / 2 entries in pop order. Keys are
+    // unique, so nth_element selects exactly that set. The dropped ids
+    // release their suffix bytes and (via the pin cascade) any ancestry
+    // nothing else holds.
+    std::nth_element(Entries.begin(), Entries.begin() + MaxQueue / 2,
+                     Entries.end(), KeyGreater());
+    for (size_t I = MaxQueue / 2, N = Entries.size(); I < N; ++I)
+      release(Entries[I].Id);
+    Stats.TrimmedCandidates += Entries.size() - MaxQueue / 2;
+    ++Stats.Trims;
+    Entries.resize(MaxQueue / 2);
+    Trimmed = true;
+    maybeCompactArena();
+  }
+  std::make_heap(Entries.begin(), Entries.end(), KeyLess());
   Stats.RescoreNanos += static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - Begin)
@@ -568,24 +456,6 @@ void CandidateStore::maybeCompactArena() {
 //===----------------------------------------------------------------------===//
 
 size_t CandidateStore::bytesInUse() const {
-  if (Reference) {
-    // The honest by-value footprint: candidate structs, each string's
-    // heap block (capacity + NUL when it outgrew the small-string
-    // buffer), and each distinct shared branch list (control block +
-    // vector head + payload) counted once.
-    size_t Bytes = RefQueue.capacity() * sizeof(RefCandidate);
-    constexpr size_t SharedListOverhead =
-        sizeof(std::vector<uint32_t>) + 32; // vector head + control block
-    std::unordered_set<const void *> Seen;
-    for (const RefCandidate &C : RefQueue) {
-      if (C.Input.capacity() > 15)
-        Bytes += C.Input.capacity() + 1;
-      if (C.NewBranches && Seen.insert(C.NewBranches.get()).second)
-        Bytes +=
-            SharedListOverhead + C.NewBranches->capacity() * sizeof(uint32_t);
-    }
-    return Bytes;
-  }
 #ifndef NDEBUG
   size_t Walked = 0;
   for (const Group &G : Groups)

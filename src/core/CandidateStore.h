@@ -8,8 +8,8 @@
 /// The candidate priority queue of Algorithm 1, stored compactly: a
 /// queued candidate is a 40-byte POD record (parent id, splice point,
 /// suffix slice in a shared byte arena, input hash) instead of an owned
-/// std::string, and the heap itself is an array of 16-byte
-/// (Score, Base, CandidateId, Group) entries. A candidate's full input
+/// std::string, and the heap itself is an array of 24-byte
+/// (Key, Base, CandidateId, Group) entries. A candidate's full input
 /// bytes exist only on demand — materialize() walks the parent chain and
 /// reassembles the prefix + suffix segments — so queue memory is
 /// O(candidates + distinct-suffix-bytes) instead of O(candidates x
@@ -22,31 +22,24 @@
 /// sum of a run term shared by the whole group and a candidate term fixed
 /// at push (see core/Heuristic.h), so a rescore walks the live groups
 /// once — filtering each list and looking its path count up once — and
-/// then streams over the heap setting Score = Base + the group's run
-/// term without touching the records.
+/// then streams over the heap setting each entry's score to Base + the
+/// group's run term without touching the records.
 ///
-/// Determinism contract: the heap uses the exact positional
-/// std::push_heap / std::pop_heap / std::make_heap / std::nth_element
-/// calls and the same score-only comparator as the string-backed queue,
-/// so with identical scores the permutations — and therefore the pop
-/// sequence, trim survivors, and every FuzzReport byte — are identical.
-/// Scores are identical because (a) push-time scores are computed by the
-/// campaign from the run's captured (unfiltered) branch count, exactly
-/// as the string-backed queue scores pushes after a mid-iteration
-/// rescore, (b) in-place group filtering is observationally
-/// equivalent to copy-on-rescore: vBr only grows, so
-/// filter(filter(L, vBr1), vBr2) == filter(L, vBr2) whenever vBr1 is a
-/// subset of vBr2 — a list filtered early yields the same count at every
-/// later rescore as the original list filtered late, and (c) every score
-/// is a half-integer small enough for the heap entry's float to hold it
-/// exactly (see Entry). See DESIGN.md §14.
-///
-/// Constructed with Reference = true the store instead keeps a faithful
-/// by-value candidate heap (owned std::string + shared_ptr branch list +
-/// copy-on-rescore map — the pre-store implementation, preserved
-/// verbatim) behind the same interface. The identity sweep test runs
-/// both modes and asserts byte-identical reports; the benches use it for
-/// honest before/after memory and throughput numbers.
+/// Pop order: highest score first; among equal scores, the earlier push
+/// first. Every push gets the next sequence number, and the order is a
+/// total order on (score, sequence), so pops, trim survivors (a trim keeps
+/// the first MaxQueue / 2 candidates in this order) and the shard export
+/// (exportTop, the next pop) do not depend on how the heap arranges its
+/// array. Any structure that pops the maximal (score, sequence) yields the
+/// same campaign; tests/core/PFuzzerOracleTest.cpp checks the campaign
+/// against an independent reference built on an ordered set. Scores
+/// themselves are exact: (a) push-time scores come from the run's
+/// captured (unfiltered) branch count, (b) filtering a group's list in
+/// place equals filtering each candidate's own copy, because vBr only
+/// grows — filter(filter(L, vBr1), vBr2) == filter(L, vBr2) whenever vBr1
+/// is a subset of vBr2 — and (c) every score is a half-integer small
+/// enough for the packed key to hold exactly (see Entry). See DESIGN.md
+/// section 14.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +52,6 @@
 #include "support/FlatHashMap.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,10 +74,9 @@ struct QueueStats {
   uint64_t Rescores = 0;
   /// Wall time spent inside rescore passes.
   uint64_t RescoreNanos = 0;
-  /// Distinct branch lists filtered across all rescores (group slices in
-  /// the compact store, copy-on-rescore map entries in reference mode).
+  /// Group branch lists filtered across all rescores.
   uint64_t GroupsFiltered = 0;
-  /// Overflow trims (worst-scored half dropped).
+  /// Overflow trims (all but the first MaxQueue / 2 in pop order dropped).
   uint64_t Trims = 0;
   /// Candidates dropped by trims.
   uint64_t TrimmedCandidates = 0;
@@ -97,11 +88,11 @@ struct QueueStats {
   /// PFuzzer.cpp:notePath).
   uint64_t PathDecays = 0;
   /// Sampled high-water mark of total queue memory (records + arena +
-  /// heap + group lists; reference mode counts strings and shared lists).
+  /// heap + group lists).
   uint64_t PeakBytes = 0;
   /// High-water mark of queued candidates.
   uint64_t PeakCandidates = 0;
-  /// High-water mark of suffix-arena bytes (0 in reference mode).
+  /// High-water mark of suffix-arena bytes.
   uint64_t PeakArenaBytes = 0;
   /// High-water mark of live groups (distinct parent runs with queued
   /// candidates or a live run handle).
@@ -114,16 +105,16 @@ struct QueueStats {
   void accumulate(const QueueStats &Other);
 };
 
-/// The candidate queue. See the file comment for the two storage modes.
+/// The candidate queue. See the file comment for the pop order.
 class CandidateStore {
 public:
   /// Null record/run id.
   static constexpr uint32_t None = ~0u;
 
   /// What pop() hands the campaign, besides the materialized input: the
-  /// popped record's pin (compact mode; the caller releases it when the
-  /// input stops being a potential parent) and the fields the verbose
-  /// trace and the next iteration's bookkeeping need.
+  /// popped record's pin (the caller releases it when the input stops
+  /// being a potential parent) and the fields the verbose trace and the
+  /// next iteration's bookkeeping need. Score is decoded from the key.
   struct Popped {
     uint32_t Id = None;
     double Score = 0;
@@ -134,12 +125,11 @@ public:
   };
 
   /// Longest input the store accepts: it keeps every candidate term
-  /// below 2^22 in magnitude, the Entry precondition. PFuzzer rejects a
-  /// FuzzerOptions::MaxInputLen above it.
+  /// below 2^22 in magnitude, the Entry key precondition. PFuzzer rejects
+  /// a FuzzerOptions::MaxInputLen above it.
   static constexpr uint32_t MaxExactInputLen = 1u << 20;
 
-  CandidateStore(bool Reference, size_t MaxQueue,
-                 const HeuristicOptions &Heur);
+  CandidateStore(size_t MaxQueue, const HeuristicOptions &Heur);
   ~CandidateStore();
 
   CandidateStore(const CandidateStore &) = delete;
@@ -150,7 +140,7 @@ public:
   QueueStats Stats;
 
   //===--------------------------------------------------------------------===//
-  // Lineage (compact mode; no-ops returning None in reference mode)
+  // Lineage
   //===--------------------------------------------------------------------===//
 
   /// Interns \p Input as a chain root (campaign start / restart) and
@@ -198,18 +188,17 @@ public:
   /// candidate bytes (the campaign derives it from a
   /// prefix-hash array without building the string). \p ParentDelta is
   /// the candidate's parent-chain growth over the group's base (1 for
-  /// substitutions, 0 for requeued prefixes). Compact mode stores a
-  /// record + suffix bytes; reference mode builds the full string from
-  /// \p ParentInput. The caller checks queueSize() against its cap and
-  /// triggers rescore, mirroring the original push-then-maybe-trim
-  /// order.
+  /// substitutions, 0 for requeued prefixes). \p ParentInput must be the
+  /// parent's full materialized bytes (see maybeRebase). \p Score must be
+  /// a half-integer of magnitude below 2^23. The caller checks
+  /// queueSize() against its cap and triggers rescore.
   void push(uint32_t Run, uint32_t Parent, std::string_view ParentInput,
             size_t SpliceAt, std::string_view Suffix, uint64_t Hash,
             uint32_t ReplacementLen, uint32_t ParentDelta, double Score);
 
-  /// Pops the best-scored candidate: materializes its input into
-  /// \p InputOut and returns its metadata. In compact mode the record
-  /// stays pinned (the queue pin transfers to the caller).
+  /// Pops the first candidate in pop order: materializes its input into
+  /// \p InputOut and returns its metadata. The record stays pinned (the
+  /// queue pin transfers to the caller).
   Popped pop(std::string &InputOut);
 
   size_t queueSize() const;
@@ -217,9 +206,9 @@ public:
 
   /// Re-filters every queued candidate's new-branch list against \p VBr
   /// and recomputes all scores (Algorithm 1 lines 40-43); enforces the
-  /// queue cap by dropping the worst-scored half when exceeded. Returns
-  /// true when a trim happened (the campaign resets its requeue counters
-  /// on trim, as before).
+  /// queue cap by keeping the first MaxQueue / 2 candidates in pop order
+  /// when exceeded. Returns true when a trim happened (the campaign
+  /// resets its requeue counters on trim).
   bool rescore(const BranchCoverageMap &VBr, const PathCountMap &PathCounts);
 
   //===--------------------------------------------------------------------===//
@@ -241,17 +230,17 @@ public:
     uint32_t ReplacementLen = 0;
   };
 
-  /// Copies the candidate at heap position \p Pos (0 = the next pop) out
-  /// of the store. String buffers of \p Out are recycled across calls.
-  void exportAt(size_t Pos, Exported &Out) const;
+  /// Copies the next pop out of the store without popping it. The queue
+  /// must not be empty. String buffers of \p Out are recycled across
+  /// calls.
+  void exportTop(Exported &Out) const;
 
   //===--------------------------------------------------------------------===//
   // Accounting
   //===--------------------------------------------------------------------===//
 
   /// Exact current queue memory: records, suffix arena, heap entries and
-  /// group lists in compact mode; candidate structs, string heap
-  /// allocations and distinct shared branch lists in reference mode.
+  /// group lists.
   size_t bytesInUse() const;
 
   /// Folds the current footprint into the Peak* stats. Called
@@ -260,11 +249,7 @@ public:
   void samplePeaks();
 
 private:
-  /// Immutable branch list shared between every reference-mode candidate
-  /// spawned from the same parent run (the pre-store representation).
-  using SharedBranches = std::shared_ptr<const std::vector<uint32_t>>;
-
-  /// A compact queued candidate: input = parent[0, SpliceAt) + suffix.
+  /// A queued candidate: input = parent[0, SpliceAt) + suffix.
   /// Refs counts pins (one per queue entry, campaign handle, or child
   /// record); a record is freed when it reaches zero.
   struct Record {
@@ -275,13 +260,13 @@ private:
     uint32_t SuffixLen = 0;
     uint32_t Group = None;
     uint32_t Refs = 0;
-    uint16_t ReplacementLen = 0;
+    uint32_t ReplacementLen = 0;
     uint8_t ParentDelta = 0;
     /// Parent-chain length to the nearest root. Bounded by MaxChainDepth:
     /// a record about to gain children at the cap is rebased first (see
     /// maybeRebase), so materialize never walks more than MaxChainDepth+1
     /// records and deep lineages cannot accumulate one ~40-byte ancestry
-    /// record per historical byte. Fits the struct's existing padding.
+    /// record per historical byte.
     uint8_t Depth = 0;
   };
 
@@ -295,61 +280,47 @@ private:
                 "Record outgrew its slot; the queue-memory math in "
                 "DESIGN.md section 14 assumes 40-byte records");
 
-  /// One heap element; the comparator reads Score only, so heap
-  /// permutations match the by-value queue's exactly. Base is the
-  /// candidate term and Group the record's group, so a rescore computes
-  /// Score = Base + Groups[Group].RunTerm without reading the record.
+  /// One heap element. Key packs the entry's place in the pop order into
+  /// one integer, so the heap compares entries with a single unsigned
+  /// comparison: the top KeyScoreBits hold 2 * score + KeyBias, the low
+  /// KeySeqBits hold the inverted push sequence number (an earlier push
+  /// gets the larger value). Keys are unique. Base is the candidate term
+  /// and Group the record's group, so a rescore rewrites the score bits
+  /// as 2 * Base + Groups[Group].TwiceRunTerm without reading the record
+  /// and keeps the sequence bits.
   ///
-  /// Exactness precondition: a float holds every half-integer of
-  /// magnitude below 2^23 exactly. Candidate terms are integers below
-  /// 2^22 in magnitude (inputs are at most MaxExactInputLen bytes) and
-  /// run terms are half-integers below 2^22, so their sum — and every
-  /// score stored here — is the exact value the by-value queue computes
-  /// in double. Asserted on every pushed score and candidate term and on
-  /// every run term a rescore computes.
+  /// Exactness precondition: candidate terms are integers below 2^22 in
+  /// magnitude (inputs are at most MaxExactInputLen bytes) and run terms
+  /// are half-integers below 2^22, so twice their sum is an integer below
+  /// 2^24 in magnitude and the biased value fits KeyScoreBits. Asserted on
+  /// every pushed score and candidate term and on every run term a
+  /// rescore computes; the sequence number is asserted below 2^KeySeqBits.
   struct Entry {
-    float Score = 0;
+    uint64_t Key = 0;
     int32_t Base = 0;
     uint32_t Id = 0;
     uint32_t Group = 0;
   };
-  static_assert(sizeof(Entry) == 16,
-                "a wider heap entry costs the json queue-memory ratio its "
-                "2x floor; see DESIGN.md section 14");
+  static constexpr unsigned KeySeqBits = 39;
+  static constexpr unsigned KeyScoreBits = 64 - KeySeqBits;
+  static constexpr uint64_t KeySeqMask = (uint64_t(1) << KeySeqBits) - 1;
+  static constexpr int64_t KeyBias = int64_t(1) << (KeyScoreBits - 1);
+  static_assert(sizeof(Entry) == 24, "heap entry outgrew its 24-byte slot");
 
   /// Run-constant data shared by all candidates of one executed run.
-  /// Reference mode's shared_ptr list lives in the parallel RefShared
-  /// vector, not here: with a few candidates per group the group slab is
-  /// a real fraction of compact-mode memory, and a 16-byte field only
-  /// reference mode reads would inflate it for nothing.
   struct Group {
-    /// Compact mode: the run's new-branch list, filtered in place at
-    /// rescores (see the file comment for why that is equivalent to
-    /// copy-on-rescore).
+    /// The run's new-branch list, filtered in place at rescores (see the
+    /// file comment for why that equals filtering per candidate).
     std::vector<uint32_t> Branches;
     uint64_t FilterEpoch = 0;
     uint64_t PathHash = 0;
     double AvgStack = 0;
     uint32_t NumParentsBase = 0;
     uint32_t Members = 0;
-    /// Run term of the last rescore pass (live groups only).
-    float RunTerm = 0;
+    /// Twice the run term of the last rescore pass (live groups only);
+    /// an integer because the run term is a half-integer.
+    int32_t TwiceRunTerm = 0;
     bool RunPinned = false;
-  };
-
-  /// A reference-mode candidate — the pre-store by-value layout,
-  /// preserved field for field so its memory footprint is the honest
-  /// baseline.
-  struct RefCandidate {
-    std::string Input;
-    uint32_t NumParents = 0;
-    double AvgStack = 0;
-    uint32_t ReplacementLen = 1;
-    SharedBranches NewBranches;
-    uint64_t FilterEpoch = 0;
-    uint64_t PathHash = 0;
-    uint64_t InputHash = 0;
-    double Score = 0;
   };
 
   uint32_t allocRecord();
@@ -361,11 +332,9 @@ private:
   void materialize(uint32_t Id, std::string &Out) const;
   void maybeCompactArena();
 
-  const bool Reference;
   const size_t MaxQueue;
   const HeuristicOptions Heur;
 
-  // Compact mode state.
   std::vector<Record> Records;
   /// Head of the intrusive free list threaded through freed records'
   /// Parent fields — no side vector of free ids.
@@ -383,12 +352,8 @@ private:
   /// size, never its capacity.
   size_t GroupListBytes = 0;
   uint64_t PushTick = 0;
-
-  // Reference mode state.
-  std::vector<RefCandidate> RefQueue;
-  /// Per-group shared immutable branch list (indexed by group id);
-  /// populated in reference mode only — see the Group comment.
-  std::vector<SharedBranches> RefShared;
+  /// Sequence number of the next push (the pop order's tie-break).
+  uint64_t NextSeq = 0;
 };
 
 } // namespace pfuzz

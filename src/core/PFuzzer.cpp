@@ -63,7 +63,7 @@ public:
   Campaign(const Subject &S, const FuzzerOptions &Opts,
            const PFuzzerOptions &Config)
       : S(S), Opts(Opts), Config(Config), Heur(Config.Heur), R(Opts.Seed),
-        Store(Config.ReferenceQueue, Config.MaxQueue, Config.Heur),
+        Store(Config.MaxQueue, Config.Heur),
         Sync(Config.SyncEndpoint) {}
 
   FuzzReport run();
@@ -90,8 +90,7 @@ private:
   /// every candidate the run spawns); Run is its handle, released at the
   /// end of the iteration that executed it. NewBranchCount is the list
   /// size captured at creation — push-time scores use it even if a
-  /// mid-iteration rescore filters the queued copies, exactly as the
-  /// by-value queue scored pushes from its unfiltered RunStats list.
+  /// mid-iteration rescore has filtered the group's list since.
   struct RunStats {
     uint32_t Run = CandidateStore::None;
     uint32_t NewBranchCount = 0;
@@ -151,16 +150,15 @@ private:
   /// halving all counts and dropping the zeros keeps it capped while
   /// preserving the ranking's shape — hot paths stay hot relative to
   /// cold ones, and a count that decayed to zero had already stopped
-  /// mattering (the score term saturates at 24). Both queue modes share
-  /// this table, so decay cannot break compact-vs-reference identity.
+  /// mattering (the score term saturates at 24). Each count's fate
+  /// depends on that count alone, so decay is independent of the table's
+  /// layout.
   void notePath(uint64_t PathHash) {
     ++PathCounts[PathHash];
     Store.Stats.PeakPathTable =
         std::max<uint64_t>(Store.Stats.PeakPathTable, PathCounts.size());
     if (PathCounts.size() <= Config.MaxQueue)
       return;
-    // Each count's fate depends on that count alone, so the result does
-    // not depend on the table's iteration order.
     PathCounts.retainIf([](uint64_t, uint32_t &Count) {
       Count /= 2;
       return Count != 0;
@@ -187,7 +185,7 @@ private:
   }
 
   /// Crosses every epoch boundary the execution count has passed:
-  /// publishes this shard's packet (coverage delta + top-of-heap
+  /// publishes this shard's packet (coverage delta + next-pop
   /// candidate), then merges peers' packets through the previous epoch —
   /// the lag-1 discipline that makes every merge point and packet content
   /// a pure function of execution counts. No-op when unsharded.
@@ -233,9 +231,8 @@ private:
   /// redundant by design, and the set costs one 8-byte slot per entry
   /// (at 3/8 to 3/4 load) instead of a stored string.
   FlatHashSet Enqueued;
-  /// The candidate priority queue (max-heap by score): compact
-  /// prefix-suffix records by default, by-value strings when
-  /// Config.ReferenceQueue — see core/CandidateStore.h.
+  /// The candidate priority queue: highest score first, earlier push
+  /// first among equal scores — see core/CandidateStore.h.
   CandidateStore Store;
   /// How often each prefix was re-enqueued for another random extension;
   /// bounded so retired prefixes stop consuming budget. Keyed by the
@@ -534,8 +531,7 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
   if (!Stats.HaveIdx)
     return;
   // Rolling prefix hashes, computed once per call: candidate hashes are
-  // derived from them without building any candidate string — the
-  // allocation the by-value queue paid per candidate is gone entirely.
+  // derived from them without building any candidate string.
   PrefixHashes.resize(Input.size() + 1);
   uint64_t H = FnvBasis;
   PrefixHashes[0] = H;
@@ -642,11 +638,11 @@ void Campaign::publishShardPacket(bool Final) {
   P.Final = Final;
   VBr.exportDelta(LastPublishedMark, P.Branches);
   LastPublishedMark = VBr.epoch();
-  // Migration payload: the exact next pop of this shard's heap — its
+  // Migration payload: the exact next pop of this shard's queue — its
   // best-scored lead, worth propagating instead of re-deriving N times.
   // Final packets skip it (peers may already be draining).
   if (!Final && !Store.empty()) {
-    Store.exportAt(0, ExportScratch);
+    Store.exportTop(ExportScratch);
     P.HasCandidate = true;
     P.CandidateBytes = ExportScratch.Bytes;
     P.CandidateHash = ExportScratch.Hash;
@@ -695,8 +691,7 @@ void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
           candidateTerm(static_cast<uint32_t>(P.CandidateBytes.size()),
                         P.CandidateReplacementLen, /*ParentDelta=*/0, Heur));
   // Root-shaped push: no parent record, splice at 0, the full bytes as
-  // the suffix — the one record shape that materializes identically in
-  // both queue representations.
+  // the suffix.
   Store.push(Run, CandidateStore::None, P.CandidateBytes, /*SpliceAt=*/0,
              P.CandidateBytes, P.CandidateHash, P.CandidateReplacementLen,
              /*ParentDelta=*/0, Score);
@@ -823,14 +818,13 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
 } // namespace
 
 FuzzReport PFuzzer::run(const Subject &S, const FuzzerOptions &Opts) {
-  // The candidate store's heap entries hold scores as exact floats, which
-  // bounds the input length (see CandidateStore::Entry).
+  // The candidate store's packed heap keys hold scores exactly only for
+  // bounded input lengths (see CandidateStore::Entry).
   if (Opts.MaxInputLen > CandidateStore::MaxExactInputLen)
     throw std::invalid_argument(
         "pfuzzer: MaxInputLen exceeds CandidateStore::MaxExactInputLen");
   if (Options.Shards > 1)
     return runSharded(S, Opts, Options);
-  // Unsharded: the plain sequential engine, untouched — --shards=1 is
-  // byte-identical to every prior release by construction.
+  // Unsharded: the plain sequential engine.
   return Campaign(S, Opts, Options).run();
 }

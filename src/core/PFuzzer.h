@@ -76,30 +76,23 @@ struct PFuzzerOptions {
   bool ResetOnValid = false;
 
   /// Queue cap: when a push or rescore finds more candidates than this,
-  /// the next re-rank drops the worst-scored half (the paper's prototype
-  /// lets the queue grow; we bound memory). Also caps the path-count
-  /// table, whose entries decay when it outgrows the cap. A knob mainly
-  /// so tests can exercise trim pressure and path decay on small
-  /// campaigns; the default matches the historical constant.
+  /// the next re-rank keeps the first MaxQueue / 2 in pop order (the
+  /// paper's prototype lets the queue grow; we bound memory). Also caps
+  /// the path-count table, whose entries decay when it outgrows the cap.
+  /// A knob mainly so tests can exercise trim pressure and path decay on
+  /// small campaigns; the default matches the historical constant.
   size_t MaxQueue = 100000;
 
-  /// Store candidates as full by-value strings (the pre-store
-  /// representation) instead of compact prefix-suffix records. The
-  /// search trajectory is byte-identical either way — this exists so the
-  /// identity sweep test and the queue benches can compare the two
-  /// representations honestly.
-  bool ReferenceQueue = false;
-
   /// Shard count of the campaign. 1 (the default) runs the plain
-  /// sequential Algorithm 1 loop, byte-identical to every prior engine.
-  /// With N > 1 the campaign splits into N concurrent shard loops — each
-  /// a full pFuzzer with its own candidate store, on its own dedicated
-  /// thread — that exchange coverage-frontier deltas and migrate top
-  /// candidates through core/ShardSync at deterministic execution-count
-  /// epochs. The execution budget is split across shards and the shard
-  /// reports are merged in stable shard order, so for a fixed (seed, N)
-  /// the merged report is bit-reproducible; different N values explore
-  /// differently (sharding changes the search, deterministically).
+  /// sequential Algorithm 1 loop with no shard sync. With N > 1 the
+  /// campaign splits into N concurrent shard loops — each a full pFuzzer
+  /// with its own candidate store, on its own dedicated thread — that
+  /// exchange coverage-frontier deltas and migrate top candidates through
+  /// core/ShardSync at deterministic execution-count epochs. The
+  /// execution budget is split across shards and the shard reports are
+  /// merged in stable shard order, so for a fixed (seed, N) the merged
+  /// report is bit-reproducible; different N values explore differently
+  /// (sharding changes the search, deterministically).
   ///
   /// Shard loops run on dedicated threads, all started at once: a shard
   /// blocks at epoch boundaries waiting for peers, so every peer must be

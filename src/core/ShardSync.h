@@ -16,7 +16,7 @@
 ///      vBr, so the heuristic's NewBranches term and the valid-input
 ///      novelty test see the joint frontier instead of re-deriving it
 ///      N times.
-///   2. *Candidate migration*: the publisher's top-of-heap candidate
+///   2. *Candidate migration*: the publisher's next pop
 ///      (full bytes + run features). Importers rescore it against their
 ///      own coverage and path counts, so a keyword discovery propagates
 ///      instead of waiting to be rediscovered.

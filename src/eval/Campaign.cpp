@@ -21,7 +21,6 @@ std::unique_ptr<Fuzzer> pfuzz::makeFuzzer(ToolKind Kind,
   switch (Kind) {
   case ToolKind::PFuzzer: {
     PFuzzerOptions Options;
-    Options.ReferenceQueue = Tools.PFuzzerReferenceQueue;
     if (Tools.PFuzzerMaxQueue != 0)
       Options.MaxQueue = Tools.PFuzzerMaxQueue;
     Options.Shards = std::max(1u, Tools.PFuzzerShards);

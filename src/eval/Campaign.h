@@ -41,28 +41,19 @@ enum class ToolKind {
 
 /// Per-tool configuration the campaign runners thread through to the
 /// fuzzer instances they create. The defaults are safe for every caller.
-/// PFuzzerReferenceQueue, PFuzzerTelemetryOut and PFuzzerHeartbeat leave
-/// reports byte-identical. PFuzzerMaxQueue, PFuzzerShards and
-/// PFuzzerShardSyncInterval change the search, deterministically for a
-/// fixed seed.
+/// PFuzzerTelemetryOut and PFuzzerHeartbeat leave reports byte-identical.
+/// PFuzzerMaxQueue, PFuzzerShards and PFuzzerShardSyncInterval change the
+/// search, deterministically for a fixed seed.
 struct ToolOptions {
-  /// PFuzzerOptions::ReferenceQueue: store candidates as full by-value
-  /// strings instead of compact prefix-suffix records. Reports are
-  /// byte-identical either way; the identity sweep test and the queue
-  /// benches flip this for honest before/after comparisons.
-  bool PFuzzerReferenceQueue = false;
-
-  /// PFuzzerOptions::MaxQueue: candidate-queue cap (trims drop the
-  /// worst-scored half past it). 0 keeps the PFuzzerOptions default.
-  /// Changes which candidates survive trims; both queue representations
-  /// share it, so compact-vs-reference comparisons stay valid at any
-  /// value.
+  /// PFuzzerOptions::MaxQueue: candidate-queue cap (a trim past it keeps
+  /// the first half in pop order). 0 keeps the PFuzzerOptions default.
+  /// Changes which candidates survive trims.
   size_t PFuzzerMaxQueue = 0;
 
   /// PFuzzerOptions::Shards: shard loops per pFuzzer campaign. 1 (the
-  /// default) is the plain engine, byte-identical to every prior
-  /// release; N > 1 runs the sharded engine — deterministic for fixed
-  /// (seed, N) but a different search than unsharded.
+  /// default) is the plain unsharded engine; N > 1 runs the sharded
+  /// engine — deterministic for fixed (seed, N) but a different search
+  /// than unsharded.
   uint32_t PFuzzerShards = 1;
 
   /// PFuzzerOptions::ShardSyncInterval. 0 keeps the engine default.

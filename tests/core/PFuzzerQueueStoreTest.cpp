@@ -6,12 +6,11 @@
 ///
 /// \file
 /// The contract of the compact candidate store (core/CandidateStore.h):
-/// representation only, never behavior. A campaign run on compact
-/// prefix-suffix records must produce a FuzzReport byte-identical to the
-/// same campaign run on the string-backed reference queue — on every
-/// evaluation subject, with and without queue-trim pressure. Plus direct
-/// store unit tests (materialization chains, trim + arena compaction) and
-/// the PathCounts decay regression.
+/// its pop order — highest score first, the earlier push first among
+/// equal scores — through pushes, rescores, trims and the shard export;
+/// materialization chains; trim + arena compaction; and the PathCounts
+/// decay regression. The campaign-level identity check against an
+/// independent reference lives in PFuzzerOracleTest.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,126 +27,145 @@ using namespace pfuzz;
 
 namespace {
 
-struct QueueConfig {
-  const char *Name;
-  size_t MaxQueue = 100000;
-  HeuristicOptions Heur = HeuristicOptions();
-};
-
-/// The ablation bench's heuristic configs (bench/ablation_heuristic.cpp):
-/// each term off on its own, then every term off at once.
-HeuristicOptions ablated(unsigned OffMask) {
-  HeuristicOptions H;
-  H.LengthPenalty = !(OffMask & 1);
-  H.ReplacementBonus = !(OffMask & 2);
-  H.StackSizeTerm = !(OffMask & 4);
-  H.ParentCountTerm = !(OffMask & 8);
-  H.PathNovelty = !(OffMask & 16);
-  return H;
-}
-
-FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, uint64_t Seed,
-                     const QueueConfig &C, bool Reference,
-                     QueueStats *Stats = nullptr) {
+FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, size_t MaxQueue,
+                     QueueStats &Stats) {
   TelemetrySnapshot Telemetry;
   PFuzzerOptions Options;
-  Options.MaxQueue = C.MaxQueue;
-  Options.Heur = C.Heur;
-  Options.ReferenceQueue = Reference;
+  Options.MaxQueue = MaxQueue;
   Options.TelemetryOut = &Telemetry;
-  PFuzzer Tool(Options);
   FuzzerOptions Opts;
-  Opts.Seed = Seed;
+  Opts.Seed = 1;
   Opts.MaxExecutions = Execs;
-  FuzzReport Report = Tool.run(S, Opts);
-  if (Stats)
-    *Stats = Telemetry.Queue;
+  FuzzReport Report = PFuzzer(Options).run(S, Opts);
+  Stats = Telemetry.Queue;
   return Report;
 }
 
-void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
-  EXPECT_EQ(A.Executions, B.Executions);
-  EXPECT_EQ(A.ValidInputs, B.ValidInputs);
-  EXPECT_EQ(A.ValidBranches, B.ValidBranches);
-  EXPECT_EQ(A.CoverageTimeline, B.CoverageTimeline);
-}
+/// A store with one root record and a branch-free run group: a push of
+/// a single-byte suffix \p Tag scores 2 * ReplacementLen - 2 after any
+/// rescore (0 branches, length 1, replacement, one parent link).
+struct TieFixture {
+  explicit TieFixture(size_t MaxQueue = 100)
+      : Store(MaxQueue, HeuristicOptions()) {}
+
+  CandidateStore Store;
+  BranchCoverageMap VBr;
+  PathCountMap PathCounts;
+  uint32_t Root = Store.internRoot("", 0x1);
+  std::vector<uint32_t> NoBranches;
+  uint32_t Run = Store.makeRun(NoBranches, 0, 0.0, 0, 0);
+
+  void push(char Tag, uint32_t ReplacementLen, double Score) {
+    Store.push(Run, Root, "", 0, std::string_view(&Tag, 1),
+               static_cast<unsigned char>(Tag), ReplacementLen,
+               /*ParentDelta=*/1, Score);
+  }
+
+  /// Pops everything, returning the tags in pop order.
+  std::string drain() {
+    std::string Order, Out;
+    while (!Store.empty()) {
+      CandidateStore::Popped P = Store.pop(Out);
+      Order += Out;
+      Store.release(P.Id);
+    }
+    return Order;
+  }
+};
 
 } // namespace
 
-TEST(PFuzzerQueueStoreTest, ReportIdenticalToReferenceQueueAcrossConfigs) {
-  // The identity sweep: compact records against the by-value reference
-  // queue, on all five evaluation subjects, at the default cap, at caps
-  // small enough to force trims, and under every heuristic ablation (each
-  // switch changes which terms the group-factored rescore sums).
-  const QueueConfig Configs[] = {
-      {"default"},
-      {"trim-256", /*MaxQueue=*/256},
-      {"trim-512", /*MaxQueue=*/512},
-      {"no-length", 100000, ablated(1)},
-      {"no-replacement", 100000, ablated(2)},
-      {"no-stack", 100000, ablated(4)},
-      {"no-parents", 100000, ablated(8)},
-      {"no-path-novelty", 100000, ablated(16)},
-      {"coverage-only", 100000, ablated(31)},
-  };
-  for (const Subject *S : evaluationSubjects()) {
-    uint64_t Execs = S == &jsonSubject() ? 3000 : 1500;
-    for (const QueueConfig &C : Configs) {
-      SCOPED_TRACE(std::string(S->name()) + " config " + C.Name);
-      FuzzReport Reference = fuzzQueue(*S, Execs, 1, C, /*Reference=*/true);
-      FuzzReport Compact = fuzzQueue(*S, Execs, 1, C, /*Reference=*/false);
-      expectIdenticalReports(Reference, Compact);
-    }
+TEST(PFuzzerQueueStoreTest, TrimPressureConfigActuallyTrims) {
+  // Guard against the oracle sweep silently losing its trim coverage:
+  // the small-cap config must overflow the queue and drop candidates.
+  QueueStats Stats;
+  fuzzQueue(jsonSubject(), 3000, /*MaxQueue=*/256, Stats);
+  EXPECT_GT(Stats.Trims, 0u);
+  EXPECT_GT(Stats.TrimmedCandidates, 0u);
+  EXPECT_GT(Stats.PeakArenaBytes, 0u);
+}
+
+TEST(PFuzzerQueueStoreTest, EqualScoresPopInPushOrder) {
+  TieFixture F;
+  for (char Tag : std::string("abcdefghij"))
+    F.push(Tag, 1, 3.0);
+  F.push('z', 1, 4.0);
+  F.push('y', 1, 2.5);
+  EXPECT_EQ(F.drain(), "zabcdefghijy");
+}
+
+TEST(PFuzzerQueueStoreTest, RescoreTiesPopInPushOrder) {
+  // Push scores in reverse push order; the rescore makes them equal
+  // (every candidate scores 2 * 1 - 2 = 0), so push order decides.
+  TieFixture F;
+  std::string Tags = "abcdefgh";
+  for (size_t I = 0; I != Tags.size(); ++I)
+    F.push(Tags[I], 1, static_cast<double>(I));
+  EXPECT_FALSE(F.Store.rescore(F.VBr, F.PathCounts));
+  EXPECT_EQ(F.drain(), Tags);
+}
+
+TEST(PFuzzerQueueStoreTest, TrimAmongTiesKeepsEarliestPushes) {
+  // Seven candidates that tie after the rescore, pushed with descending
+  // push scores; a cap of 6 keeps the first 3 in pop order.
+  TieFixture F(/*MaxQueue=*/6);
+  std::string Tags = "abcdefg";
+  for (size_t I = 0; I != Tags.size(); ++I)
+    F.push(Tags[I], 1, -static_cast<double>(I));
+  EXPECT_TRUE(F.Store.rescore(F.VBr, F.PathCounts));
+  EXPECT_EQ(F.drain(), "abc");
+}
+
+TEST(PFuzzerQueueStoreTest, ExportTopIsTheNextPop) {
+  TieFixture F;
+  std::string Tags = "pqrstuvw";
+  for (size_t I = 0; I != Tags.size(); ++I)
+    F.push(Tags[I], 1 + I % 3, static_cast<double>(I % 2));
+  EXPECT_FALSE(F.Store.rescore(F.VBr, F.PathCounts));
+  CandidateStore::Exported Top;
+  std::string Out;
+  while (!F.Store.empty()) {
+    F.Store.exportTop(Top);
+    CandidateStore::Popped P = F.Store.pop(Out);
+    EXPECT_EQ(Top.Bytes, Out);
+    EXPECT_EQ(Top.Hash, P.InputHash);
+    EXPECT_EQ(Top.ReplacementLen, P.ReplacementLen);
+    EXPECT_EQ(Top.NumParents, P.NumParents);
+    F.Store.release(P.Id);
   }
 }
 
-TEST(PFuzzerQueueStoreTest, TrimPressureConfigActuallyTrims) {
-  // Guard against the sweep silently losing its trim coverage: the
-  // small-cap config must overflow the queue and drop candidates.
-  QueueConfig C{"trim-256", /*MaxQueue=*/256};
-  QueueStats Stats;
-  fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Stats);
-  EXPECT_GT(Stats.Trims, 0u);
-  EXPECT_GT(Stats.TrimmedCandidates, 0u);
-}
-
-TEST(PFuzzerQueueStoreTest, CompactStoreUsesLessQueueMemory) {
-  // The structural claim behind the tentpole, asserted on sampled peaks
-  // (the 2x Release-bench gate lives in CI; here only the direction, so
-  // Debug and sanitizer builds stay robust).
-  QueueConfig C{"default"};
-  QueueStats Reference, Compact;
-  fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/true, &Reference);
-  fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Compact);
-  ASSERT_GT(Reference.PeakBytes, 0u);
-  ASSERT_GT(Compact.PeakBytes, 0u);
-  EXPECT_LT(Compact.PeakBytes, Reference.PeakBytes);
-  EXPECT_EQ(Compact.Pushes, Reference.Pushes);
-  EXPECT_EQ(Compact.Rescores, Reference.Rescores);
-  EXPECT_GT(Compact.PeakArenaBytes, 0u);
-  EXPECT_EQ(Reference.PeakArenaBytes, 0u); // strings, not arena slices
+TEST(PFuzzerQueueStoreTest, LongReplacementLengthRoundTrips) {
+  // Replacements longer than 65,535 bytes (MaxInputLen allows 2^20).
+  TieFixture F;
+  F.push('x', 70000, 0.0);
+  CandidateStore::Exported Top;
+  F.Store.exportTop(Top);
+  EXPECT_EQ(Top.ReplacementLen, 70000u);
+  std::string Out;
+  CandidateStore::Popped P = F.Store.pop(Out);
+  EXPECT_EQ(P.ReplacementLen, 70000u);
+  F.Store.release(P.Id);
 }
 
 TEST(PFuzzerQueueStoreTest, PathTableDecaysInsteadOfGrowingUnbounded) {
   // Regression for the unbounded PathCounts growth: with a small cap the
   // campaign must decay the table (halve counts, drop zeros) instead of
   // letting it grow past the cap, and still complete its budget.
-  QueueConfig C{"tiny-cap", /*MaxQueue=*/32};
+  constexpr size_t Cap = 32;
   QueueStats Stats;
-  FuzzReport Report =
-      fuzzQueue(jsonSubject(), 3000, 1, C, /*Reference=*/false, &Stats);
+  FuzzReport Report = fuzzQueue(jsonSubject(), 3000, Cap, Stats);
   EXPECT_EQ(Report.Executions, 3000u);
   EXPECT_GT(Stats.PathDecays, 0u);
   // The table can only exceed the cap by the insert that triggers each
   // decay; well under 2x is the "bounded" part of the contract.
-  EXPECT_LE(Stats.PeakPathTable, 2 * C.MaxQueue);
+  EXPECT_LE(Stats.PeakPathTable, 2 * Cap);
 }
 
 TEST(PFuzzerQueueStoreTest, MaterializesParentChains) {
   // Direct store exercise: a substitution chain three records deep, each
   // splicing below its parent, must reassemble exactly.
-  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/100,
-                       HeuristicOptions());
+  CandidateStore Store(/*MaxQueue=*/100, HeuristicOptions());
   uint32_t Root = Store.internRoot("abc", 0x1);
   std::vector<uint32_t> Branches{10, 20, 30};
   uint32_t Run = Store.makeRun(Branches, 0, 1.5, 0x99, 0);
@@ -186,8 +204,7 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
   // must drop the worst-scored half, and with most of the arena then
   // dead, compaction must rebuild it — after which the survivors must
   // still materialize byte for byte (offsets patched correctly).
-  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/4,
-                       HeuristicOptions());
+  CandidateStore Store(/*MaxQueue=*/4, HeuristicOptions());
   BranchCoverageMap VBr;
   PathCountMap PathCounts;
   uint32_t Root = Store.internRoot("", 0x1);
@@ -226,7 +243,7 @@ TEST(PFuzzerQueueStoreTest, RescoredScoresEqualHeuristicOfFeatures) {
   // score popped after rescore must equal heuristicScore of that
   // candidate's features exactly.
   HeuristicOptions Heur;
-  CandidateStore Store(/*Reference=*/false, /*MaxQueue=*/100, Heur);
+  CandidateStore Store(/*MaxQueue=*/100, Heur);
   BranchCoverageMap VBr;
   PathCountMap PathCounts;
   PathCounts[0xA] = 3;
