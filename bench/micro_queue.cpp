@@ -8,7 +8,8 @@
 /// Micro-benchmarks of the fuzzing loop's hot bookkeeping: branch-coverage
 /// membership tests on the dense BranchCoverageMap (the per-execution
 /// runCheck pattern), distinct-branch extraction from a run's trace, and
-/// the candidate store's rescore pass on a json-sized queue.
+/// the candidate store's full and incremental rescore passes on a
+/// json-sized queue.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,42 +75,103 @@ static void BM_RunCheckBookkeepingBitmap(benchmark::State &State) {
 }
 BENCHMARK(BM_RunCheckBookkeepingBitmap);
 
-// The candidate store's rescore pass (Algorithm 1 lines 40-43) on a
-// queue shaped like json at 400k executions: ~100k queued candidates in
-// ~25k run groups, a path table as large as the group count, and a
-// frontier that has not grown since the last pass — the common case, so
-// the pass is the group walk, the entry stream and make_heap.
-static void BM_StoreRescore(benchmark::State &State) {
-  constexpr uint32_t NumGroups = 25000, PerGroup = 4;
-  CandidateStore Store(/*MaxQueue=*/200000, HeuristicOptions());
+namespace {
+
+/// A candidate store shaped like json at 400k executions: ~100k queued
+/// candidates in ~25k run groups, each with a few new branches, and a
+/// path table as large as the group count with counts on both sides of
+/// the penalty cap.
+struct JsonQueue {
+  static constexpr uint32_t NumGroups = 25000, PerGroup = 4;
+  CandidateStore Store{/*MaxQueue=*/200000, HeuristicOptions()};
   BranchCoverageMap VBr;
-  std::vector<uint32_t> Covered = traceKeys(800, 1000, 99);
-  VBr.insert(Covered.begin(), Covered.end());
   PathCountMap PathCounts;
-  std::string Parent(40, 'a');
+  std::string Parent = std::string(40, 'a');
   uint32_t Root = Store.internRoot(Parent, 0x1);
-  std::vector<uint32_t> Keys = traceKeys(NumGroups * 2, 1 << 20, 7);
   uint64_t Hash = 2;
-  for (uint32_t G = 0; G != NumGroups; ++G) {
+
+  JsonQueue() {
+    std::vector<uint32_t> Covered = traceKeys(800, 1000, 99);
+    VBr.insert(Covered.begin(), Covered.end());
+    std::vector<uint32_t> Keys = traceKeys(NumGroups * 2, 1 << 20, 7);
+    for (uint32_t G = 0; G != NumGroups; ++G) {
+      PathCounts[Keys[2 * G]] = Keys[2 * G + 1] % 40;
+      pushGroup(Keys[2 * G], G, -static_cast<double>(Keys[2 * G + 1] % 64));
+    }
+    Store.rescore(VBr, PathCounts);
+  }
+
+  /// Opens run number \p G on \p PathHash, pushes PerGroup candidates
+  /// with push score \p Score, and closes the run.
+  void pushGroup(uint64_t PathHash, uint32_t G, double Score) {
     std::vector<uint32_t> Branches = traceKeys(4, 1000, G + 17);
-    uint64_t PathHash = Keys[2 * G];
-    PathCounts[PathHash] = Keys[2 * G + 1] % 40;
     uint32_t Run = Store.makeRun(Branches, VBr.epoch(), (G % 9) / 2.0,
                                  PathHash, G % 7);
     for (uint32_t C = 0; C != PerGroup; ++C) {
-      size_t SpliceAt = 30 + (Keys[2 * G] + C) % 10;
+      size_t SpliceAt = 30 + (PathHash + C) % 10;
       std::string_view Rep = std::string_view("true").substr(0, C + 1);
       Store.push(Run, Root, Parent, SpliceAt, Rep, Hash++,
-                 static_cast<uint32_t>(Rep.size()), 1,
-                 -static_cast<double>(Keys[2 * G + 1] % 64));
+                 static_cast<uint32_t>(Rep.size()), 1, Score);
     }
     Store.releaseRun(Run);
   }
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Store.rescore(VBr, PathCounts));
-  State.counters["entries"] = static_cast<double>(Store.queueSize());
+};
+
+} // namespace
+
+// The candidate store's full rescore pass (Algorithm 1 lines 40-43) on
+// the json-shaped queue: each iteration covers one new outcome first, so
+// every pass re-filters and re-terms all ~25k groups and rebuilds the
+// group heap.
+static void BM_StoreRescore(benchmark::State &State) {
+  JsonQueue Q;
+  uint32_t NextOutcome = 2000; // above every group's branch keys
+  for (auto _ : State) {
+    Q.VBr.insert(&NextOutcome, &NextOutcome + 1);
+    ++NextOutcome;
+    benchmark::DoNotOptimize(Q.Store.rescore(Q.VBr, Q.PathCounts));
+  }
+  State.counters["entries"] = static_cast<double>(Q.Store.queueSize());
+  State.counters["full"] = static_cast<double>(Q.Store.Stats.FullRescores);
 }
 BENCHMARK(BM_StoreRescore)->Unit(benchmark::kMillisecond);
+
+// The incremental pass on the same queue, with the shape measured between
+// two json-deep passes: ~1,200 fresh pushes (300 new runs) and ~50
+// below-cap path-count moves on settled runs, vBr unchanged. Nothing is
+// popped, so a fixed 64 iterations grow the queue from ~100k to ~177k
+// candidates, below the cap: no pass trims.
+static void BM_StoreRescoreIncremental(benchmark::State &State) {
+  JsonQueue Q;
+  constexpr uint32_t NewRuns = 300, PathBumps = 50;
+  std::vector<uint32_t> Keys = traceKeys(1 << 16, 1 << 30, 11);
+  uint32_t G = JsonQueue::NumGroups;
+  for (auto _ : State) {
+    State.PauseTiming();
+    // The bumps hit the paths of the runs the previous pass settled,
+    // each one execution below the cap; then new runs on such paths.
+    for (uint32_t I = 0; I != PathBumps; ++I) {
+      uint32_t Settled = G - NewRuns + Keys[(G + I) % Keys.size()] % NewRuns;
+      uint64_t Path = uint64_t(1) << 40 | Settled;
+      if (pathPenaltyMoves(Q.PathCounts[Path]++, HeuristicOptions()))
+        Q.Store.pathCountMoved(Path);
+    }
+    for (uint32_t I = 0; I != NewRuns; ++I, ++G) {
+      Q.PathCounts[uint64_t(1) << 40 | G] = PathPenaltyCap - 1;
+      Q.pushGroup(uint64_t(1) << 40 | G, G, -static_cast<double>(G % 64));
+    }
+    State.ResumeTiming();
+    benchmark::DoNotOptimize(Q.Store.rescore(Q.VBr, Q.PathCounts));
+  }
+  State.counters["entries"] = static_cast<double>(Q.Store.queueSize());
+  State.counters["full"] = static_cast<double>(Q.Store.Stats.FullRescores);
+  State.counters["dirty_groups_per_pass"] =
+      static_cast<double>(Q.Store.Stats.DirtyGroups) /
+      static_cast<double>(Q.Store.Stats.Rescores);
+}
+BENCHMARK(BM_StoreRescoreIncremental)
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(64);
 
 // Distinct-branch extraction (RunResult::coveredBranchesUpTo), the
 // per-execution dedup runCheck and computeStats perform twice per run:

@@ -27,6 +27,7 @@
 #include "tokens/TokenCoverage.h"
 
 #include <cstdio>
+#include <stdexcept>
 
 using namespace pfuzz;
 
@@ -70,8 +71,8 @@ int main(int Argc, char **Argv) {
                  " [--list-subjects] [--mine] [--quiet]\n"
                  "subjects: arith dyck ini csv json tinyc mjs\n"
                  "tools: pfuzzer afl klee random\n"
-                 "--max-queue: candidate-queue cap (0 = default; changes"
-                 " which candidates survive trims)\n"
+                 "--max-queue: candidate-queue cap (0 = default, else at"
+                 " least 2; changes which candidates survive trims)\n"
                  "--shards: concurrent pFuzzer shard loops (>= 1; shards=1"
                  " matches the unsharded engine byte for byte, N > 1 is a"
                  " deterministic sharded search)\n"
@@ -142,7 +143,14 @@ int main(int Argc, char **Argv) {
 
   // A campaign of one or more seeds; --jobs=N runs the seeds in parallel
   // (results are identical for every jobs value — see eval/Campaign.h).
-  CampaignResult Best = runCampaign(Kind, *S, Execs, Seed, Runs, Jobs, Tools);
+  CampaignResult Best;
+  try {
+    Best = runCampaign(Kind, *S, Execs, Seed, Runs, Jobs, Tools);
+  } catch (const std::invalid_argument &Err) {
+    // Options the engine rejects up front (e.g. --max-queue=1).
+    std::fprintf(stderr, "error: %s\n", Err.what());
+    return 1;
+  }
   const FuzzReport &R = Best.Report;
 
   if (!Quiet)
@@ -184,6 +192,12 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Q.Compactions),
                  static_cast<unsigned long long>(Q.ArenaBytesReclaimed),
                  static_cast<unsigned long long>(Q.PathDecays));
+    std::fprintf(stderr,
+                 "rescore passes: %llu full, %llu incremental (%llu groups"
+                 " re-keyed)\n",
+                 static_cast<unsigned long long>(Q.FullRescores),
+                 static_cast<unsigned long long>(Q.Rescores - Q.FullRescores),
+                 static_cast<unsigned long long>(Q.DirtyGroups));
     std::fprintf(stderr,
                  "queue peaks: %llu bytes, %llu candidates, %llu arena"
                  " bytes, %llu groups, %llu path entries\n",

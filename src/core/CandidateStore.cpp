@@ -9,6 +9,7 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstring>
@@ -17,7 +18,7 @@ using namespace pfuzz;
 
 namespace {
 
-/// Magnitude bound of each score part; see CandidateStore::Entry.
+/// Magnitude bound of each score part; see CandidateStore::Node.
 [[maybe_unused]] constexpr int64_t MaxExactTerm = int64_t(1) << 22;
 
 /// Heap order on the packed key: the max-heap's top is the next pop.
@@ -37,6 +38,8 @@ struct KeyGreater {
 void QueueStats::accumulate(const QueueStats &Other) {
   Pushes += Other.Pushes;
   Rescores += Other.Rescores;
+  FullRescores += Other.FullRescores;
+  DirtyGroups += Other.DirtyGroups;
   RescoreNanos += Other.RescoreNanos;
   GroupsFiltered += Other.GroupsFiltered;
   Trims += Other.Trims;
@@ -52,7 +55,9 @@ void QueueStats::accumulate(const QueueStats &Other) {
 }
 
 CandidateStore::CandidateStore(size_t MaxQueue, const HeuristicOptions &Heur)
-    : MaxQueue(MaxQueue), Heur(Heur) {}
+    : MaxQueue(MaxQueue), Heur(Heur) {
+  assert(MaxQueue >= 2 && "a trim must keep at least one candidate");
+}
 
 CandidateStore::~CandidateStore() = default;
 
@@ -104,16 +109,18 @@ uint32_t CandidateStore::allocGroup() {
   G.PathHash = 0;
   G.AvgStack = 0;
   G.NumParentsBase = 0;
-  G.Members = 0;
-  G.RunPinned = false;
+  G.Refs = 0;
+  G.TwiceRunTerm = 0;
+  G.HeapPos = G.PathNext = None;
   ++LiveGroups;
   return Id;
 }
 
 void CandidateStore::maybeFreeGroup(uint32_t GroupId) {
   Group &G = Groups[GroupId];
-  if (G.RunPinned || G.Members > 0)
+  if (G.Refs > 0)
     return;
+  assert(G.HeapPos == None && "a group without members has no settled nodes");
   // Recycled slots keep small buffers (steady-state lists are a handful
   // of branches, so reuse skips the realloc) but release outliers: early
   // runs discover dozens of branches at once, and without the cap every
@@ -134,7 +141,7 @@ void CandidateStore::unlinkGroup(uint32_t Id) {
     return;
   uint32_t GroupId = R.Group;
   R.Group = None;
-  --Groups[GroupId].Members;
+  --Groups[GroupId].Refs;
   maybeFreeGroup(GroupId);
 }
 
@@ -224,16 +231,18 @@ uint32_t CandidateStore::makeRun(const std::vector<uint32_t> &NewBranches,
   GroupListBytes += G.Branches.capacity() * sizeof(uint32_t);
   G.FilterEpoch = FilterEpoch;
   G.PathHash = PathHash;
-  G.AvgStack = AvgStack;
+  G.AvgStack = static_cast<float>(AvgStack);
+  assert(G.AvgStack == AvgStack && "stack depth is not an exact float");
   G.NumParentsBase = NumParentsBase;
-  G.RunPinned = true;
+  G.Refs = 1; // the run pin
   return Id;
 }
 
 void CandidateStore::releaseRun(uint32_t Run) {
   if (Run == None)
     return;
-  Groups[Run].RunPinned = false;
+  assert(Groups[Run].Refs > 0 && "run released twice");
+  --Groups[Run].Refs;
   maybeFreeGroup(Run);
 }
 
@@ -267,11 +276,11 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
   R.SuffixOfs = Arena.append(Suffix);
   R.SuffixLen = static_cast<uint32_t>(Suffix.size());
   R.Group = Run;
-  ++Groups[Run].Members;
+  ++Groups[Run].Refs;
   R.Refs = 1; // the queue entry's pin; pop transfers it to the caller
   R.ReplacementLen = ReplacementLen;
   R.ParentDelta = static_cast<uint8_t>(ParentDelta);
-  // The Entry key precondition (see the header).
+  // The Node key precondition (see the header).
   int64_t Base = candidateTerm(R.SpliceAt + R.SuffixLen, ReplacementLen,
                                ParentDelta, Heur);
   assert(Base > -MaxExactTerm && Base < MaxExactTerm &&
@@ -282,16 +291,26 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
          "push score is not a half-integer within the packed key's range");
   assert(NextSeq <= KeySeqMask && "push sequence number overflows the key");
   uint64_t SeqBits = KeySeqMask - NextSeq++;
-  // The caller trims past MaxQueue, so the heap never outgrows
-  // MaxQueue + 1 entries — clamp growth there instead of letting the
-  // final doubling overshoot the cap by nearly 2x.
-  if (Entries.size() == Entries.capacity())
-    Entries.reserve(std::min(MaxQueue + 1, Entries.capacity() +
-                                               Entries.capacity() / 4 + 64));
-  Entries.push_back(Entry{
-      static_cast<uint64_t>(TwiceScore + KeyBias) << KeySeqBits | SeqBits,
-      static_cast<int32_t>(Base), Id, Run});
-  std::push_heap(Entries.begin(), Entries.end(), KeyLess());
+  uint32_t N = FreeNode;
+  if (N != None) {
+    FreeNode = Nodes[N].Sibling;
+  } else {
+    // The caller trims past MaxQueue, so the pool never outgrows
+    // MaxQueue + 1 nodes — clamp growth there instead of letting the
+    // final doubling overshoot the cap by nearly 2x.
+    if (Nodes.size() == Nodes.capacity())
+      Nodes.reserve(std::min(MaxQueue + 1,
+                             Nodes.capacity() + Nodes.capacity() / 4 + 64));
+    N = static_cast<uint32_t>(Nodes.size());
+    Nodes.emplace_back();
+  }
+  Nodes[N] = Node{static_cast<uint64_t>(2 * Base + KeyBias) << KeySeqBits |
+                      SeqBits,
+                  Id, Run, None, None};
+  FreshHeap.push_back(Fresh{
+      static_cast<uint64_t>(TwiceScore + KeyBias) << KeySeqBits | SeqBits, N});
+  std::push_heap(FreshHeap.begin(), FreshHeap.end(), KeyLess());
+  ++QueueLen;
   if ((++PushTick & 1023) == 0)
     samplePeaks();
 }
@@ -320,15 +339,51 @@ void CandidateStore::materialize(uint32_t Id, std::string &Out) const {
   }
 }
 
+bool CandidateStore::freshOnTop() const {
+  return !FreshHeap.empty() &&
+         (GroupHeap.empty() || FreshHeap.front().Key > GroupHeap.front().Key);
+}
+
 CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
-  std::pop_heap(Entries.begin(), Entries.end(), KeyLess());
-  Entry E = Entries.back();
-  Entries.pop_back();
-  Record &R = Records[E.Id];
+  assert(QueueLen > 0 && "pop from an empty queue");
+  uint32_t N;
+  uint64_t Key;
+  if (freshOnTop()) {
+    std::pop_heap(FreshHeap.begin(), FreshHeap.end(), KeyLess());
+    N = FreshHeap.back().NodeId;
+    Key = FreshHeap.back().Key;
+    FreshHeap.pop_back();
+  } else {
+    GroupSlot &Top = GroupHeap.front();
+    Key = Top.Key;
+    N = Top.Root;
+    Top.Root = mergePairs(Nodes[N].Child);
+    if (Top.Root != None) {
+      Top.Key = slotKey(Top);
+      siftDown(0);
+    } else {
+      // The group's last settled member: the group leaves the heap and
+      // the path index (fresh members bring it back at the next pass).
+      unlinkPath(Top.Group);
+      Groups[Top.Group].HeapPos = None;
+      GroupSlot Last = GroupHeap.back();
+      GroupHeap.pop_back();
+      if (!GroupHeap.empty()) {
+        placeSlot(0, Last);
+        siftDown(0);
+      }
+    }
+  }
+  uint32_t Id = Nodes[N].Id;
+  Nodes[N].Id = None;
+  Nodes[N].Sibling = FreeNode;
+  FreeNode = N;
+  --QueueLen;
+  Record &R = Records[Id];
   Group &G = Groups[R.Group];
   Popped P;
-  P.Id = E.Id;
-  int64_t TwiceScore = static_cast<int64_t>(E.Key >> KeySeqBits) - KeyBias;
+  P.Id = Id;
+  int64_t TwiceScore = static_cast<int64_t>(Key >> KeySeqBits) - KeyBias;
   P.Score = static_cast<double>(TwiceScore) / 2;
   P.InputHash = R.InputHash;
   P.NumParents = G.NumParentsBase + R.ParentDelta;
@@ -337,19 +392,18 @@ CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
   // The popped input is about to execute; its branch list has served its
   // purpose, so leave the group now and let it die with its last queued
   // member instead of with this record's whole ancestry.
-  unlinkGroup(E.Id);
-  materialize(E.Id, InputOut);
+  unlinkGroup(Id);
+  materialize(Id, InputOut);
   return P; // the queue pin transfers to the caller — no Refs change
 }
 
-size_t CandidateStore::queueSize() const { return Entries.size(); }
-
 void CandidateStore::exportTop(Exported &Out) const {
-  assert(!Entries.empty() && "export from an empty queue");
-  const Entry &Top = Entries.front(); // the heap's maximum: the next pop
-  const Record &R = Records[Top.Id];
+  assert(QueueLen > 0 && "export from an empty queue");
+  uint32_t N =
+      freshOnTop() ? FreshHeap.front().NodeId : GroupHeap.front().Root;
+  const Record &R = Records[Nodes[N].Id];
   const Group &G = Groups[R.Group];
-  materialize(Top.Id, Out.Bytes);
+  materialize(Nodes[N].Id, Out.Bytes);
   Out.Hash = R.InputHash;
   Out.Branches = G.Branches;
   Out.AvgStack = G.AvgStack;
@@ -359,73 +413,295 @@ void CandidateStore::exportTop(Exported &Out) const {
 }
 
 //===----------------------------------------------------------------------===//
+// Member heaps and the group heap
+//===----------------------------------------------------------------------===//
+
+uint64_t CandidateStore::fullKey(uint64_t Key, int32_t TwiceRunTerm) {
+  // The sum stays inside the score bits (see Node), so the unsigned wrap
+  // of a negative term is exact.
+  return Key + (static_cast<uint64_t>(static_cast<int64_t>(TwiceRunTerm))
+                << KeySeqBits);
+}
+
+uint32_t CandidateStore::meld(uint32_t A, uint32_t B) {
+  if (A == None)
+    return B;
+  if (B == None)
+    return A;
+  if (Nodes[A].Key < Nodes[B].Key)
+    std::swap(A, B);
+  Nodes[B].Sibling = Nodes[A].Child;
+  Nodes[A].Child = B;
+  return A;
+}
+
+uint32_t CandidateStore::mergePairs(uint32_t First) {
+  // The standard two-pass pairing: meld the children pairwise left to
+  // right, threading the results onto a reversed list, then meld that
+  // list into one heap.
+  uint32_t Reversed = None;
+  while (First != None) {
+    uint32_t A = First, B = Nodes[A].Sibling;
+    First = B == None ? None : Nodes[B].Sibling;
+    Nodes[A].Sibling = None;
+    if (B != None)
+      Nodes[B].Sibling = None;
+    uint32_t M = meld(A, B);
+    Nodes[M].Sibling = Reversed;
+    Reversed = M;
+  }
+  uint32_t Root = None;
+  while (Reversed != None) {
+    uint32_t Next = Nodes[Reversed].Sibling;
+    Nodes[Reversed].Sibling = None;
+    Root = meld(Root, Reversed);
+    Reversed = Next;
+  }
+  return Root;
+}
+
+uint64_t CandidateStore::slotKey(const GroupSlot &S) const {
+  return fullKey(Nodes[S.Root].Key, Groups[S.Group].TwiceRunTerm);
+}
+
+void CandidateStore::placeSlot(size_t Pos, GroupSlot S) {
+  GroupHeap[Pos] = S;
+  Groups[S.Group].HeapPos = static_cast<uint32_t>(Pos);
+}
+
+void CandidateStore::siftUp(size_t Pos) {
+  GroupSlot S = GroupHeap[Pos];
+  while (Pos > 0) {
+    size_t Parent = (Pos - 1) / 2;
+    if (GroupHeap[Parent].Key >= S.Key)
+      break;
+    placeSlot(Pos, GroupHeap[Parent]);
+    Pos = Parent;
+  }
+  placeSlot(Pos, S);
+}
+
+void CandidateStore::siftDown(size_t Pos) {
+  GroupSlot S = GroupHeap[Pos];
+  size_t N = GroupHeap.size();
+  for (size_t Child; (Child = 2 * Pos + 1) < N; Pos = Child) {
+    if (Child + 1 < N && GroupHeap[Child + 1].Key > GroupHeap[Child].Key)
+      ++Child;
+    if (GroupHeap[Child].Key <= S.Key)
+      break;
+    placeSlot(Pos, GroupHeap[Child]);
+  }
+  placeSlot(Pos, S);
+}
+
+void CandidateStore::appendSlot(uint32_t GroupId, uint32_t Root) {
+  // Plain doubling, unlike the slabs: 1.25x steps on this array left
+  // about 1.5 MB more peak RSS on a 400k-execution json campaign, in
+  // blocks freed by the growth itself.
+  GroupHeap.push_back(GroupSlot{0, GroupId, Root});
+  Groups[GroupId].HeapPos = static_cast<uint32_t>(GroupHeap.size() - 1);
+}
+
+void CandidateStore::settle(uint32_t GroupId, uint32_t NodeId) {
+  uint32_t Pos = Groups[GroupId].HeapPos;
+  if (Pos == None)
+    appendSlot(GroupId, NodeId);
+  else
+    GroupHeap[Pos].Root = meld(GroupHeap[Pos].Root, NodeId);
+}
+
+//===----------------------------------------------------------------------===//
+// Path index
+//===----------------------------------------------------------------------===//
+
+uint32_t &CandidateStore::pathBucket(uint64_t PathHash) {
+  // Fibonacci hashing into a power-of-two bucket array.
+  size_t Slot = static_cast<size_t>((PathHash * 0x9E3779B97F4A7C15ULL) >> 32);
+  return PathBuckets[Slot & (PathBuckets.size() - 1)];
+}
+
+void CandidateStore::linkPath(uint32_t GroupId) {
+  uint32_t &Head = pathBucket(Groups[GroupId].PathHash);
+  Groups[GroupId].PathNext = Head;
+  Head = GroupId;
+}
+
+void CandidateStore::unlinkPath(uint32_t GroupId) {
+  // Chains are short (at most one group per bucket on average), so a
+  // walk from the head replaces a back link in every group.
+  uint32_t *Link = &pathBucket(Groups[GroupId].PathHash);
+  while (*Link != GroupId)
+    Link = &Groups[*Link].PathNext;
+  *Link = Groups[GroupId].PathNext;
+  Groups[GroupId].PathNext = None;
+}
+
+void CandidateStore::rebuildPathIndex() {
+  PathBuckets.assign(std::bit_ceil(std::max<size_t>(16, GroupHeap.size())),
+                     None);
+  for (const GroupSlot &S : GroupHeap)
+    linkPath(S.Group);
+}
+
+//===----------------------------------------------------------------------===//
 // Rescore
 //===----------------------------------------------------------------------===//
+
+void CandidateStore::reterm(Group &G, const BranchCoverageMap &VBr,
+                            const PathCountMap &PathCounts) {
+  uint64_t Now = VBr.epoch();
+  if (G.FilterEpoch != Now) {
+    if (!G.Branches.empty()) {
+      size_t Kept = 0;
+      for (uint32_t B : G.Branches)
+        if (!VBr.test(B))
+          G.Branches[Kept++] = B;
+      G.Branches.resize(Kept);
+      ++Stats.GroupsFiltered;
+    }
+    G.FilterEpoch = Now;
+  }
+  const uint32_t *PathCount = PathCounts.find(G.PathHash);
+  double Term = runTerm(static_cast<uint32_t>(G.Branches.size()), G.AvgStack,
+                        G.NumParentsBase, PathCount ? *PathCount : 0, Heur);
+  assert(Term > -MaxExactTerm && Term < MaxExactTerm &&
+         "run term outside the packed key's range");
+  G.TwiceRunTerm = static_cast<int32_t>(2 * Term);
+}
 
 bool CandidateStore::rescore(const BranchCoverageMap &VBr,
                              const PathCountMap &PathCounts) {
   auto Begin = std::chrono::steady_clock::now();
   ++Stats.Rescores;
-  bool Trimmed = false;
-  uint64_t Now = VBr.epoch();
-  // Step 1: every live group — exactly the groups some queued entry
-  // references — filters its list in place (see the header for why that
-  // equals filtering per candidate) and computes its run term, one
-  // path-count lookup per group instead of per entry.
-  for (size_t I = 0, N = Groups.size(); I != N; ++I) {
-    Group &G = Groups[I];
-    if (G.Members == 0)
-      continue;
-    if (G.FilterEpoch != Now) {
-      if (!G.Branches.empty()) {
-        size_t Kept = 0;
-        for (uint32_t B : G.Branches)
-          if (!VBr.test(B))
-            G.Branches[Kept++] = B;
-        G.Branches.resize(Kept);
-        ++Stats.GroupsFiltered;
-      }
-      G.FilterEpoch = Now;
-    }
-    const uint32_t *PathCount = PathCounts.find(G.PathHash);
-    double Term = runTerm(static_cast<uint32_t>(G.Branches.size()),
-                          G.AvgStack, G.NumParentsBase,
-                          PathCount ? *PathCount : 0, Heur);
-    assert(Term > -MaxExactTerm && Term < MaxExactTerm &&
-           "run term outside the packed key's range");
-    G.TwiceRunTerm = static_cast<int32_t>(2 * Term);
-  }
-  // Step 2: stream over the heap, rewriting each key's score bits and
-  // keeping its sequence bits. Both terms are exact, so the key holds
-  // the exact score.
-  const Group *Gs = Groups.data();
-  for (Entry &E : Entries) {
-    int64_t Biased = 2 * int64_t(E.Base) + Gs[E.Group].TwiceRunTerm + KeyBias;
-    E.Key = static_cast<uint64_t>(Biased) << KeySeqBits | (E.Key & KeySeqMask);
-  }
-  if (Entries.size() > MaxQueue) {
-    TELEMETRY_SPAN("trim");
-    // Step 3: keep the first MaxQueue / 2 entries in pop order. Keys are
-    // unique, so nth_element selects exactly that set. The dropped ids
-    // release their suffix bytes and (via the pin cascade) any ancestry
-    // nothing else holds.
-    std::nth_element(Entries.begin(), Entries.begin() + MaxQueue / 2,
-                     Entries.end(), KeyGreater());
-    for (size_t I = MaxQueue / 2, N = Entries.size(); I < N; ++I)
-      release(Entries[I].Id);
-    Stats.TrimmedCandidates += Entries.size() - MaxQueue / 2;
-    ++Stats.Trims;
-    Entries.resize(MaxQueue / 2);
-    Trimmed = true;
-    maybeCompactArena();
-  }
-  std::make_heap(Entries.begin(), Entries.end(), KeyLess());
+  uint64_t TrimsBefore = Stats.Trims;
+  // A group's run term depends on its filtered list and its capped path
+  // count alone. Unless vBr grew or the path table decayed, the terms
+  // that moved are those on the reported paths; a trim ranks every
+  // candidate anyway.
+  if (VBr.epoch() != PassEpoch || PathsDecayed || QueueLen > MaxQueue)
+    fullPass(VBr, PathCounts);
+  else
+    incrementalPass(VBr, PathCounts);
+  PassEpoch = VBr.epoch();
+  PathsDecayed = false;
+  DirtyPaths.clear();
   Stats.RescoreNanos += static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - Begin)
           .count());
   samplePeaks();
-  return Trimmed;
+  return Stats.Trims != TrimsBefore;
+}
+
+void CandidateStore::fullPass(const BranchCoverageMap &VBr,
+                              const PathCountMap &PathCounts) {
+  ++Stats.FullRescores;
+  // Settle the fresh nodes; then every group with queued members has a
+  // slot. Re-term them all, trim, and rebuild the group heap and the
+  // path index.
+  for (const Fresh &F : FreshHeap)
+    settle(Nodes[F.NodeId].Group, F.NodeId);
+  FreshHeap.clear();
+  for (const GroupSlot &S : GroupHeap)
+    reterm(Groups[S.Group], VBr, PathCounts);
+  if (QueueLen > MaxQueue)
+    trim();
+  for (GroupSlot &S : GroupHeap)
+    S.Key = slotKey(S);
+  for (size_t I = GroupHeap.size() / 2; I-- > 0;)
+    siftDown(I);
+  rebuildPathIndex();
+}
+
+void CandidateStore::incrementalPass(const BranchCoverageMap &VBr,
+                                     const PathCountMap &PathCounts) {
+  // Re-term the indexed groups on the reported paths; each sifts once.
+  // Their lists were filtered at PassEpoch, which is still current.
+  std::sort(DirtyPaths.begin(), DirtyPaths.end());
+  DirtyPaths.erase(std::unique(DirtyPaths.begin(), DirtyPaths.end()),
+                   DirtyPaths.end());
+  if (!PathBuckets.empty())
+    for (uint64_t Path : DirtyPaths)
+      for (uint32_t Id = pathBucket(Path); Id != None;
+           Id = Groups[Id].PathNext) {
+        Group &G = Groups[Id];
+        if (G.PathHash != Path)
+          continue;
+        int32_t Old = G.TwiceRunTerm;
+        reterm(G, VBr, PathCounts);
+        ++Stats.DirtyGroups;
+        GroupSlot &S = GroupHeap[G.HeapPos];
+        S.Key = slotKey(S);
+        if (G.TwiceRunTerm > Old)
+          siftUp(G.HeapPos);
+        else
+          siftDown(G.HeapPos);
+      }
+  // Settle the fresh nodes: a group without settled members gets its
+  // term and enters the heap and the index; otherwise a new best member
+  // raises the group's key.
+  for (const Fresh &F : FreshHeap) {
+    uint32_t GroupId = Nodes[F.NodeId].Group;
+    Group &G = Groups[GroupId];
+    if (G.HeapPos == None) {
+      reterm(G, VBr, PathCounts);
+      appendSlot(GroupId, F.NodeId);
+      GroupHeap.back().Key = slotKey(GroupHeap.back());
+      siftUp(GroupHeap.size() - 1);
+      if (GroupHeap.size() > PathBuckets.size())
+        rebuildPathIndex(); // links this group too
+      else
+        linkPath(GroupId);
+      continue;
+    }
+    GroupSlot &S = GroupHeap[G.HeapPos];
+    uint32_t OldRoot = S.Root;
+    S.Root = meld(S.Root, F.NodeId);
+    if (S.Root != OldRoot) {
+      S.Key = slotKey(S);
+      siftUp(G.HeapPos);
+    }
+  }
+  FreshHeap.clear();
+}
+
+void CandidateStore::trim() {
+  TELEMETRY_SPAN("trim");
+  // Keep the first MaxQueue / 2 candidates in pop order. Every node is
+  // settled and the slots are rebuilt below, so no node index needs to
+  // survive: pack the live nodes at the front of the pool under their
+  // full keys and select with nth_element (keys are unique, so it
+  // selects exactly that set). The dropped ids release their suffix
+  // bytes and (via the pin cascade) any ancestry nothing else holds.
+  size_t Live = 0;
+  for (size_t I = 0, N = Nodes.size(); I != N; ++I) {
+    if (Nodes[I].Id == None)
+      continue;
+    Node Packed = Nodes[I];
+    Packed.Key = fullKey(Packed.Key, Groups[Packed.Group].TwiceRunTerm);
+    Nodes[Live++] = Packed;
+  }
+  assert(Live == QueueLen && "node pool out of sync with the queue");
+  for (const GroupSlot &S : GroupHeap)
+    Groups[S.Group].HeapPos = None;
+  GroupHeap.clear();
+  size_t Keep = MaxQueue / 2;
+  std::nth_element(Nodes.begin(), Nodes.begin() + Keep, Nodes.begin() + Live,
+                   KeyGreater());
+  for (size_t I = Keep; I != Live; ++I)
+    release(Nodes[I].Id);
+  Nodes.resize(Keep);
+  FreeNode = None;
+  for (uint32_t I = 0; I != Keep; ++I) {
+    Node &N = Nodes[I];
+    N.Key = fullKey(N.Key, -Groups[N.Group].TwiceRunTerm);
+    N.Child = N.Sibling = None;
+    settle(N.Group, I);
+  }
+  Stats.TrimmedCandidates += QueueLen - Keep;
+  ++Stats.Trims;
+  QueueLen = Keep;
+  maybeCompactArena();
 }
 
 //===----------------------------------------------------------------------===//
@@ -463,7 +739,11 @@ size_t CandidateStore::bytesInUse() const {
   assert(Walked == GroupListBytes && "group-list byte total out of sync");
 #endif
   return Records.capacity() * sizeof(Record) +
-         Entries.capacity() * sizeof(Entry) + Arena.capacity() +
+         Nodes.capacity() * sizeof(Node) +
+         FreshHeap.capacity() * sizeof(Fresh) +
+         GroupHeap.capacity() * sizeof(GroupSlot) +
+         PathBuckets.capacity() * sizeof(uint32_t) +
+         DirtyPaths.capacity() * sizeof(uint64_t) + Arena.capacity() +
          Groups.capacity() * sizeof(Group) +
          FreeGroups.capacity() * sizeof(uint32_t) + GroupListBytes;
 }

@@ -8,8 +8,7 @@
 /// The candidate priority queue of Algorithm 1, stored compactly: a
 /// queued candidate is a 40-byte POD record (parent id, splice point,
 /// suffix slice in a shared byte arena, input hash) instead of an owned
-/// std::string, and the heap itself is an array of 24-byte
-/// (Key, Base, CandidateId, Group) entries. A candidate's full input
+/// std::string, plus one 24-byte heap node. A candidate's full input
 /// bytes exist only on demand — materialize() walks the parent chain and
 /// reassembles the prefix + suffix segments — so queue memory is
 /// O(candidates + distinct-suffix-bytes) instead of O(candidates x
@@ -20,25 +19,41 @@
 /// *group* holding the list plus the run-constant heuristic terms
 /// (average stack depth, path hash, parent-chain base). A score is the
 /// sum of a run term shared by the whole group and a candidate term fixed
-/// at push (see core/Heuristic.h), so a rescore walks the live groups
-/// once — filtering each list and looking its path count up once — and
-/// then streams over the heap setting each entry's score to Base + the
-/// group's run term without touching the records.
+/// at push (see core/Heuristic.h). The queue is built on that split:
+///
+///   - each group keeps its rescored members in a pairing heap keyed by
+///     the candidate term alone — adding the same run term to every
+///     member does not change their order;
+///   - one indexed heap orders the groups by run term + best member;
+///   - candidates pushed since the last rescore wait in a small side heap
+///     under their push-time scores, which can differ from candidate +
+///     run term (the requeue penalty, the captured branch count, the
+///     path count at push time), just as in the reference of
+///     tests/core/ReferencePFuzzer.h. pop() takes the larger of the two
+///     tops.
+///
+/// A rescore pass drains the side heap into the groups. When nothing but
+/// path counts moved since the last pass, it re-terms only the groups on
+/// the paths the campaign reported (pathCountMoved) and sifts each once;
+/// when vBr grew, a trim is due or the path table decayed, it re-terms
+/// every live group, trims, and rebuilds the group heap.
 ///
 /// Pop order: highest score first; among equal scores, the earlier push
 /// first. Every push gets the next sequence number, and the order is a
 /// total order on (score, sequence), so pops, trim survivors (a trim keeps
 /// the first MaxQueue / 2 candidates in this order) and the shard export
-/// (exportTop, the next pop) do not depend on how the heap arranges its
-/// array. Any structure that pops the maximal (score, sequence) yields the
-/// same campaign; tests/core/PFuzzerOracleTest.cpp checks the campaign
+/// (exportTop, the next pop) do not depend on how the heaps arrange their
+/// arrays. Any structure that pops the maximal (score, sequence) yields
+/// the same campaign; tests/core/PFuzzerOracleTest.cpp checks the campaign
 /// against an independent reference built on an ordered set. Scores
 /// themselves are exact: (a) push-time scores come from the run's
 /// captured (unfiltered) branch count, (b) filtering a group's list in
 /// place equals filtering each candidate's own copy, because vBr only
 /// grows — filter(filter(L, vBr1), vBr2) == filter(L, vBr2) whenever vBr1
-/// is a subset of vBr2 — and (c) every score is a half-integer small
-/// enough for the packed key to hold exactly (see Entry). See DESIGN.md
+/// is a subset of vBr2 — (c) a group's run term is a function of its
+/// filtered list and its capped path count alone, so a pass that saw
+/// neither change keeps it, and (d) every score is a half-integer small
+/// enough for the packed key to hold exactly (see Node). See DESIGN.md
 /// section 14.
 ///
 //===----------------------------------------------------------------------===//
@@ -70,8 +85,14 @@ using PathCountMap = FlatHashMap<uint32_t>;
 struct QueueStats {
   /// Candidates pushed into the queue (substitutions + requeues).
   uint64_t Pushes = 0;
-  /// Full rescore passes over the queue.
+  /// Rescore passes over the queue, full and incremental.
   uint64_t Rescores = 0;
+  /// Passes that re-termed every live group because vBr grew, a trim was
+  /// due or the path table decayed since the previous pass.
+  uint64_t FullRescores = 0;
+  /// Groups re-termed by incremental passes (live groups on a path whose
+  /// capped count moved).
+  uint64_t DirtyGroups = 0;
   /// Wall time spent inside rescore passes.
   uint64_t RescoreNanos = 0;
   /// Group branch lists filtered across all rescores.
@@ -125,7 +146,7 @@ public:
   };
 
   /// Longest input the store accepts: it keeps every candidate term
-  /// below 2^22 in magnitude, the Entry key precondition. PFuzzer rejects
+  /// below 2^22 in magnitude, the Node key precondition. PFuzzer rejects
   /// a FuzzerOptions::MaxInputLen above it.
   static constexpr uint32_t MaxExactInputLen = 1u << 20;
 
@@ -201,15 +222,30 @@ public:
   /// queue pin transfers to the caller).
   Popped pop(std::string &InputOut);
 
-  size_t queueSize() const;
-  bool empty() const { return queueSize() == 0; }
+  size_t queueSize() const { return QueueLen; }
+  bool empty() const { return QueueLen == 0; }
 
-  /// Re-filters every queued candidate's new-branch list against \p VBr
-  /// and recomputes all scores (Algorithm 1 lines 40-43); enforces the
-  /// queue cap by keeping the first MaxQueue / 2 candidates in pop order
-  /// when exceeded. Returns true when a trim happened (the campaign
-  /// resets its requeue counters on trim).
+  /// Gives every queued candidate the score its current features earn:
+  /// new-branch list filtered against \p VBr, path count from
+  /// \p PathCounts (Algorithm 1 lines 40-43). Enforces the queue cap by
+  /// keeping the first MaxQueue / 2 candidates in pop order when
+  /// exceeded. Returns true when a trim happened (the campaign resets its
+  /// requeue counters on trim).
+  ///
+  /// The pass re-terms only the groups whose term can have moved, so the
+  /// caller must report every change to \p PathCounts between passes
+  /// that moves a capped count (pathCountMoved) and every decay
+  /// (pathCountsDecayed). \p VBr must only grow.
   bool rescore(const BranchCoverageMap &VBr, const PathCountMap &PathCounts);
+
+  /// Records that min(count, PathPenaltyCap) of \p PathHash moved since
+  /// the last pass, so the next pass re-terms the groups on that path.
+  /// Only needed while HeuristicOptions::PathNovelty is on.
+  void pathCountMoved(uint64_t PathHash) { DirtyPaths.push_back(PathHash); }
+
+  /// Records that the path table decayed: the next pass re-terms every
+  /// group.
+  void pathCountsDecayed() { PathsDecayed = true; }
 
   //===--------------------------------------------------------------------===//
   // Shard export
@@ -280,14 +316,14 @@ private:
                 "Record outgrew its slot; the queue-memory math in "
                 "DESIGN.md section 14 assumes 40-byte records");
 
-  /// One heap element. Key packs the entry's place in the pop order into
-  /// one integer, so the heap compares entries with a single unsigned
-  /// comparison: the top KeyScoreBits hold 2 * score + KeyBias, the low
-  /// KeySeqBits hold the inverted push sequence number (an earlier push
-  /// gets the larger value). Keys are unique. Base is the candidate term
-  /// and Group the record's group, so a rescore rewrites the score bits
-  /// as 2 * Base + Groups[Group].TwiceRunTerm without reading the record
-  /// and keeps the sequence bits.
+  /// One queued candidate in the heaps. Key packs the candidate's place
+  /// in its group into one integer, so heaps compare nodes with a single
+  /// unsigned comparison: the top KeyScoreBits hold 2 * candidate term +
+  /// KeyBias, the low KeySeqBits hold the inverted push sequence number
+  /// (an earlier push gets the larger value). Adding twice the group's
+  /// run term to the score bits (fullKey) gives the candidate's place in
+  /// the pop order; keys are unique. Free nodes have Id None and chain
+  /// through Sibling. Child and Sibling link the group's pairing heap.
   ///
   /// Exactness precondition: candidate terms are integers below 2^22 in
   /// magnitude (inputs are at most MaxExactInputLen bytes) and run terms
@@ -295,17 +331,34 @@ private:
   /// 2^24 in magnitude and the biased value fits KeyScoreBits. Asserted on
   /// every pushed score and candidate term and on every run term a
   /// rescore computes; the sequence number is asserted below 2^KeySeqBits.
-  struct Entry {
+  struct Node {
     uint64_t Key = 0;
-    int32_t Base = 0;
-    uint32_t Id = 0;
-    uint32_t Group = 0;
+    uint32_t Id = None;
+    uint32_t Group = None;
+    uint32_t Child = None;
+    uint32_t Sibling = None;
   };
   static constexpr unsigned KeySeqBits = 39;
   static constexpr unsigned KeyScoreBits = 64 - KeySeqBits;
   static constexpr uint64_t KeySeqMask = (uint64_t(1) << KeySeqBits) - 1;
   static constexpr int64_t KeyBias = int64_t(1) << (KeyScoreBits - 1);
-  static_assert(sizeof(Entry) == 24, "heap entry outgrew its 24-byte slot");
+  static_assert(sizeof(Node) == 24, "heap node outgrew its 24-byte slot");
+
+  /// A side-heap element: a node pushed since the last pass, under its
+  /// push-time key (push score bits, the node's sequence bits).
+  struct Fresh {
+    uint64_t Key;
+    uint32_t NodeId;
+  };
+
+  /// A group-heap element: a group with settled members, the root of
+  /// their pairing heap, and the group's full key (the root's key plus
+  /// the run term). Groups[Group].HeapPos points back at it.
+  struct GroupSlot {
+    uint64_t Key;
+    uint32_t Group;
+    uint32_t Root;
+  };
 
   /// Run-constant data shared by all candidates of one executed run.
   struct Group {
@@ -314,14 +367,23 @@ private:
     std::vector<uint32_t> Branches;
     uint64_t FilterEpoch = 0;
     uint64_t PathHash = 0;
-    double AvgStack = 0;
+    /// A half-integer, so a float holds it exactly (asserted in makeRun).
+    float AvgStack = 0;
     uint32_t NumParentsBase = 0;
-    uint32_t Members = 0;
-    /// Twice the run term of the last rescore pass (live groups only);
-    /// an integer because the run term is a half-integer.
+    /// Pins: one per queued member, settled or fresh, plus the run's own
+    /// until releaseRun. The slot is recycled when it reaches zero.
+    uint32_t Refs = 0;
+    /// Twice the run term (an integer: the run term is a half-integer),
+    /// current while the group is in the group heap.
     int32_t TwiceRunTerm = 0;
-    bool RunPinned = false;
+    /// The group's slot in GroupHeap; None when it has no settled
+    /// members, which is exactly when it is outside the heap and the path
+    /// index.
+    uint32_t HeapPos = None;
+    /// Next group in the path index's bucket chain.
+    uint32_t PathNext = None;
   };
+  static_assert(sizeof(Group) == 64, "group outgrew its 64-byte slot");
 
   uint32_t allocRecord();
   void freeRecord(uint32_t Id);
@@ -332,6 +394,44 @@ private:
   void materialize(uint32_t Id, std::string &Out) const;
   void maybeCompactArena();
 
+  /// Whether the next pop comes from the side heap rather than the
+  /// group heap.
+  bool freshOnTop() const;
+
+  /// \p Key with \p TwiceRunTerm added to its score bits.
+  static uint64_t fullKey(uint64_t Key, int32_t TwiceRunTerm);
+
+  // Pairing heaps of group members, linked through the node pool.
+  uint32_t meld(uint32_t A, uint32_t B);
+  uint32_t mergePairs(uint32_t First);
+
+  // The indexed group heap.
+  uint64_t slotKey(const GroupSlot &S) const;
+  void placeSlot(size_t Pos, GroupSlot S);
+  void siftUp(size_t Pos);
+  void siftDown(size_t Pos);
+  /// Appends a slot for \p GroupId with \p Root (key unset, heap order
+  /// not restored).
+  void appendSlot(uint32_t GroupId, uint32_t Root);
+  /// Adds node \p NodeId to the settled members of \p GroupId;
+  /// appendSlot for a group outside the heap.
+  void settle(uint32_t GroupId, uint32_t NodeId);
+
+  // The path index.
+  uint32_t &pathBucket(uint64_t PathHash);
+  void linkPath(uint32_t GroupId);
+  void unlinkPath(uint32_t GroupId);
+  void rebuildPathIndex();
+
+  /// Filters \p G's list against \p VBr when it is stale and recomputes
+  /// its run term.
+  void reterm(Group &G, const BranchCoverageMap &VBr,
+              const PathCountMap &PathCounts);
+  void fullPass(const BranchCoverageMap &VBr, const PathCountMap &PathCounts);
+  void incrementalPass(const BranchCoverageMap &VBr,
+                       const PathCountMap &PathCounts);
+  void trim();
+
   const size_t MaxQueue;
   const HeuristicOptions Heur;
 
@@ -339,7 +439,23 @@ private:
   /// Head of the intrusive free list threaded through freed records'
   /// Parent fields — no side vector of free ids.
   uint32_t FreeHead = None;
-  std::vector<Entry> Entries;
+  /// Node pool (one node per queued candidate) and its free list.
+  std::vector<Node> Nodes;
+  uint32_t FreeNode = None;
+  size_t QueueLen = 0;
+  /// Max-heap of the nodes pushed since the last pass.
+  std::vector<Fresh> FreshHeap;
+  /// Max-heap of the groups with settled members.
+  std::vector<GroupSlot> GroupHeap;
+  /// The path index: a chained hash table of the groups in the group
+  /// heap, bucketed by PathHash and linked through PathNext.
+  /// Holds at least one bucket per indexed group.
+  std::vector<uint32_t> PathBuckets;
+  /// Paths reported by pathCountMoved since the last pass.
+  std::vector<uint64_t> DirtyPaths;
+  bool PathsDecayed = false;
+  /// vBr epoch at the last pass.
+  uint64_t PassEpoch = 0;
   std::vector<Group> Groups;
   std::vector<uint32_t> FreeGroups;
   ByteArena Arena;

@@ -19,10 +19,9 @@ double pfuzz::runTerm(uint32_t NewBranches, double AvgStackSize,
   if (Opt.ParentCountTerm)
     Term -= NumParents;
   // Path-novelty ranking (Section 3.2): inputs whose parse path was seen
-  // often sink in the queue. Capped so a hot path cannot dominate the
-  // coverage signal entirely.
+  // often sink in the queue, up to the cap.
   if (Opt.PathNovelty)
-    Term -= std::min<uint32_t>(PathCount, 24);
+    Term -= std::min(PathCount, PathPenaltyCap);
   return Term;
 }
 

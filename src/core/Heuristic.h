@@ -67,11 +67,25 @@ struct HeuristicInputs {
   uint32_t PathCount = 0;
 };
 
+/// Where the path penalty saturates: a path taken this often already
+/// ranks as hot as any, so a hot path cannot drown the coverage signal.
+/// Counts at or above it leave every score unchanged, so the campaign
+/// reports only below-cap count moves to the candidate store.
+constexpr uint32_t PathPenaltyCap = 24;
+
 /// The run-constant part of the score: |branches \ vBr| - avgStackSize -
-/// numParents - min(pathCount, 24). \p NumParents is the run's own
-/// parent-chain length; a candidate's extra link is in candidateTerm.
+/// numParents - min(pathCount, PathPenaltyCap). \p NumParents is the
+/// run's own parent-chain length; a candidate's extra link is in
+/// candidateTerm.
 double runTerm(uint32_t NewBranches, double AvgStackSize, uint32_t NumParents,
                uint32_t PathCount, const HeuristicOptions &Opt);
+
+/// Whether one more execution of a path taken \p CountBefore times moves
+/// runTerm: the penalty is on and has not saturated yet.
+inline bool pathPenaltyMoves(uint32_t CountBefore,
+                             const HeuristicOptions &Opt) {
+  return Opt.PathNovelty && CountBefore < PathPenaltyCap;
+}
 
 /// The push-time part of the score: -len(input) + 2 * len(replacement) -
 /// \p ParentDelta. Always an integer.

@@ -121,9 +121,9 @@ private:
                      const RunStats &Stats, uint32_t ParentCount,
                      uint32_t ParentRec);
 
-  /// Recomputes all queue scores against the grown vBr (lines 40-43) and
-  /// enforces the queue cap; a trim also resets oversized requeue
-  /// counters, as before.
+  /// Brings every queue score up to date with vBr (lines 40-43) and the
+  /// path counts, and enforces the queue cap; a trim also resets
+  /// oversized requeue counters, as before.
   void rescoreQueue() {
     TELEMETRY_SPAN("rescore");
     if (Store.rescore(VBr, PathCounts) &&
@@ -150,11 +150,15 @@ private:
   /// halving all counts and dropping the zeros keeps it capped while
   /// preserving the ranking's shape — hot paths stay hot relative to
   /// cold ones, and a count that decayed to zero had already stopped
-  /// mattering (the score term saturates at 24). Each count's fate
-  /// depends on that count alone, so decay is independent of the table's
-  /// layout.
+  /// mattering (the score term saturates at PathPenaltyCap). Each
+  /// count's fate depends on that count alone, so decay is independent
+  /// of the table's layout. The store hears of every change that can
+  /// move a score, so its next rescore re-terms just those groups.
   void notePath(uint64_t PathHash) {
-    ++PathCounts[PathHash];
+    uint32_t &Seen = PathCounts[PathHash];
+    if (pathPenaltyMoves(Seen, Heur))
+      Store.pathCountMoved(PathHash);
+    ++Seen;
     Store.Stats.PeakPathTable =
         std::max<uint64_t>(Store.Stats.PeakPathTable, PathCounts.size());
     if (PathCounts.size() <= Config.MaxQueue)
@@ -164,6 +168,7 @@ private:
       return Count != 0;
     });
     ++Store.Stats.PathDecays;
+    Store.pathCountsDecayed();
   }
 
   /// Fills Expansions with the possible replacement strings a comparison
@@ -823,6 +828,12 @@ FuzzReport PFuzzer::run(const Subject &S, const FuzzerOptions &Opts) {
   if (Opts.MaxInputLen > CandidateStore::MaxExactInputLen)
     throw std::invalid_argument(
         "pfuzzer: MaxInputLen exceeds CandidateStore::MaxExactInputLen");
+  // A trim keeps MaxQueue / 2 candidates: below 2 it would keep none, and
+  // every push would trigger a pass.
+  if (Options.MaxQueue < 2)
+    throw std::invalid_argument("pfuzzer: MaxQueue must be at least 2");
+  if (Options.Shards == 0)
+    throw std::invalid_argument("pfuzzer: Shards must be at least 1");
   if (Options.Shards > 1)
     return runSharded(S, Opts, Options);
   // Unsharded: the plain sequential engine.

@@ -81,6 +81,7 @@ struct PFuzzerOptions {
   /// the path-count table, whose entries decay when it outgrows the cap.
   /// A knob mainly so tests can exercise trim pressure and path decay on
   /// small campaigns; the default matches the historical constant.
+  /// PFuzzer::run throws std::invalid_argument below 2.
   size_t MaxQueue = 100000;
 
   /// Shard count of the campaign. 1 (the default) runs the plain
@@ -96,7 +97,8 @@ struct PFuzzerOptions {
   ///
   /// Shard loops run on dedicated threads, all started at once: a shard
   /// blocks at epoch boundaries waiting for peers, so every peer must be
-  /// running for the waited-on packet to arrive.
+  /// running for the waited-on packet to arrive. PFuzzer::run throws
+  /// std::invalid_argument for 0.
   uint32_t Shards = 1;
 
   /// Executions per shard between synchronization epochs (delta publish

@@ -157,3 +157,18 @@ TEST(HeuristicTest, RunTermPlusCandidateTermIsTheScoreExactly) {
     EXPECT_EQ(Split, Score);
   }
 }
+
+TEST(HeuristicTest, PathPenaltyMovesExactlyWhenRunTermDoes) {
+  // The campaign reports a path to the candidate store only when
+  // pathPenaltyMoves says one more execution changes the run term; the
+  // store's incremental rescore is exact only if that is never wrong.
+  for (bool PathNovelty : {true, false}) {
+    HeuristicOptions Opt;
+    Opt.PathNovelty = PathNovelty;
+    for (uint32_t Count = 0; Count != 2 * PathPenaltyCap; ++Count)
+      EXPECT_EQ(pathPenaltyMoves(Count, Opt),
+                runTerm(3, 1.5, 2, Count + 1, Opt) !=
+                    runTerm(3, 1.5, 2, Count, Opt))
+          << "count " << Count << " novelty " << PathNovelty;
+  }
+}

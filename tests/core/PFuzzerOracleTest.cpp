@@ -9,10 +9,12 @@
 /// tests/core/ReferencePFuzzer.h: on every evaluation subject, under the
 /// default cap, caps small enough to trim, a cap small enough to decay
 /// the path table, every heuristic ablation and the reset-on-valid
-/// continuation, both produce byte-identical FuzzReports. The engine's compact store, group-factored
-/// rescore and flat side tables are representation only; the pop order
-/// (highest score, then earliest push) is the one thing they must agree
-/// on with the reference's ordered set.
+/// continuation, both produce byte-identical FuzzReports; so do longer
+/// json and mjs campaigns where incremental rescore passes dominate. The
+/// engine's compact store, group-factored and incremental rescore and
+/// flat side tables are representation only; the pop order (highest
+/// score, then earliest push) is the one thing they must agree on with
+/// the reference's ordered set.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +53,36 @@ HeuristicOptions ablated(unsigned OffMask) {
 /// The cap of the decay config.
 constexpr size_t DecayCap = 64;
 
+/// Runs the engine and the reference on one cell and compares reports,
+/// trims and decays. Returns the engine's queue stats.
+QueueStats expectMatchesReference(const Subject &S, const OracleConfig &C,
+                                  uint64_t Execs) {
+  FuzzerOptions Opts;
+  Opts.Seed = 1;
+  Opts.MaxExecutions = Execs;
+  TelemetrySnapshot Telemetry;
+  PFuzzerOptions Config;
+  Config.MaxQueue = C.MaxQueue;
+  Config.Heur = C.Heur;
+  Config.ResetOnValid = C.ResetOnValid;
+  Config.TelemetryOut = &Telemetry;
+  FuzzReport Engine = PFuzzer(Config).run(S, Opts);
+  ReferencePFuzzer Reference(S, Opts, Config);
+  FuzzReport Expected = Reference.run();
+  EXPECT_EQ(Engine.Executions, Expected.Executions);
+  EXPECT_EQ(Engine.ValidInputs, Expected.ValidInputs);
+  EXPECT_EQ(Engine.ValidBranches, Expected.ValidBranches);
+  EXPECT_EQ(Engine.CoverageTimeline, Expected.CoverageTimeline);
+  EXPECT_EQ(Telemetry.Queue.Trims, Reference.Trims);
+  EXPECT_EQ(Telemetry.Queue.PathDecays, Reference.PathDecays);
+  // The decay config must exercise what it exists for.
+  if (C.MaxQueue == DecayCap) {
+    EXPECT_GT(Reference.PathDecays, 0u);
+    EXPECT_GT(Reference.Trims, 0u);
+  }
+  return Telemetry.Queue;
+}
+
 } // namespace
 
 TEST(PFuzzerOracleTest, ReportsMatchReferenceAcrossConfigs) {
@@ -70,29 +102,31 @@ TEST(PFuzzerOracleTest, ReportsMatchReferenceAcrossConfigs) {
   for (const Subject *S : evaluationSubjects()) {
     for (const OracleConfig &C : Configs) {
       SCOPED_TRACE(std::string(S->name()) + " config " + C.Name);
-      FuzzerOptions Opts;
-      Opts.Seed = 1;
-      Opts.MaxExecutions = S == &jsonSubject() ? 3000 : 1500;
-      TelemetrySnapshot Telemetry;
-      PFuzzerOptions Config;
-      Config.MaxQueue = C.MaxQueue;
-      Config.Heur = C.Heur;
-      Config.ResetOnValid = C.ResetOnValid;
-      Config.TelemetryOut = &Telemetry;
-      FuzzReport Engine = PFuzzer(Config).run(*S, Opts);
-      ReferencePFuzzer Reference(*S, Opts, Config);
-      FuzzReport Expected = Reference.run();
-      EXPECT_EQ(Engine.Executions, Expected.Executions);
-      EXPECT_EQ(Engine.ValidInputs, Expected.ValidInputs);
-      EXPECT_EQ(Engine.ValidBranches, Expected.ValidBranches);
-      EXPECT_EQ(Engine.CoverageTimeline, Expected.CoverageTimeline);
-      EXPECT_EQ(Telemetry.Queue.Trims, Reference.Trims);
-      EXPECT_EQ(Telemetry.Queue.PathDecays, Reference.PathDecays);
-      // The decay config must exercise what it exists for.
-      if (C.MaxQueue == DecayCap) {
-        EXPECT_GT(Reference.PathDecays, 0u);
-        EXPECT_GT(Reference.Trims, 0u);
-      }
+      expectMatchesReference(*S, C, S == &jsonSubject() ? 3000 : 1500);
+    }
+  }
+}
+
+TEST(PFuzzerOracleTest, LongerCampaignsWhereIncrementalPassesDominate) {
+  // The cells above stop after fewer than ten rescore passes. These run
+  // long enough for most passes to be incremental (only path counts
+  // moved) between the full ones that vBr growth, trims and decays force.
+  struct Cell {
+    const Subject *S;
+    OracleConfig C;
+    uint64_t Execs;
+  };
+  const Cell Cells[] = {
+      {&jsonSubject(), {"default"}, 30000},
+      {&mjsSubject(), {"default"}, 15000},
+      {&mjsSubject(), {"decay-64", DecayCap}, 15000},
+  };
+  for (const Cell &L : Cells) {
+    SCOPED_TRACE(std::string(L.S->name()) + " config " + L.C.Name);
+    QueueStats Q = expectMatchesReference(*L.S, L.C, L.Execs);
+    EXPECT_GT(Q.DirtyGroups, 0u);
+    if (L.C.MaxQueue != DecayCap) {
+      EXPECT_GT(Q.Rescores - Q.FullRescores, Q.FullRescores);
     }
   }
 }

@@ -8,18 +8,23 @@
 /// The contract of the compact candidate store (core/CandidateStore.h):
 /// its pop order — highest score first, the earlier push first among
 /// equal scores — through pushes, rescores, trims and the shard export;
-/// materialization chains; trim + arena compaction; and the PathCounts
-/// decay regression. The campaign-level identity check against an
-/// independent reference lives in PFuzzerOracleTest.
+/// materialization chains; trim + arena compaction; the PathCounts decay
+/// regression; and a differential test of random operation sequences
+/// against a naive model that recomputes every score at every pass. The
+/// campaign-level identity check against an independent reference lives
+/// in PFuzzerOracleTest.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/CandidateStore.h"
 #include "core/PFuzzer.h"
 #include "subjects/Subject.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -292,4 +297,263 @@ TEST(PFuzzerQueueStoreTest, RescoredScoresEqualHeuristicOfFeatures) {
   }
   EXPECT_TRUE(Store.empty());
   Store.release(Root);
+}
+
+namespace {
+
+/// The store's contract without its machinery: a vector of candidates,
+/// each with its own copy of its run's branch list. A pass recomputes
+/// every score from the features; between passes a pushed candidate
+/// keeps its push score. Pops take the maximal (score, earliest push).
+class NaiveQueue {
+public:
+  struct Run {
+    std::vector<uint32_t> Branches;
+    double AvgStack;
+    uint32_t NumParents;
+    uint64_t PathHash;
+  };
+  struct Candidate {
+    uint64_t Seq;
+    double Score;
+    int64_t Base;
+    size_t Run;
+    uint64_t Hash;
+    std::string Bytes;
+  };
+
+  NaiveQueue(size_t MaxQueue, const HeuristicOptions &Heur)
+      : MaxQueue(MaxQueue), Heur(Heur) {}
+
+  std::vector<Run> Runs;
+  std::vector<Candidate> Queue;
+
+  uint32_t pathCount(const PathCountMap &PathCounts, uint64_t Path) const {
+    const uint32_t *Count = PathCounts.find(Path);
+    return Count ? *Count : 0;
+  }
+
+  double runTermOf(const Run &R, const BranchCoverageMap &VBr,
+                   const PathCountMap &PathCounts) const {
+    uint32_t Fresh = 0;
+    for (uint32_t B : R.Branches)
+      Fresh += !VBr.test(B);
+    return runTerm(Fresh, R.AvgStack, R.NumParents,
+                   pathCount(PathCounts, R.PathHash), Heur);
+  }
+
+  void push(size_t RunIdx, double Score, int64_t Base, uint64_t Hash,
+            std::string Bytes) {
+    Queue.push_back({NextSeq++, Score, Base, RunIdx, Hash, std::move(Bytes)});
+  }
+
+  static bool before(const Candidate &A, const Candidate &B) {
+    return A.Score != B.Score ? A.Score > B.Score : A.Seq < B.Seq;
+  }
+
+  const Candidate &top() const {
+    return *std::min_element(Queue.begin(), Queue.end(), before);
+  }
+
+  Candidate pop() {
+    auto It = std::min_element(Queue.begin(), Queue.end(), before);
+    Candidate C = *It;
+    Queue.erase(It);
+    return C;
+  }
+
+  bool rescore(const BranchCoverageMap &VBr, const PathCountMap &PathCounts) {
+    for (Candidate &C : Queue)
+      C.Score = runTermOf(Runs[C.Run], VBr, PathCounts) +
+                static_cast<double>(C.Base);
+    if (Queue.size() <= MaxQueue)
+      return false;
+    std::sort(Queue.begin(), Queue.end(), before);
+    Queue.resize(MaxQueue / 2);
+    return true;
+  }
+
+private:
+  size_t MaxQueue;
+  HeuristicOptions Heur;
+  uint64_t NextSeq = 0;
+};
+
+/// Drives one random interleaving of store operations against the naive
+/// model, comparing every pop and export. Counts, for the caller's
+/// coverage checks, the run slots the store recycled after its first
+/// pass.
+void runDifferential(uint64_t Seed, QueueStats &Stats, uint64_t &Recycled) {
+  constexpr size_t MaxQueue = 32;
+  HeuristicOptions Heur;
+  CandidateStore Store(MaxQueue, Heur);
+  NaiveQueue Model(MaxQueue, Heur);
+  BranchCoverageMap VBr;
+  PathCountMap PathCounts;
+  Rng R(Seed);
+  // Few paths, so groups share them; counts start around the cap so
+  // bumps land just below and just above it.
+  const uint64_t Paths[] = {0x11, 0x22, 0x33, 0x44, 0x55};
+  const uint32_t StartCounts[] = {0, 21, 22, 23, 24};
+  for (size_t I = 0; I != 5; ++I)
+    if (StartCounts[I] > 0)
+      PathCounts[Paths[I]] = StartCounts[I];
+  const std::string RootBytes = "abcdef";
+  uint32_t Root = Store.internRoot(RootBytes, 0x1);
+  struct Open {
+    uint32_t Run;
+    size_t ModelRun;
+    uint32_t Requeues = 0;
+  };
+  std::vector<Open> Pinned;
+  std::set<uint32_t> SeenRuns;
+  uint64_t NextHash = 0x100;
+  std::string Out;
+
+  auto rescore = [&] {
+    bool Trimmed = Store.rescore(VBr, PathCounts);
+    ASSERT_EQ(Trimmed, Model.rescore(VBr, PathCounts));
+    ASSERT_EQ(Store.queueSize(), Model.Queue.size());
+  };
+  auto openRun = [&] {
+    NaiveQueue::Run MR;
+    for (uint64_t N = R.below(5); N-- > 0;)
+      MR.Branches.push_back(static_cast<uint32_t>(R.below(48)));
+    std::sort(MR.Branches.begin(), MR.Branches.end());
+    MR.Branches.erase(std::unique(MR.Branches.begin(), MR.Branches.end()),
+                      MR.Branches.end());
+    MR.AvgStack = static_cast<double>(R.below(7)) / 2;
+    MR.NumParents = static_cast<uint32_t>(R.below(4));
+    MR.PathHash = Paths[R.below(5)];
+    std::vector<uint32_t> Fresh;
+    for (uint32_t B : MR.Branches)
+      if (!VBr.test(B))
+        Fresh.push_back(B);
+    uint32_t Run = Store.makeRun(Fresh, VBr.epoch(), MR.AvgStack,
+                                 MR.PathHash, MR.NumParents);
+    if (!SeenRuns.insert(Run).second && Store.Stats.Rescores > 0)
+      ++Recycled;
+    Model.Runs.push_back(MR);
+    Pinned.push_back({Run, Model.Runs.size() - 1});
+  };
+  auto push = [&] {
+    if (Pinned.empty())
+      openRun();
+    Open &O = Pinned[R.below(Pinned.size())];
+    const NaiveQueue::Run &MR = Model.Runs[O.ModelRun];
+    // The push-time run term, as the campaign computes it: the run's
+    // captured count and the current path count.
+    uint32_t Captured = 0;
+    for (uint32_t B : MR.Branches)
+      Captured += !VBr.test(B);
+    double Term = runTerm(Captured, MR.AvgStack, MR.NumParents,
+                          Model.pathCount(PathCounts, MR.PathHash), Heur);
+    uint64_t Hash = NextHash++;
+    if (R.chance(1, 4)) {
+      // A requeued prefix: the parent byte for byte, penalised by its
+      // retry count.
+      int64_t Base = candidateTerm(6, 1, /*ParentDelta=*/0, Heur);
+      double Score = Term + static_cast<double>(Base) - ++O.Requeues;
+      Store.push(O.Run, Root, RootBytes, 6, std::string_view(), Hash, 1, 0,
+                 Score);
+      Model.push(O.ModelRun, Score, Base, Hash, RootBytes);
+    } else {
+      size_t SpliceAt = R.below(7);
+      std::string Suffix(1 + R.below(2), static_cast<char>('p' + R.below(4)));
+      uint32_t RepLen = static_cast<uint32_t>(Suffix.size());
+      int64_t Base = candidateTerm(static_cast<uint32_t>(SpliceAt + RepLen),
+                                   RepLen, /*ParentDelta=*/1, Heur);
+      double Score = Term + static_cast<double>(Base);
+      Store.push(O.Run, Root, RootBytes, SpliceAt, Suffix, Hash, RepLen, 1,
+                 Score);
+      Model.push(O.ModelRun, Score, Base, Hash,
+                 RootBytes.substr(0, SpliceAt) + Suffix);
+    }
+    if (Store.queueSize() > MaxQueue)
+      rescore();
+  };
+
+  for (int Step = 0; Step != 4000; ++Step) {
+    uint64_t Op = R.below(100);
+    if (Op < 40) {
+      push();
+    } else if (Op < 60) {
+      if (Store.empty()) {
+        ASSERT_TRUE(Model.Queue.empty());
+        continue;
+      }
+      CandidateStore::Popped P = Store.pop(Out);
+      NaiveQueue::Candidate Want = Model.pop();
+      ASSERT_EQ(P.InputHash, Want.Hash) << "step " << Step;
+      ASSERT_EQ(P.Score, Want.Score) << "step " << Step;
+      ASSERT_EQ(Out, Want.Bytes);
+      Store.release(P.Id);
+    } else if (Op < 65) {
+      if (Store.empty())
+        continue;
+      CandidateStore::Exported Top;
+      Store.exportTop(Top);
+      ASSERT_EQ(Top.Hash, Model.top().Hash) << "step " << Step;
+      ASSERT_EQ(Top.Bytes, Model.top().Bytes);
+    } else if (Op < 72) {
+      openRun();
+    } else if (Op < 80) {
+      if (Pinned.empty())
+        continue;
+      size_t I = R.below(Pinned.size());
+      Store.releaseRun(Pinned[I].Run);
+      Pinned.erase(Pinned.begin() + static_cast<ptrdiff_t>(I));
+    } else if (Op < 90) {
+      // One execution of a path, reported as the campaign reports it.
+      uint64_t Path = Paths[R.below(5)];
+      uint32_t &Count = PathCounts[Path];
+      if (pathPenaltyMoves(Count, Heur))
+        Store.pathCountMoved(Path);
+      ++Count;
+    } else if (Op < 97) {
+      rescore();
+    } else if (Op < 99) {
+      uint32_t B = static_cast<uint32_t>(R.below(48));
+      VBr.insert(&B, &B + 1);
+    } else {
+      PathCounts.retainIf([](uint64_t, uint32_t &Count) {
+        Count /= 2;
+        return Count != 0;
+      });
+      Store.pathCountsDecayed();
+    }
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  // Drain in order.
+  rescore();
+  while (!Store.empty()) {
+    CandidateStore::Popped P = Store.pop(Out);
+    ASSERT_EQ(P.InputHash, Model.pop().Hash);
+    Store.release(P.Id);
+  }
+  for (const Open &O : Pinned)
+    Store.releaseRun(O.Run);
+  Store.release(Root);
+  Stats.accumulate(Store.Stats);
+}
+
+} // namespace
+
+TEST(PFuzzerQueueStoreTest, IncrementalRescoreMatchesNaiveModel) {
+  QueueStats Stats;
+  uint64_t Recycled = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    runDifferential(Seed, Stats, Recycled);
+    if (HasFatalFailure())
+      return;
+  }
+  // The interleavings exercised what they exist for: both kinds of pass,
+  // re-keyed groups, trims, decays and recycled run slots.
+  EXPECT_GT(Stats.Trims, 0u);
+  EXPECT_GT(Stats.FullRescores, Stats.Trims);
+  EXPECT_LT(Stats.FullRescores, Stats.Rescores);
+  EXPECT_GT(Stats.DirtyGroups, 0u);
+  EXPECT_GT(Recycled, 0u);
 }

@@ -148,7 +148,37 @@ TEST(PFuzzerTelemetryTest, CampaignRunnerAggregatesSeedSnapshots) {
   EXPECT_EQ(Cell.Telemetry.ValidInputs, Folded.ValidInputs);
   EXPECT_EQ(Cell.Telemetry.Queue.Pushes, Folded.Queue.Pushes);
   EXPECT_EQ(Cell.Telemetry.Queue.Rescores, Folded.Queue.Rescores);
+  EXPECT_EQ(Cell.Telemetry.Queue.FullRescores, Folded.Queue.FullRescores);
+  EXPECT_EQ(Cell.Telemetry.Queue.DirtyGroups, Folded.Queue.DirtyGroups);
   EXPECT_EQ(Cell.Telemetry.Queue.PeakBytes, Folded.Queue.PeakBytes);
+}
+
+TEST(PFuzzerTelemetryTest, FullRescoresCountTheFullPasses) {
+  // Rescores counts every pass; FullRescores the passes that re-termed
+  // every group, which include every pass that trimmed. The default cap
+  // never trims a short json campaign, so most of its passes re-key only
+  // the groups on moved paths; a cap of 256 trims.
+  for (size_t MaxQueue : {size_t(100000), size_t(256)}) {
+    SCOPED_TRACE("MaxQueue " + std::to_string(MaxQueue));
+    TelemetrySnapshot T;
+    PFuzzerOptions Options;
+    Options.MaxQueue = MaxQueue;
+    Options.TelemetryOut = &T;
+    FuzzerOptions Opts;
+    Opts.Seed = 1;
+    Opts.MaxExecutions = 6000;
+    PFuzzer(Options).run(jsonSubject(), Opts);
+    const QueueStats &Q = T.Queue;
+    EXPECT_GT(Q.FullRescores, 0u);
+    EXPECT_LE(Q.FullRescores, Q.Rescores);
+    EXPECT_GE(Q.FullRescores, Q.Trims);
+    if (MaxQueue == 256) {
+      EXPECT_GT(Q.Trims, 0u);
+    } else {
+      EXPECT_LT(Q.FullRescores, Q.Rescores);
+      EXPECT_GT(Q.DirtyGroups, 0u);
+    }
+  }
 }
 
 TEST(PFuzzerTelemetryTest, CampaignTelemetryIdenticalAcrossJobs) {

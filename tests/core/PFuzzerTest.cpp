@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace pfuzz;
 
 namespace {
@@ -134,4 +136,30 @@ TEST(PFuzzerTest, AblationWithoutReplacementBonusStillRuns) {
   Opts.MaxExecutions = 2000;
   FuzzReport R = Tool.run(jsonSubject(), Opts);
   EXPECT_GT(R.Executions, 0u);
+}
+
+TEST(PFuzzerTest, RejectsQueueCapBelowTwo) {
+  // A trim keeps MaxQueue / 2 candidates: a cap of 0 or 1 would keep
+  // none, and every push would trigger a rescore pass.
+  FuzzerOptions Opts;
+  Opts.MaxExecutions = 10;
+  for (size_t Cap : {0u, 1u}) {
+    PFuzzerOptions Options;
+    Options.MaxQueue = Cap;
+    EXPECT_THROW(PFuzzer(Options).run(arithSubject(), Opts),
+                 std::invalid_argument)
+        << "MaxQueue " << Cap;
+  }
+  PFuzzerOptions Options;
+  Options.MaxQueue = 2;
+  EXPECT_EQ(PFuzzer(Options).run(arithSubject(), Opts).Executions, 10u);
+}
+
+TEST(PFuzzerTest, RejectsZeroShards) {
+  FuzzerOptions Opts;
+  Opts.MaxExecutions = 10;
+  PFuzzerOptions Options;
+  Options.Shards = 0;
+  EXPECT_THROW(PFuzzer(Options).run(arithSubject(), Opts),
+               std::invalid_argument);
 }
