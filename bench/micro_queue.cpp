@@ -7,9 +7,9 @@
 /// \file
 /// Micro-benchmarks of the fuzzing loop's hot bookkeeping: branch-coverage
 /// membership tests on the dense BranchCoverageMap (the per-execution
-/// runCheck pattern), distinct-branch extraction from a run's trace, and
-/// the candidate store's full and incremental rescore passes on a
-/// json-sized queue.
+/// runCheck pattern), distinct-branch extraction from a run's trace, the
+/// candidate store's full and incremental rescore passes on a json-sized
+/// queue, and pops from groups that share a few hot parse paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -173,10 +174,51 @@ BENCHMARK(BM_StoreRescoreIncremental)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(64);
 
-// Distinct-branch extraction (RunResult::coveredBranchesUpTo), the
-// per-execution dedup runCheck and computeStats perform twice per run:
-// one epoch-stamped seen-array pass over the trace, sorting only the
-// distinct entries.
+// Pops on hot parse paths: run groups of one queued candidate each, all
+// on 4 paths (json-deep gathers thousands of groups on its hottest
+// paths), settled by one pass and popped to empty. Every pop empties its
+// group, which leaves the path index from wherever it sits in its
+// bucket's chain, so the per-pop cost must not grow with the groups per
+// path: compare sec_per_pop at the two sizes.
+static void BM_StorePopHotPath(benchmark::State &State) {
+  const uint32_t NumGroups = static_cast<uint32_t>(State.range(0));
+  const std::vector<uint32_t> NoBranches;
+  const std::string Parent(40, 'a');
+  BranchCoverageMap VBr;
+  PathCountMap PathCounts;
+  std::optional<CandidateStore> Store;
+  std::string Out;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Store.emplace(/*MaxQueue=*/2 * NumGroups, HeuristicOptions());
+    uint32_t Root = Store->internRoot(Parent, 0x1);
+    for (uint32_t G = 0; G != NumGroups; ++G) {
+      uint32_t Run = Store->makeRun(NoBranches, VBr.epoch(), (G % 9) / 2.0,
+                                    /*PathHash=*/G % 4 + 1, G % 7);
+      Store->push(Run, Root, Parent, 30 + G % 10, "x", G + 2, 1, 1,
+                  -static_cast<double>(G % 64));
+      Store->releaseRun(Run);
+    }
+    Store->rescore(VBr, PathCounts);
+    State.ResumeTiming();
+    while (!Store->empty())
+      Store->release(Store->pop(Out).Id);
+    State.PauseTiming();
+    Store->release(Root);
+    State.ResumeTiming();
+  }
+  State.counters["sec_per_pop"] = benchmark::Counter(
+      NumGroups, benchmark::Counter::kIsIterationInvariantRate |
+                     benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StorePopHotPath)
+    ->Arg(5000)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
+
+// Distinct-branch extraction (RunResult::coveredBranchesUpTo), runCheck's
+// dedup of a valid run: one epoch-stamped seen-array pass over the trace
+// (the walk computeStats makes too), sorting only the distinct entries.
 static void BM_CoveredBranchesEpochStamp(benchmark::State &State) {
   RunResult RR;
   RR.BranchTrace = traceKeys(4000, 400, 7);

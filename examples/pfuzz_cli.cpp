@@ -179,11 +179,15 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(T.FrontierSize));
     const QueueStats &Q = T.Queue;
     std::fprintf(stderr,
-                 "candidate store: %llu pushes, %llu rescores (%.1f ms,"
+                 "candidate store: %llu pushes (%llu dedup probes, %llu"
+                 " hits, %llu requeues), %llu rescores (%.1f ms,"
                  " %llu group slices), %llu trims (%llu dropped),"
                  " %llu compactions (%llu bytes reclaimed),"
                  " %llu path decays\n",
                  static_cast<unsigned long long>(Q.Pushes),
+                 static_cast<unsigned long long>(Q.DedupProbes),
+                 static_cast<unsigned long long>(Q.DedupHits),
+                 static_cast<unsigned long long>(Q.Requeues),
                  static_cast<unsigned long long>(Q.Rescores),
                  static_cast<double>(Q.RescoreNanos) / 1e6,
                  static_cast<unsigned long long>(Q.GroupsFiltered),

@@ -37,6 +37,9 @@ struct KeyGreater {
 
 void QueueStats::accumulate(const QueueStats &Other) {
   Pushes += Other.Pushes;
+  DedupProbes += Other.DedupProbes;
+  DedupHits += Other.DedupHits;
+  Requeues += Other.Requeues;
   Rescores += Other.Rescores;
   FullRescores += Other.FullRescores;
   DirtyGroups += Other.DirtyGroups;
@@ -69,6 +72,10 @@ uint32_t CandidateStore::allocRecord() {
   if (FreeHead != None) {
     uint32_t Id = FreeHead;
     FreeHead = Records[Id].Parent; // the intrusive free-list link
+    // Freed slots are scattered over the slab: fetch the next pop's now,
+    // while this one is filled.
+    if (FreeHead != None)
+      __builtin_prefetch(&Records[FreeHead], 1);
     Records[Id] = Record();
     return Id;
   }
@@ -111,7 +118,7 @@ uint32_t CandidateStore::allocGroup() {
   G.NumParentsBase = 0;
   G.Refs = 0;
   G.TwiceRunTerm = 0;
-  G.HeapPos = G.PathNext = None;
+  G.HeapPos = G.PathPrev = G.PathNext = None;
   ++LiveGroups;
   return Id;
 }
@@ -229,7 +236,8 @@ uint32_t CandidateStore::makeRun(const std::vector<uint32_t> &NewBranches,
   GroupListBytes -= G.Branches.capacity() * sizeof(uint32_t);
   G.Branches = NewBranches;
   GroupListBytes += G.Branches.capacity() * sizeof(uint32_t);
-  G.FilterEpoch = FilterEpoch;
+  assert(FilterEpoch <= UINT32_MAX && "vBr epoch outgrew Group::FilterEpoch");
+  G.FilterEpoch = static_cast<uint32_t>(FilterEpoch);
   G.PathHash = PathHash;
   G.AvgStack = static_cast<float>(AvgStack);
   assert(G.AvgStack == AvgStack && "stack depth is not an exact float");
@@ -294,6 +302,8 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
   uint32_t N = FreeNode;
   if (N != None) {
     FreeNode = Nodes[N].Sibling;
+    if (FreeNode != None)
+      __builtin_prefetch(&Nodes[FreeNode], 1); // as in allocRecord
   } else {
     // The caller trims past MaxQueue, so the pool never outgrows
     // MaxQueue + 1 nodes — clamp growth there instead of letting the
@@ -521,19 +531,32 @@ uint32_t &CandidateStore::pathBucket(uint64_t PathHash) {
 }
 
 void CandidateStore::linkPath(uint32_t GroupId) {
-  uint32_t &Head = pathBucket(Groups[GroupId].PathHash);
-  Groups[GroupId].PathNext = Head;
+  Group &G = Groups[GroupId];
+  uint32_t &Head = pathBucket(G.PathHash);
+  if (Head != None)
+    Groups[Head].PathPrev = GroupId;
+  G.PathPrev = None;
+  G.PathNext = Head;
   Head = GroupId;
 }
 
 void CandidateStore::unlinkPath(uint32_t GroupId) {
-  // Chains are short (at most one group per bucket on average), so a
-  // walk from the head replaces a back link in every group.
-  uint32_t *Link = &pathBucket(Groups[GroupId].PathHash);
-  while (*Link != GroupId)
-    Link = &Groups[*Link].PathNext;
-  *Link = Groups[GroupId].PathNext;
-  Groups[GroupId].PathNext = None;
+  // Buckets hold one group on average, but every group on one parse path
+  // shares a bucket, and a hot path gathers thousands: a walk from the
+  // head cost json-deep about 150 links per unlink. The back link makes
+  // it O(1).
+  Group &G = Groups[GroupId];
+  assert((G.PathPrev == None ? pathBucket(G.PathHash)
+                             : Groups[G.PathPrev].PathNext) == GroupId &&
+         (G.PathNext == None || Groups[G.PathNext].PathPrev == GroupId) &&
+         "path index links out of sync");
+  if (G.PathPrev == None)
+    pathBucket(G.PathHash) = G.PathNext;
+  else
+    Groups[G.PathPrev].PathNext = G.PathNext;
+  if (G.PathNext != None)
+    Groups[G.PathNext].PathPrev = G.PathPrev;
+  G.PathPrev = G.PathNext = None;
 }
 
 void CandidateStore::rebuildPathIndex() {
@@ -549,7 +572,8 @@ void CandidateStore::rebuildPathIndex() {
 
 void CandidateStore::reterm(Group &G, const BranchCoverageMap &VBr,
                             const PathCountMap &PathCounts) {
-  uint64_t Now = VBr.epoch();
+  assert(VBr.epoch() <= UINT32_MAX && "vBr epoch outgrew Group::FilterEpoch");
+  uint32_t Now = static_cast<uint32_t>(VBr.epoch());
   if (G.FilterEpoch != Now) {
     if (!G.Branches.empty()) {
       size_t Kept = 0;

@@ -83,8 +83,16 @@ using PathCountMap = FlatHashMap<uint32_t>;
 /// 1024th push, and at campaign end), so PeakBytes is a high-water mark
 /// of the sampled points, not of every instant.
 struct QueueStats {
-  /// Candidates pushed into the queue (substitutions + requeues).
+  /// Candidates pushed into the queue (substitutions + requeues +
+  /// migrations). Pushes == DedupProbes - DedupHits + Requeues.
   uint64_t Pushes = 0;
+  /// Probes of the campaign's seen-candidate set (one per substitution
+  /// candidate and per migrated candidate considered) and those that
+  /// found the candidate already seen, so it was not pushed.
+  uint64_t DedupProbes = 0;
+  uint64_t DedupHits = 0;
+  /// Requeued prefixes; they bypass the seen-candidate set.
+  uint64_t Requeues = 0;
   /// Rescore passes over the queue, full and incremental.
   uint64_t Rescores = 0;
   /// Passes that re-termed every live group because vBr grew, a trim was
@@ -365,8 +373,11 @@ private:
     /// The run's new-branch list, filtered in place at rescores (see the
     /// file comment for why that equals filtering per candidate).
     std::vector<uint32_t> Branches;
-    uint64_t FilterEpoch = 0;
     uint64_t PathHash = 0;
+    /// vBr epoch the list was last filtered at. 32 bits suffice: the epoch
+    /// advances once per newly covered outcome, and outcome keys are 32-bit
+    /// (asserted in makeRun and reterm).
+    uint32_t FilterEpoch = 0;
     /// A half-integer, so a float holds it exactly (asserted in makeRun).
     float AvgStack = 0;
     uint32_t NumParentsBase = 0;
@@ -380,7 +391,10 @@ private:
     /// members, which is exactly when it is outside the heap and the path
     /// index.
     uint32_t HeapPos = None;
-    /// Next group in the path index's bucket chain.
+    /// Neighbours in the path index's bucket chain; PathPrev is None at
+    /// the head. Linked both ways so a group leaves its chain in O(1):
+    /// every group on a hot path shares one bucket.
+    uint32_t PathPrev = None;
     uint32_t PathNext = None;
   };
   static_assert(sizeof(Group) == 64, "group outgrew its 64-byte slot");
@@ -448,8 +462,8 @@ private:
   /// Max-heap of the groups with settled members.
   std::vector<GroupSlot> GroupHeap;
   /// The path index: a chained hash table of the groups in the group
-  /// heap, bucketed by PathHash and linked through PathNext.
-  /// Holds at least one bucket per indexed group.
+  /// heap, bucketed by PathHash and doubly linked through PathPrev and
+  /// PathNext. Holds at least one bucket per indexed group.
   std::vector<uint32_t> PathBuckets;
   /// Paths reported by pathCountMoved since the last pass.
   std::vector<uint64_t> DirtyPaths;

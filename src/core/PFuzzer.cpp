@@ -12,6 +12,7 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
@@ -26,15 +27,6 @@ PFuzzer::PFuzzer(HeuristicOptions Heur) { Options.Heur = Heur; }
 PFuzzer::PFuzzer(PFuzzerOptions Options) : Options(Options) {}
 
 namespace {
-
-uint64_t hashBranches(const std::vector<uint32_t> &Branches) {
-  uint64_t H = 0xCBF29CE484222325ULL;
-  for (uint32_t B : Branches) {
-    H ^= B;
-    H *= 0x100000001B3ULL;
-  }
-  return H;
-}
 
 constexpr uint64_t FnvBasis = 0xCBF29CE484222325ULL;
 constexpr uint64_t FnvPrime = 0x100000001B3ULL;
@@ -248,10 +240,9 @@ private:
   /// as the Enqueued set above.
   FlatHashMap<uint32_t> RequeueCounts;
   uint64_t LastRescore = 0;
-  /// Reusable scratch for per-run distinct-branch extraction; cleared,
+  /// Reusable scratch for runCheck's distinct-branch extraction; cleared,
   /// never reallocated, on each execution.
   std::vector<uint32_t> CoveredScratch;
-  std::vector<uint32_t> UpToScratch;
   /// Per-run not-yet-covered list, handed to the store's makeRun;
   /// recycled across runs (the store copies it).
   std::vector<uint32_t> FreshScratch;
@@ -263,6 +254,22 @@ private:
   /// comparisons so addInputs allocates nothing per event.
   std::vector<std::string_view> Expansions;
   std::string RangeChars;
+  /// One candidate of the current addInputs call: Input[0, SpliceAt) +
+  /// the replacement Bytes[Ofs, Ofs + Len). Bytes is RR's event arena or
+  /// RangeCopies; offsets, not views, because RangeCopies grows.
+  struct Candidate {
+    uint64_t Hash;
+    const std::string *Bytes;
+    uint32_t Ofs;
+    uint32_t Len;
+    uint32_t SpliceAt;
+  };
+  /// The current addInputs call's candidates and the CharRange
+  /// replacement bytes among them; recycled across calls.
+  std::vector<Candidate> Candidates;
+  std::string RangeCopies;
+  /// The random-extension input (line 15), recycled across iterations.
+  std::string EInp;
   /// Shard-sync endpoint, or null when this campaign is unsharded.
   ShardEndpoint *Sync;
   /// Epoch boundaries crossed so far (== packets published).
@@ -312,8 +319,13 @@ FuzzReport Campaign::run() {
         Store.releaseRun(Stats.Run);
         break;
       }
-      std::string EInp = Input + randomChar(); // line 15
-      uint64_t EHash = hashInput(EInp);
+      // Line 15. The FNV-1a state of Input extends by the one new
+      // character; no string is built or rehashed.
+      assert(InputHash == hashInput(Input) && "stale current-input hash");
+      char C = randomChar();
+      EInp.assign(Input);
+      EInp.push_back(C);
+      uint64_t EHash = extendHash(InputHash, std::string_view(&C, 1));
       // Line 9-12: run the extended input; whether it turned out valid or
       // not, its comparisons seed the next substitutions.
       runCheck(EInp, RE);
@@ -476,6 +488,8 @@ void Campaign::expansions(const RunResult &RR, const ComparisonEvent &E) {
 Campaign::RunStats Campaign::computeStats(const RunResult &RR,
                                           uint32_t ParentCount) {
   RunStats Stats;
+  // One walk over the comparisons yields all three comparison facts.
+  //
   // The last compared input position: substitutions always happen at the
   // last index where a comparison took place (Section 3). Comparisons on
   // the EOF sentinel are excluded -- "an attempt to access a character
@@ -483,13 +497,7 @@ Campaign::RunStats Campaign::computeStats(const RunResult &RR,
   // which Algorithm 1 serves with the random extension (line 15), not
   // with substitution. Implicit-flow events are invisible to the
   // taint-based extraction and are skipped as well.
-  for (const ComparisonEvent &E : RR.Comparisons) {
-    if (E.Implicit || E.OnEof || E.Taint.empty())
-      continue;
-    Stats.LastIdx = std::max(Stats.LastIdx, E.Taint.maxIndex());
-    Stats.HaveIdx = true;
-  }
-
+  //
   // Coverage credit for the heuristic: Section 3.1 counts coverage only
   // "up to the last accepted character" so error-handling code after the
   // rejection point earns nothing. Operationally we cut the trace right
@@ -498,33 +506,38 @@ Campaign::RunStats Campaign::computeStats(const RunResult &RR,
   // runs that accepted a whole keyword credit for the parser progress the
   // keyword unlocked, which a cut at the *first* comparison of the last
   // character would discard.)
-  uint32_t Cutoff = static_cast<uint32_t>(RR.BranchTrace.size());
-  for (const ComparisonEvent &E : RR.Comparisons)
-    if (!E.Implicit)
-      Cutoff = E.TracePosition + 1;
-  RR.coveredBranchesUpTo(Cutoff, UpToScratch);
-  // One list per run, stored as a group in the candidate store; every
-  // candidate spawned from this run references the group instead of
-  // carrying a copy.
-  FreshScratch.clear();
-  for (uint32_t B : UpToScratch)
-    if (!VBr.test(B))
-      FreshScratch.push_back(B);
-  Stats.NewBranchCount = static_cast<uint32_t>(FreshScratch.size());
-  Stats.PathHash = hashBranches(UpToScratch);
-
+  //
   // Average stack size between the second-last and last comparison.
+  uint32_t Cutoff = static_cast<uint32_t>(RR.BranchTrace.size());
   const ComparisonEvent *Last = nullptr, *SecondLast = nullptr;
   for (const ComparisonEvent &E : RR.Comparisons) {
     if (E.Implicit)
       continue;
     SecondLast = Last;
     Last = &E;
+    if (E.OnEof || E.Taint.empty())
+      continue;
+    Stats.LastIdx = std::max(Stats.LastIdx, E.Taint.maxIndex());
+    Stats.HaveIdx = true;
   }
-  if (Last != nullptr)
+  if (Last != nullptr) {
+    Cutoff = Last->TracePosition + 1;
     Stats.AvgStack = SecondLast != nullptr
                          ? (Last->StackDepth + SecondLast->StackDepth) / 2.0
                          : Last->StackDepth;
+  }
+
+  // One walk over the trace up to the cutoff: the outcomes vBr lacks
+  // become the run's list — stored once as a group in the candidate
+  // store, which every candidate spawned from this run references — and
+  // the distinct set, hashed regardless of order, identifies the parse
+  // path.
+  FreshScratch.clear();
+  Stats.PathHash = RR.forEachDistinctBranchUpTo(Cutoff, [this](uint32_t B) {
+    if (!VBr.test(B))
+      FreshScratch.push_back(B);
+  });
+  Stats.NewBranchCount = static_cast<uint32_t>(FreshScratch.size());
   Stats.Run = Store.makeRun(FreshScratch, VBr.epoch(), Stats.AvgStack,
                             Stats.PathHash, ParentCount);
   return Stats;
@@ -545,10 +558,12 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
     H *= FnvPrime;
     PrefixHashes[I + 1] = H;
   }
-  // Every candidate of this call shares the run's term; only the
-  // candidate term differs.
-  double RunTerm = pushRunTerm(Stats.NewBranchCount, Stats.AvgStack,
-                               ParentCount, Stats.PathHash);
+  // Enumerate every candidate first, in order, and prefetch its dedup
+  // slot: the set is far larger than the cache, so probing each one as
+  // it is found stalls on a miss per candidate, while the insert pass
+  // below finds the slots already loaded.
+  Candidates.clear();
+  RangeCopies.clear();
   for (const ComparisonEvent &E : RR.Comparisons) {
     if (E.Implicit || E.OnEof || E.Taint.empty())
       continue;
@@ -572,22 +587,47 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
            Input.compare(SpliceAt, Rep.size(), Rep) == 0) ||
           NewLen > Opts.MaxInputLen)
         continue;
-      // One FNV-1a extension serves the dedup set here and the store
-      // record: the hash rides on the record instead of being recomputed
-      // at pop time.
+      // One FNV-1a extension serves the dedup set and the store record:
+      // the hash rides on the record instead of being recomputed at pop
+      // time.
       uint64_t Hash = extendHash(PrefixHashes[SpliceAt], Rep);
-      if (!Enqueued.insert(Hash))
-        continue;
-      double Score =
-          RunTerm + static_cast<double>(candidateTerm(
-                        static_cast<uint32_t>(NewLen),
-                        static_cast<uint32_t>(Rep.size()), /*ParentDelta=*/1,
-                        Heur));
-      Store.push(Stats.Run, ParentRec, Input, SpliceAt, Rep, Hash,
-                 static_cast<uint32_t>(Rep.size()), /*ParentDelta=*/1, Score);
-      if (Store.queueSize() > Config.MaxQueue)
-        rescoreQueue();
+      Enqueued.prefetch(Hash);
+      // Operand slices stay valid in RR's arena; RangeChars is rewritten
+      // by the next expansions() call, so its bytes are copied out.
+      Candidate &C = Candidates.emplace_back();
+      C.Hash = Hash;
+      C.Len = static_cast<uint32_t>(Rep.size());
+      C.SpliceAt = static_cast<uint32_t>(SpliceAt);
+      if (E.Kind == CompareKind::CharRange) {
+        C.Bytes = &RangeCopies;
+        C.Ofs = static_cast<uint32_t>(RangeCopies.size());
+        RangeCopies.append(Rep);
+      } else {
+        C.Bytes = &RR.EventChars;
+        C.Ofs = static_cast<uint32_t>(Rep.data() - RR.EventChars.data());
+        assert(C.Ofs + Rep.size() <= RR.EventChars.size() &&
+               "operand expansion outside the event arena");
+      }
     }
+  }
+  // Every candidate of this call shares the run's term; only the
+  // candidate term differs.
+  double RunTerm = pushRunTerm(Stats.NewBranchCount, Stats.AvgStack,
+                               ParentCount, Stats.PathHash);
+  for (const Candidate &C : Candidates) {
+    ++Store.Stats.DedupProbes;
+    if (!Enqueued.insert(C.Hash)) {
+      ++Store.Stats.DedupHits;
+      continue;
+    }
+    std::string_view Rep = std::string_view(*C.Bytes).substr(C.Ofs, C.Len);
+    double Score =
+        RunTerm + static_cast<double>(candidateTerm(
+                      C.SpliceAt + C.Len, C.Len, /*ParentDelta=*/1, Heur));
+    Store.push(Stats.Run, ParentRec, Input, C.SpliceAt, Rep, C.Hash, C.Len,
+               /*ParentDelta=*/1, Score);
+    if (Store.queueSize() > Config.MaxQueue)
+      rescoreQueue();
   }
 }
 
@@ -601,6 +641,7 @@ void Campaign::requeuePrefix(const std::string &Input, uint64_t Hash,
   // Deliberately bypasses the Enqueued dedup: the same prefix re-enters
   // once per execution so a fresh random extension gets its chance; each
   // round costs it an extra score point so retries drain gradually.
+  ++Store.Stats.Requeues;
   double Score = pushRunTerm(Stats.NewBranchCount, Stats.AvgStack,
                              ParentCount, Stats.PathHash) +
                  static_cast<double>(candidateTerm(
@@ -670,10 +711,15 @@ void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
       VBr.mergeDelta(P.Branches.begin(), P.Branches.end());
   if (!P.HasCandidate)
     return;
-  if (!Alive || P.CandidateBytes.size() > Opts.MaxInputLen ||
-      !Enqueued.insert(P.CandidateHash)) {
-    // Already enqueued here (or previously migrated in), oversize, or
-    // arriving after this campaign's budget ended.
+  // Rejected when oversize, arriving after this campaign's budget ended,
+  // or already enqueued here (or previously migrated in).
+  if (!Alive || P.CandidateBytes.size() > Opts.MaxInputLen) {
+    ++Sync->Stats.MigrationsRejected;
+    return;
+  }
+  ++Store.Stats.DedupProbes;
+  if (!Enqueued.insert(P.CandidateHash)) {
+    ++Store.Stats.DedupHits;
     ++Sync->Stats.MigrationsRejected;
     return;
   }

@@ -12,27 +12,20 @@
 
 using namespace pfuzz;
 
-void RunResult::coveredBranchesUpTo(uint32_t End,
-                                    std::vector<uint32_t> &Out) const {
-  uint32_t Limit = std::min<uint32_t>(End, BranchTrace.size());
-  Out.clear();
+void RunResult::nextSeenPass() const {
   if (++SeenPass == 0) {
     // Pass counter wrapped: stale stamps could alias, so reset them once
     // every 2^32 passes.
     std::fill(SeenStamp.begin(), SeenStamp.end(), 0u);
     SeenPass = 1;
   }
-  for (uint32_t I = 0; I != Limit; ++I) {
-    uint32_t Entry = BranchTrace[I];
-    if (Entry >= SeenStamp.size())
-      SeenStamp.resize(Entry + 1, 0u);
-    if (SeenStamp[Entry] != SeenPass) {
-      SeenStamp[Entry] = SeenPass;
-      Out.push_back(Entry);
-    }
-  }
-  // Only the distinct entries get sorted — output order must stay
-  // ascending because path hashes are computed over it.
+}
+
+void RunResult::coveredBranchesUpTo(uint32_t End,
+                                    std::vector<uint32_t> &Out) const {
+  Out.clear();
+  forEachDistinctBranchUpTo(End,
+                            [&Out](uint32_t Entry) { Out.push_back(Entry); });
   std::sort(Out.begin(), Out.end());
 }
 
@@ -98,20 +91,22 @@ void ExecutionContext::recordComparison(const TChar &C, CompareKind Kind,
                                         bool Matched, bool Implicit) {
   if (Mode != InstrumentationMode::Full)
     return;
-  ComparisonEvent Event;
+  ComparisonEvent &Event = Result.Comparisons.emplace_back();
   Event.Taint = C.taint();
   Event.Kind = Kind;
   Event.Expected = internEventChars(Expected);
+  // The compared character is pushed, not appended through a call into
+  // the library. (Pushing one- and two-byte expected operands as well
+  // measured no faster: internEventChars stopped being inlined.)
   if (!C.isEof()) {
-    char Ch = C.ch();
-    Event.Actual = internEventChars(std::string_view(&Ch, 1));
+    Event.Actual = {static_cast<uint32_t>(Result.EventChars.size()), 1};
+    Result.EventChars.push_back(C.ch());
   }
   Event.Matched = Matched;
   Event.OnEof = C.isEof();
   Event.Implicit = Implicit;
   Event.StackDepth = StackDepth;
   Event.TracePosition = static_cast<uint32_t>(Result.BranchTrace.size());
-  Result.Comparisons.push_back(std::move(Event));
 }
 
 /// Comparisons operate on unsigned byte values, like a C parser comparing
@@ -149,7 +144,7 @@ bool ExecutionContext::cmpSet(const TChar &C, std::string_view Set,
 bool ExecutionContext::cmpStr(const TString &S, std::string_view Expected) {
   bool Matched = S.view() == Expected;
   if (Mode == InstrumentationMode::Full) {
-    ComparisonEvent Event;
+    ComparisonEvent &Event = Result.Comparisons.emplace_back();
     Event.Taint = S.taint();
     Event.Kind = CompareKind::StrEq;
     Event.Expected = internEventChars(Expected);
@@ -158,7 +153,6 @@ bool ExecutionContext::cmpStr(const TString &S, std::string_view Expected) {
     Event.OnEof = false;
     Event.StackDepth = StackDepth;
     Event.TracePosition = static_cast<uint32_t>(Result.BranchTrace.size());
-    Result.Comparisons.push_back(std::move(Event));
   }
   return Matched;
 }

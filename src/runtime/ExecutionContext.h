@@ -36,6 +36,7 @@
 #include "runtime/Events.h"
 #include "taint/TaintedValue.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -105,12 +106,36 @@ struct RunResult {
   /// Returns true if the program tried to read past the end of input.
   bool hitEof() const { return !EofAccesses.empty(); }
 
+  /// Walks Trace[0..End) once (End is clamped to the trace length) and
+  /// calls \p OnFirst(Entry) at each entry's first appearance: once per
+  /// distinct entry, in trace order. Returns a hash of the distinct set
+  /// that ignores order — the sum of a SplitMix64 mix of each entry — so
+  /// the same set hashes equal however the run ordered it. Dedup is
+  /// O(trace) via an epoch-stamped per-site seen array and allocates
+  /// nothing in steady state.
+  template <typename Fn>
+  uint64_t forEachDistinctBranchUpTo(uint32_t End, Fn OnFirst) const {
+    uint32_t Limit = std::min(End, static_cast<uint32_t>(BranchTrace.size()));
+    nextSeenPass();
+    uint64_t SetHash = 0;
+    for (uint32_t I = 0; I != Limit; ++I) {
+      uint32_t Entry = BranchTrace[I];
+      if (Entry >= SeenStamp.size())
+        SeenStamp.resize(Entry + 1, 0u);
+      if (SeenStamp[Entry] == SeenPass)
+        continue;
+      SeenStamp[Entry] = SeenPass;
+      SetHash += mixBranch(Entry);
+      OnFirst(Entry);
+    }
+    return SetHash;
+  }
+
   /// Fills \p Out with the distinct branch-trace entries in
   /// Trace[0..End), sorted ascending. End is clamped to the trace
   /// length. \p Out is clear()ed, not reallocated — fuzzers pass a
   /// long-lived scratch buffer so the per-execution hot path performs no
-  /// heap allocation. Dedup is O(trace) via an epoch-stamped per-site
-  /// seen array; only the unique entries are sorted.
+  /// heap allocation. Only the unique entries are sorted.
   void coveredBranchesUpTo(uint32_t End, std::vector<uint32_t> &Out) const;
 
   /// Allocating convenience form of the above.
@@ -139,10 +164,24 @@ struct RunResult {
 private:
   friend class ExecutionContext;
 
+  /// SplitMix64's step and finalizer: the per-entry term of the set hash.
+  /// The added constant keeps entry 0 from mixing to 0, which would make
+  /// a set with it hash like the set without it.
+  static uint64_t mixBranch(uint32_t Entry) {
+    uint64_t Z = Entry + 0x9E3779B97F4A7C15ULL;
+    Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
+    return Z ^ (Z >> 31);
+  }
+
+  /// Starts a seen-array pass: bumps SeenPass, resetting the stamps when
+  /// it wraps.
+  void nextSeenPass() const;
+
   // --- Recycled scratch, not part of the recorded result. ---
 
-  /// Epoch-stamped seen array for coveredBranchesUpTo, indexed by branch
-  /// trace entry. An entry is "seen this pass" iff SeenStamp[E] ==
+  /// Epoch-stamped seen array for forEachDistinctBranchUpTo, indexed by
+  /// branch trace entry. An entry is "seen this pass" iff SeenStamp[E] ==
   /// SeenPass; bumping SeenPass resets the whole array in O(1).
   mutable std::vector<uint32_t> SeenStamp;
   mutable uint32_t SeenPass = 0;

@@ -87,6 +87,16 @@ public:
   /// Inserts \p Key unless present; true when it was new.
   bool insert(uint64_t Key) { return tryEmplace(Key).second; }
 
+  /// Starts loading \p Key's home slot into the cache, so a later find
+  /// or insert of it does not stall on memory. Callers with a batch of
+  /// keys prefetch them all first, then probe in order. Purely a hint:
+  /// an insert in between (even one that grows the array) only makes it
+  /// useless.
+  void prefetch(uint64_t Key) const {
+    if (!Slots.empty())
+      __builtin_prefetch(&Slots[home(Key)]);
+  }
+
   ValueT &operator[](uint64_t Key) { return *tryEmplace(Key).first; }
 
   /// Drops every key; the array keeps its capacity.
@@ -131,11 +141,16 @@ private:
   static_assert(!std::is_empty_v<ValueT> || sizeof(Slot) == sizeof(uint64_t),
                 "a set slot must be the bare key");
 
+  /// Where \p Key's probe starts. The array must not be empty.
+  size_t home(uint64_t Key) const {
+    return static_cast<size_t>((Key * 0x9E3779B97F4A7C15ULL) >> Shift);
+  }
+
   /// The slot holding \p Key, or the empty slot where it would go.
   /// Terminates because the load limit always leaves an empty slot.
   size_t probe(uint64_t Key) const {
     size_t Mask = Slots.size() - 1;
-    size_t I = static_cast<size_t>((Key * 0x9E3779B97F4A7C15ULL) >> Shift);
+    size_t I = home(Key);
     while (Slots[I].Key != Key && Slots[I].Key != 0)
       I = (I + 1) & Mask;
     return I;

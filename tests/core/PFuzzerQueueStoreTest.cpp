@@ -380,10 +380,11 @@ private:
 };
 
 /// Drives one random interleaving of store operations against the naive
-/// model, comparing every pop and export. Counts, for the caller's
-/// coverage checks, the run slots the store recycled after its first
-/// pass.
-void runDifferential(uint64_t Seed, QueueStats &Stats, uint64_t &Recycled) {
+/// model, comparing every pop and export. Runs and path bumps draw from
+/// the first \p NumPaths of five paths. Counts, for the caller's coverage
+/// checks, the run slots the store recycled after its first pass.
+void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
+                     uint64_t &Recycled) {
   constexpr size_t MaxQueue = 32;
   HeuristicOptions Heur;
   CandidateStore Store(MaxQueue, Heur);
@@ -424,7 +425,7 @@ void runDifferential(uint64_t Seed, QueueStats &Stats, uint64_t &Recycled) {
                       MR.Branches.end());
     MR.AvgStack = static_cast<double>(R.below(7)) / 2;
     MR.NumParents = static_cast<uint32_t>(R.below(4));
-    MR.PathHash = Paths[R.below(5)];
+    MR.PathHash = Paths[R.below(NumPaths)];
     std::vector<uint32_t> Fresh;
     for (uint32_t B : MR.Branches)
       if (!VBr.test(B))
@@ -505,7 +506,7 @@ void runDifferential(uint64_t Seed, QueueStats &Stats, uint64_t &Recycled) {
       Pinned.erase(Pinned.begin() + static_cast<ptrdiff_t>(I));
     } else if (Op < 90) {
       // One execution of a path, reported as the campaign reports it.
-      uint64_t Path = Paths[R.below(5)];
+      uint64_t Path = Paths[R.below(NumPaths)];
       uint32_t &Count = PathCounts[Path];
       if (pathPenaltyMoves(Count, Heur))
         Store.pathCountMoved(Path);
@@ -541,19 +542,26 @@ void runDifferential(uint64_t Seed, QueueStats &Stats, uint64_t &Recycled) {
 } // namespace
 
 TEST(PFuzzerQueueStoreTest, IncrementalRescoreMatchesNaiveModel) {
-  QueueStats Stats;
-  uint64_t Recycled = 0;
-  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    runDifferential(Seed, Stats, Recycled);
-    if (HasFatalFailure())
-      return;
+  // Five paths, and then hot paths: every group on one of two, so each
+  // path-index chain links about half the live groups, pops unlink groups
+  // from the middle of a chain, and the next bump of that path re-keys
+  // whatever the chain still links.
+  for (size_t NumPaths : {5, 2}) {
+    SCOPED_TRACE(std::to_string(NumPaths) + " paths");
+    QueueStats Stats;
+    uint64_t Recycled = 0;
+    for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+      SCOPED_TRACE("seed " + std::to_string(Seed));
+      runDifferential(Seed, NumPaths, Stats, Recycled);
+      if (HasFatalFailure())
+        return;
+    }
+    // The interleavings exercised what they exist for: both kinds of
+    // pass, re-keyed groups, trims, decays and recycled run slots.
+    EXPECT_GT(Stats.Trims, 0u);
+    EXPECT_GT(Stats.FullRescores, Stats.Trims);
+    EXPECT_LT(Stats.FullRescores, Stats.Rescores);
+    EXPECT_GT(Stats.DirtyGroups, 0u);
+    EXPECT_GT(Recycled, 0u);
   }
-  // The interleavings exercised what they exist for: both kinds of pass,
-  // re-keyed groups, trims, decays and recycled run slots.
-  EXPECT_GT(Stats.Trims, 0u);
-  EXPECT_GT(Stats.FullRescores, Stats.Trims);
-  EXPECT_LT(Stats.FullRescores, Stats.Rescores);
-  EXPECT_GT(Stats.DirtyGroups, 0u);
-  EXPECT_GT(Recycled, 0u);
 }

@@ -181,6 +181,31 @@ TEST(PFuzzerTelemetryTest, FullRescoresCountTheFullPasses) {
   }
 }
 
+TEST(PFuzzerTelemetryTest, DedupCountersBalanceThePushes) {
+  // Every push is a substitution that passed the seen-candidate set, a
+  // requeued prefix (which bypasses it), or a migration that passed it.
+  auto expectBalanced = [](const QueueStats &Q) {
+    EXPECT_GT(Q.DedupHits, 0u);
+    EXPECT_GT(Q.Requeues, 0u);
+    EXPECT_LT(Q.DedupHits, Q.DedupProbes);
+    EXPECT_EQ(Q.Pushes, Q.DedupProbes - Q.DedupHits + Q.Requeues);
+  };
+  RunWithStats Plain = runInstrumented(jsonSubject(), 6000, 3, 1);
+  expectBalanced(Plain.Telemetry.Queue);
+  RunWithStats Sharded = runInstrumented(jsonSubject(), 6000, 3, 4);
+  expectBalanced(Sharded.Telemetry.Queue);
+  // The campaign runner at --shards=1 runs the same unsharded search.
+  ToolOptions Tools;
+  Tools.PFuzzerShards = 1;
+  CampaignResult Cell = runCampaign(ToolKind::PFuzzer, jsonSubject(), 6000,
+                                    3, /*Runs=*/1, /*Jobs=*/1, Tools);
+  const QueueStats &Q = Cell.Telemetry.Queue;
+  EXPECT_EQ(Q.Pushes, Plain.Telemetry.Queue.Pushes);
+  EXPECT_EQ(Q.DedupProbes, Plain.Telemetry.Queue.DedupProbes);
+  EXPECT_EQ(Q.DedupHits, Plain.Telemetry.Queue.DedupHits);
+  EXPECT_EQ(Q.Requeues, Plain.Telemetry.Queue.Requeues);
+}
+
 TEST(PFuzzerTelemetryTest, CampaignTelemetryIdenticalAcrossJobs) {
   // The Jobs contract extends to the consolidated snapshot: per-seed
   // snapshots reduce in seed order, so parallel fan-out must aggregate

@@ -27,6 +27,43 @@ TEST(RunResultTest, CoveredBranchesDeduplicatesAndSorts) {
   EXPECT_EQ(Covered[2], 9u);
 }
 
+TEST(RunResultTest, DistinctBranchWalkHashesTheSetNotTheOrder) {
+  // The campaign's parse-path key: the distinct outcomes before the
+  // cutoff, each reported once, hashed regardless of trace order.
+  auto walk = [](std::vector<uint32_t> Trace, uint32_t End,
+                 std::vector<uint32_t> &Seen) {
+    RunResult RR;
+    RR.BranchTrace = std::move(Trace);
+    Seen.clear();
+    return RR.forEachDistinctBranchUpTo(
+        End, [&Seen](uint32_t Entry) { Seen.push_back(Entry); });
+  };
+  std::vector<uint32_t> Seen;
+  uint64_t Hash = walk({9, 3, 9, 0, 3, 0, 9, 5}, 7, Seen);
+  EXPECT_EQ(Seen, (std::vector<uint32_t>{9, 3, 0})); // once each, in order
+  std::vector<uint32_t> Other;
+  EXPECT_EQ(walk({0, 0, 3, 9, 3}, 100, Other), Hash); // cutoff clamped
+  EXPECT_EQ(Other, (std::vector<uint32_t>{0, 3, 9}));
+  // The cutoff holds: 5 lies past it above, and counts below.
+  EXPECT_NE(walk({9, 3, 9, 0, 3, 0, 9, 5}, 8, Other), Hash);
+  // Different sets differ, including by entry 0 alone and the empty set.
+  EXPECT_NE(walk({9, 3}, 2, Other), Hash);
+  EXPECT_NE(walk({9, 3}, 2, Other), walk({}, 0, Other));
+  EXPECT_NE(walk({0}, 1, Other), walk({}, 0, Other));
+  EXPECT_NE(walk({1, 2}, 2, Other), walk({3}, 1, Other));
+  EXPECT_EQ(walk({9, 3, 9}, 0, Other), walk({}, 0, Other));
+  EXPECT_TRUE(Other.empty());
+  // Walks over one recycled result share its seen array, and each one
+  // reports every distinct entry again.
+  RunResult RR;
+  RR.BranchTrace = {4, 2, 4};
+  for (int Pass = 0; Pass != 3; ++Pass) {
+    size_t Calls = 0;
+    RR.forEachDistinctBranchUpTo(3, [&Calls](uint32_t) { ++Calls; });
+    EXPECT_EQ(Calls, 2u);
+  }
+}
+
 TEST(RunResultTest, EmptyStringComparisonTracked) {
   ExecutionContext Ctx("x");
   TString Empty;
