@@ -100,9 +100,10 @@ int main(int Argc, char **Argv) {
   }
 
   std::printf("== Figure 2: obtained coverage per subject and tool ==\n");
-  std::printf("(branch coverage of valid inputs; budgets: pFuzzer/KLEE"
-              " %llu, AFL %llu execs, best of %d run(s), %d job(s))\n\n",
+  std::printf("(branch coverage of valid inputs; budgets: pFuzzer %llu,"
+              " KLEE %llu, AFL %llu execs, best of %d run(s), %d job(s))\n\n",
               static_cast<unsigned long long>(Budgets.PFuzzerExecs),
+              static_cast<unsigned long long>(Budgets.KleeExecs),
               static_cast<unsigned long long>(Budgets.AflExecs), Runs,
               Jobs <= 0 ? static_cast<int>(hardwareThreads()) : Jobs);
 

@@ -40,24 +40,6 @@ uint8_t bucketOf(uint32_t Count) {
   return 1 << 7;
 }
 
-/// Fills \p Map with bucketed edge hits from a branch trace, hashing
-/// (previous, current) pairs like AFL's shared-memory bitmap.
-void traceToMap(const std::vector<uint32_t> &Trace,
-                std::array<uint32_t, MapSize> &Hits) {
-  Hits.fill(0);
-  uint32_t Prev = 0;
-  for (uint32_t Entry : Trace) {
-    uint32_t Cur = (Entry * 2654435761u) & (MapSize - 1);
-    ++Hits[Cur ^ Prev];
-    Prev = Cur >> 1;
-  }
-}
-
-struct Seed {
-  std::string Data;
-  uint32_t FoundNew = 0; // how many virgin map bytes it lit up
-};
-
 const char InterestingBytes[] = {'\0', '\n', ' ',  '0',  '9',  'a',
                                  'z',  'A',  '{',  '}',  '[',  ']',
                                  '(',  ')',  '"',  ',',  ';',  '=',
@@ -69,6 +51,7 @@ public:
               const AflOptions &Afl)
       : S(S), Opts(Opts), Afl(Afl), R(Opts.Seed) {
     Virgin.fill(0);
+    Hits.fill(0);
   }
 
   FuzzReport run();
@@ -77,6 +60,12 @@ private:
   /// Executes \p Input, updates the virgin map / queue / valid coverage.
   void execOne(const std::string &Input);
 
+  /// Counts one hit of map slot \p Slot, noting the slot's first touch.
+  void hit(uint32_t Slot) {
+    if (Hits[Slot]++ == 0)
+      Touched.push_back(Slot);
+  }
+
   std::string mutate(const std::string &Base);
 
   const Subject &S;
@@ -84,8 +73,12 @@ private:
   AflOptions Afl;
   Rng R;
   std::array<uint8_t, MapSize> Virgin;
-  std::array<uint32_t, MapSize> Scratch;
-  std::vector<Seed> Queue;
+  /// The current run's hit counts. Only the slots in Touched are nonzero,
+  /// and execOne zeroes those again.
+  std::array<uint32_t, MapSize> Hits;
+  /// The slots the current run hit, in first-touch order.
+  std::vector<uint32_t> Touched;
+  std::vector<std::string> Queue;
   FuzzReport Report;
   RunResult RR; // recycled across executions
   std::vector<uint32_t> Covered;
@@ -102,7 +95,14 @@ void AflCampaign::execOne(const std::string &Input) {
                                  : InstrumentationMode::Full;
   S.execute(Input, Mode, RR); // recycles RR's trace buffers
   ++Report.Executions;
-  traceToMap(RR.BranchTrace, Scratch);
+  // Edge hit counts from the branch trace, hashing (previous, current)
+  // pairs like AFL's shared-memory bitmap.
+  uint32_t Prev = 0;
+  for (uint32_t Entry : RR.BranchTrace) {
+    uint32_t Cur = (Entry * 2654435761u) & (MapSize - 1);
+    hit(Cur ^ Prev);
+    Prev = Cur >> 1;
+  }
   if (Afl.Cmp != CmpFeedback::None) {
     // One synthetic edge per (comparison, matched prefix length): the
     // nested-if expansion of strcmp that AFL-CTP performs.
@@ -119,21 +119,23 @@ void AflCampaign::execOne(const std::string &Input) {
       if (Afl.Cmp == CmpFeedback::PerKeyword)
         for (char C : Expected)
           Feature = (Feature ^ static_cast<unsigned char>(C)) * 0x01000193u;
-      ++Scratch[Feature & (MapSize - 1)];
+      hit(Feature & (MapSize - 1));
     }
   }
-  uint32_t NewBytes = 0;
-  for (size_t I = 0; I != MapSize; ++I) {
-    if (Scratch[I] == 0)
-      continue;
-    uint8_t Bucket = bucketOf(Scratch[I]);
-    if ((Virgin[I] & Bucket) == 0) {
-      Virgin[I] |= Bucket;
-      ++NewBytes;
+  // Each slot's virgin update is independent of the others', so visiting
+  // the touched slots in touch order decides the same as a full map walk.
+  bool NewBits = false;
+  for (uint32_t Slot : Touched) {
+    uint8_t Bucket = bucketOf(Hits[Slot]);
+    Hits[Slot] = 0;
+    if ((Virgin[Slot] & Bucket) == 0) {
+      Virgin[Slot] |= Bucket;
+      NewBits = true;
     }
   }
-  if (NewBytes != 0 && Input.size() <= Opts.MaxInputLen)
-    Queue.push_back({Input, NewBytes});
+  Touched.clear();
+  if (NewBits && Input.size() <= Opts.MaxInputLen)
+    Queue.push_back(Input);
   if (RR.ExitCode == 0) {
     if (Opts.OnValidInput)
       Opts.OnValidInput(Input);
@@ -194,7 +196,7 @@ std::string AflCampaign::mutate(const std::string &Base) {
     }
     case 7: { // splice with another queue entry
       if (!Queue.empty()) {
-        const std::string &Other = R.pick(Queue).Data;
+        const std::string &Other = R.pick(Queue);
         if (!Other.empty()) {
           size_t Cut = R.below(Out.size() + 1);
           size_t OtherCut = R.below(Other.size());
@@ -212,20 +214,21 @@ std::string AflCampaign::mutate(const std::string &Base) {
 
 FuzzReport AflCampaign::run() {
   // The paper gives AFL a single space character as the starting corpus.
-  execOne(" ");
+  if (Opts.MaxExecutions != 0)
+    execOne(" ");
   uint64_t SampleEvery = std::max<uint64_t>(1, Opts.MaxExecutions / 256);
   while (Report.Executions < Opts.MaxExecutions) {
     // Pick a seed: bias towards recent finds and small inputs.
-    const Seed *Chosen = nullptr;
+    const std::string *Chosen = nullptr;
     if (!Queue.empty()) {
       size_t Tries = 3;
       for (size_t T = 0; T != Tries; ++T) {
-        const Seed &Cand = Queue[R.below(Queue.size())];
-        if (Chosen == nullptr || Cand.Data.size() < Chosen->Data.size())
+        const std::string &Cand = Queue[R.below(Queue.size())];
+        if (Chosen == nullptr || Cand.size() < Chosen->size())
           Chosen = &Cand;
       }
     }
-    std::string Base = Chosen != nullptr ? Chosen->Data : " ";
+    std::string Base = Chosen != nullptr ? *Chosen : " ";
     uint64_t Energy = 32 + R.below(64);
     for (uint64_t E = 0;
          E != Energy && Report.Executions < Opts.MaxExecutions; ++E) {

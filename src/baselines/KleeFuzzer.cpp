@@ -6,11 +6,9 @@
 
 #include "baselines/KleeFuzzer.h"
 
-#include "support/Rng.h"
+#include "baselines/KleeStateStore.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_set>
 
 using namespace pfuzz;
 
@@ -24,58 +22,42 @@ constexpr size_t MaxStates = 1 << 19;
 class KleeCampaign {
 public:
   KleeCampaign(const Subject &S, const FuzzerOptions &Opts)
-      : S(S), Opts(Opts), R(Opts.Seed) {}
+      : S(S), Opts(Opts), States(Opts.MaxInputLen, MaxStates) {}
 
   FuzzReport run();
 
 private:
+  /// Queues the states forked from \p Input's run. \p Prioritise mirrors
+  /// KLEE's coverage-optimised searcher (nurs:covnew): states forked from
+  /// a run that covered new code jump the queue.
   void forkFrom(const std::string &Input, const RunResult &RR,
                 bool Prioritise);
 
-  /// Alternative operand values a comparison admits (the satisfying
-  /// assignments a solver would produce). \p RR owns the arena the
-  /// event's operand slices resolve against.
-  std::vector<std::string> solutions(const RunResult &RR,
-                                     const ComparisonEvent &E);
-
-  /// \p Prioritise mirrors KLEE's coverage-optimised searcher
-  /// (nurs:covnew): states forked from a run that covered new code jump
-  /// the queue.
-  void pushState(std::string Input, bool Prioritise) {
-    if (Input.size() > Opts.MaxInputLen || States.size() >= MaxStates)
-      return;
-    if (!SeenInputs.insert(Input).second)
-      return;
-    if (Prioritise)
-      States.push_front(std::move(Input));
-    else
-      States.push_back(std::move(Input));
-  }
-
   const Subject &S;
   const FuzzerOptions &Opts;
-  Rng R;
-  std::deque<std::string> States;
-  std::unordered_set<std::string> SeenInputs;
+  /// Pending states and every state ever queued.
+  KleeStateStore<> States;
   BranchCoverageMap AllCovered; // new-code filter for emission
   FuzzReport Report;
   RunResult RR; // recycled across executions
   std::vector<uint32_t> Covered;
+  std::string Fork; // recycled buffer the forks are built in
 };
 
-} // namespace
-
-std::vector<std::string> KleeCampaign::solutions(const RunResult &RR,
-                                                 const ComparisonEvent &E) {
+/// Calls \p F once per alternative operand value a comparison admits (the
+/// satisfying assignments a solver would produce), in a fixed order.
+/// \p RR owns the arena the event's operand slices resolve against.
+template <typename Fn>
+void forEachSolution(const RunResult &RR, const ComparisonEvent &E, Fn F) {
   std::string_view Expected = RR.expected(E);
-  std::vector<std::string> Out;
   switch (E.Kind) {
   case CompareKind::CharEq:
-    Out.push_back(std::string(Expected));
+  case CompareKind::StrEq:
+    F(Expected);
     break;
   case CompareKind::CharSet:
-    for (char C : Expected)
-      Out.push_back(std::string(1, C));
+    for (size_t I = 0; I != Expected.size(); ++I)
+      F(Expected.substr(I, 1));
     break;
   case CompareKind::CharRange: {
     // A range check is a single branch; a solver returns one model per
@@ -84,24 +66,31 @@ std::vector<std::string> KleeCampaign::solutions(const RunResult &RR,
     // downstream arithmetic (hex decoding) some value diversity.
     unsigned Lo = static_cast<unsigned char>(Expected[0]);
     unsigned Hi = static_cast<unsigned char>(Expected[1]);
-    Out.push_back(std::string(1, static_cast<char>(Lo)));
+    char C = static_cast<char>(Lo);
+    F(std::string_view(&C, 1));
     if (Hi != Lo) {
-      Out.push_back(std::string(1, static_cast<char>(Hi)));
-      if (Hi - Lo > 1)
-        Out.push_back(std::string(1, static_cast<char>(Lo + (Hi - Lo) / 2)));
+      C = static_cast<char>(Hi);
+      F(std::string_view(&C, 1));
+      if (Hi - Lo > 1) {
+        C = static_cast<char>(Lo + (Hi - Lo) / 2);
+        F(std::string_view(&C, 1));
+      }
     }
     break;
   }
-  case CompareKind::StrEq:
-    Out.push_back(std::string(Expected));
-    break;
   }
-  return Out;
 }
+
+} // namespace
 
 void KleeCampaign::forkFrom(const std::string &Input, const RunResult &RR,
                             bool Prioritise) {
+  std::string_view In = Input;
   for (const ComparisonEvent &E : RR.Comparisons) {
+    // Nothing pops while forking, so once the queue is full every
+    // further fork would be refused.
+    if (States.full())
+      return;
     if (E.Taint.empty())
       continue;
     // Branch-negation targeting: the instrumented comparison records its
@@ -113,30 +102,34 @@ void KleeCampaign::forkFrom(const std::string &Input, const RunResult &RR,
         !AllCovered.test(RR.BranchTrace[E.TracePosition] ^ 1u);
     size_t Begin = std::min<size_t>(E.Taint.minIndex(), Input.size());
     size_t End = std::min<size_t>(E.Taint.maxIndex() + 1, Input.size());
-    for (std::string &Sol : solutions(RR, E)) {
+    forEachSolution(RR, E, [&](std::string_view Sol) {
       // Substitute the solved bytes, keep the unconstrained suffix.
-      std::string Forked =
-          Input.substr(0, Begin) + Sol + Input.substr(End);
-      if (Forked != Input)
-        pushState(std::move(Forked), Prioritise || TargetsNewCode);
-    }
+      Fork.assign(In.substr(0, Begin));
+      Fork.append(Sol);
+      Fork.append(In.substr(End));
+      if (Fork != In)
+        States.push(Fork, Prioritise || TargetsNewCode);
+    });
   }
   // Symbolic input length (KLEE's symbolic stdin): a state where the
   // input ends earlier, and -- when the program tried to read further --
   // one where an additional unconstrained byte exists. The filler byte's
   // value is arbitrary; the next run's comparisons constrain it.
   if (!Input.empty())
-    pushState(Input.substr(0, Input.size() - 1), /*Prioritise=*/false);
-  if (RR.hitEof())
-    pushState(Input + 'A', Prioritise);
+    States.push(In.substr(0, In.size() - 1), /*Front=*/false);
+  if (RR.hitEof()) {
+    Fork.assign(In);
+    Fork.push_back('A');
+    States.push(Fork, Prioritise);
+  }
 }
 
 FuzzReport KleeCampaign::run() {
-  pushState("", /*Prioritise=*/false);
+  States.push("", /*Front=*/false);
   uint64_t SampleEvery = std::max<uint64_t>(1, Opts.MaxExecutions / 256);
+  std::string Input; // recycled copy of the state being run
   while (!States.empty() && Report.Executions < Opts.MaxExecutions) {
-    std::string Input = std::move(States.front());
-    States.pop_front();
+    States.pop(Input);
     S.execute(Input, InstrumentationMode::Full, RR);
     ++Report.Executions;
     bool NewCode = false;

@@ -19,6 +19,10 @@
 /// to — so shallow languages (json) are covered nearly exhaustively while
 /// mjs exhausts the budget within a few characters of depth.
 ///
+/// The explorer draws no random numbers: FuzzerOptions::Seed does not
+/// change its campaign. A harness that runs several seeds of a KLEE cell
+/// (the benchmarks run three) runs one campaign that many times.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PFUZZ_BASELINES_KLEEFUZZER_H
