@@ -20,9 +20,9 @@
 /// exportDelta(SinceEpoch) hands out precisely the keys set after that
 /// epoch — the coverage-frontier packets the sharded campaign engine
 /// (core/ShardSync.h) exchanges between shards. The journal costs four
-/// bytes per distinct covered outcome (a few KB on the paper subjects)
-/// and is reset by clear(), after which deltas reaching back past the
-/// clear degrade to a full-content resync.
+/// bytes per distinct covered outcome (a few KB on the paper subjects).
+/// The map only grows, so the journal's length is both the map's size
+/// and its epoch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,8 +50,6 @@ public:
       return false;
     Words[Word] |= Bit;
     Journal.push_back(Key);
-    ++Count;
-    ++Epoch;
     return true;
   }
 
@@ -67,44 +65,22 @@ public:
       set(*First);
   }
 
-  /// Number of set keys (maintained incrementally; no popcount scan).
-  size_t size() const { return Count; }
+  /// Number of set keys.
+  size_t size() const { return Journal.size(); }
 
-  bool empty() const { return Count == 0; }
+  bool empty() const { return Journal.empty(); }
 
   /// Monotone counter that advances whenever a new key is set. Equal
   /// epochs guarantee the map content has not changed in between.
-  uint64_t epoch() const { return Epoch; }
-
-  void clear() {
-    Words.clear();
-    Count = 0;
-    ++Epoch;
-    // The journal restarts here: deltas anchored before the clear can no
-    // longer be served incrementally and degrade to a full resync.
-    Journal.clear();
-    JournalBaseEpoch = Epoch;
-  }
+  uint64_t epoch() const { return Journal.size(); }
 
   /// Appends to \p Out every key set after \p SinceEpoch, in the order
   /// they were first set. \p SinceEpoch is a value previously returned by
-  /// epoch(); passing the current epoch appends nothing. When the anchor
-  /// predates a clear() the incremental journal is gone, so the entire
-  /// current content is appended instead (a superset of the true delta —
-  /// merging is idempotent, so over-sending is safe). Returns the number
-  /// of keys appended.
+  /// epoch(); passing the current epoch appends nothing. Returns the
+  /// number of keys appended.
   size_t exportDelta(uint64_t SinceEpoch, std::vector<uint32_t> &Out) const {
-    if (SinceEpoch < JournalBaseEpoch) {
-      // Full resync: the journal no longer reaches back to the anchor.
-      std::vector<uint32_t> All = values();
-      Out.insert(Out.end(), All.begin(), All.end());
-      return All.size();
-    }
-    // Journal entry I was recorded when the epoch advanced to
-    // JournalBaseEpoch + I + 1, so an anchor of E maps to index
-    // E - JournalBaseEpoch. clear() is the only non-set epoch advance and
-    // it rebases the journal, so the mapping is exact.
-    size_t From = static_cast<size_t>(SinceEpoch - JournalBaseEpoch);
+    // Journal entry I was recorded when the epoch advanced to I + 1.
+    size_t From = static_cast<size_t>(SinceEpoch);
     if (From >= Journal.size())
       return 0;
     Out.insert(Out.end(), Journal.begin() + static_cast<ptrdiff_t>(From),
@@ -113,8 +89,8 @@ public:
   }
 
   /// Sets every key of [First, Last) — a delta another map exported —
-  /// and returns how many were newly set here. Duplicates (keys this map
-  /// already covers, or repeated resync content) merge silently.
+  /// and returns how many were newly set here. Keys this map already
+  /// covers merge silently.
   template <typename It> size_t mergeDelta(It First, It Last) {
     size_t Fresh = 0;
     for (; First != Last; ++First)
@@ -126,7 +102,7 @@ public:
   /// The set keys in ascending order.
   std::vector<uint32_t> values() const {
     std::vector<uint32_t> Out;
-    Out.reserve(Count);
+    Out.reserve(Journal.size());
     for (size_t W = 0; W != Words.size(); ++W) {
       uint64_t Word = Words[W];
       while (Word != 0) {
@@ -145,23 +121,11 @@ public:
     return std::set<uint32_t>(Vals.begin(), Vals.end());
   }
 
+  /// Content equality. Words only grow to reach the largest key set, so
+  /// equal content means equal word vectors.
   friend bool operator==(const BranchCoverageMap &A,
                          const BranchCoverageMap &B) {
-    if (A.Count != B.Count)
-      return false;
-    size_t Common = A.Words.size() < B.Words.size() ? A.Words.size()
-                                                    : B.Words.size();
-    for (size_t I = 0; I != Common; ++I)
-      if (A.Words[I] != B.Words[I])
-        return false;
-    // Trailing words of the longer map must be empty (sizes may differ
-    // when one map briefly saw-and-cleared higher keys).
-    const std::vector<uint64_t> &Longer =
-        A.Words.size() > B.Words.size() ? A.Words : B.Words;
-    for (size_t I = Common; I != Longer.size(); ++I)
-      if (Longer[I] != 0)
-        return false;
-    return true;
+    return A.Words == B.Words;
   }
 
   friend bool operator!=(const BranchCoverageMap &A,
@@ -171,14 +135,9 @@ public:
 
 private:
   std::vector<uint64_t> Words;
-  size_t Count = 0;
-  uint64_t Epoch = 0;
   /// Keys in first-set order; see exportDelta. Holds each set key exactly
   /// once (set() appends only on a fresh bit).
   std::vector<uint32_t> Journal;
-  /// Epoch value at which the journal begins (advanced by clear()).
-  /// Invariant: Epoch == JournalBaseEpoch + Journal.size().
-  uint64_t JournalBaseEpoch = 0;
 };
 
 } // namespace pfuzz

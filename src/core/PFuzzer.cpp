@@ -52,11 +52,12 @@ uint64_t hashInput(std::string_view Input) {
 /// One pFuzzer campaign against one subject.
 class Campaign {
 public:
+  /// \p Sync is the shard's endpoint when the sharded engine runs this
+  /// campaign as one of its shards, null otherwise.
   Campaign(const Subject &S, const FuzzerOptions &Opts,
-           const PFuzzerOptions &Config)
+           const PFuzzerOptions &Config, ShardEndpoint *Sync = nullptr)
       : S(S), Opts(Opts), Config(Config), Heur(Config.Heur), R(Opts.Seed),
-        Store(Config.MaxQueue, Config.Heur),
-        Sync(Config.SyncEndpoint) {}
+        Store(Config.MaxQueue, Config.Heur), Sync(Sync) {}
 
   FuzzReport run();
 
@@ -306,9 +307,7 @@ FuzzReport Campaign::run() {
     // substitution children splice below its one-char suffix.
     uint32_t EId = CandidateStore::None;
     if (Valid) {
-      if (!Config.ResetOnValid)
-        addInputs(Input, RR, Stats, ParentCount,
-                  CurId); // via validInp, line 44
+      addInputs(Input, RR, Stats, ParentCount, CurId); // via validInp, line 44
     } else {
       // "After every rejection, we satisfy the comparisons leading to
       // rejection": substitutions from the bare run first. (A random
@@ -338,10 +337,8 @@ FuzzReport Campaign::run() {
       Store.releaseRun(EStats.Run);
     }
     // A run that read past the end wants more input: keep the prefix
-    // alive so it receives further random extensions (unless valid
-    // inputs are configured to reset instead of continue).
-    if (RR.hitEof() && Input.size() < Opts.MaxInputLen &&
-        !(Valid && Config.ResetOnValid))
+    // alive so it receives further random extensions.
+    if (RR.hitEof() && Input.size() < Opts.MaxInputLen)
       requeuePrefix(Input, InputHash, Stats, ParentCount, CurId);
     Store.releaseRun(Stats.Run);
     if (Report.Executions / SampleEvery !=
@@ -414,7 +411,6 @@ FuzzReport Campaign::run() {
 }
 
 bool Campaign::runCheck(const std::string &Input, RunResult &RR) {
-  TELEMETRY_SPAN("run");
   // Recycles RR's buffers.
   S.execute(Input, InstrumentationMode::Full, RR);
   ++Report.Executions;
@@ -698,7 +694,7 @@ void Campaign::publishShardPacket(bool Final) {
     P.CandidateNumParents = ExportScratch.NumParents;
     P.CandidateReplacementLen = ExportScratch.ReplacementLen;
   }
-  Sync->publish(P);
+  Sync->publish(std::move(P));
 }
 
 void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
@@ -805,15 +801,15 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
     PFuzzerOptions &SC = ShardConfigs[I];
     SC = Config;
     SC.Shards = 1;
-    SC.SyncEndpoint = &Hub.endpoint(I);
     SC.TelemetryOut = Config.TelemetryOut ? &Telemetry_[I] : nullptr;
   }
   // Dedicated threads by design — see PFuzzerOptions::Shards.
   std::vector<std::thread> Threads;
   Threads.reserve(N);
   for (uint32_t I = 0; I != N; ++I)
-    Threads.emplace_back([&S, &ShardOpts, &ShardConfigs, &Reports, I] {
-      Reports[I] = Campaign(S, ShardOpts[I], ShardConfigs[I]).run();
+    Threads.emplace_back([&S, &ShardOpts, &ShardConfigs, &Reports, &Hub, I] {
+      Reports[I] =
+          Campaign(S, ShardOpts[I], ShardConfigs[I], &Hub.endpoint(I)).run();
     });
   for (std::thread &T : Threads)
     T.join();

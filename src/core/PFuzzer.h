@@ -68,13 +68,6 @@ struct TelemetrySnapshot {
 struct PFuzzerOptions {
   HeuristicOptions Heur;
 
-  /// Section 2 offers two continuations after a valid input: "we may
-  /// decide to output the string and reset the prefix to empty string,
-  /// or continue with the generated prefix". The default continues;
-  /// setting this stops expanding valid inputs (their substitution
-  /// children and re-extensions are not enqueued).
-  bool ResetOnValid = false;
-
   /// Queue cap: when a push or rescore finds more candidates than this,
   /// the next re-rank keeps the first MaxQueue / 2 in pop order (the
   /// paper's prototype lets the queue grow; we bound memory). Also caps
@@ -106,11 +99,6 @@ struct PFuzzerOptions {
   /// joint frontier at more sync overhead. Part of the deterministic
   /// protocol: changing it changes the (reproducible) sharded search.
   uint32_t ShardSyncInterval = 512;
-
-  /// Internal wiring of the sharded engine: the sync endpoint of the
-  /// shard campaign being constructed. Callers never set this — the
-  /// engine fills it for each shard it spawns.
-  ShardEndpoint *SyncEndpoint = nullptr;
 
   /// Optional out-param: the campaign's telemetry tree, filled when the
   /// campaign finishes. Never part of the report; filling it changes no

@@ -8,55 +8,57 @@
 
 using namespace pfuzz;
 
-ShardHub::ShardHub(uint32_t NumShards) {
-  size_t N = NumShards;
-  Rings.resize(N * N);
-  for (size_t P = 0; P != N; ++P)
-    for (size_t C = 0; C != N; ++C)
-      if (P != C)
-        Rings[P * N + C] = std::make_unique<ShardPacketRing>();
-  Endpoints.reserve(N);
-  for (size_t S = 0; S != N; ++S) {
-    auto E = std::make_unique<ShardEndpoint>();
-    E->Index = static_cast<uint32_t>(S);
+ShardHub::ShardHub(uint32_t NumShards)
+    : Mailbox(size_t(NumShards) * NumShards), Endpoints(NumShards) {
+  for (uint32_t S = 0; S != NumShards; ++S) {
+    ShardEndpoint &E = Endpoints[S];
+    E.Hub = this;
+    E.Index = S;
     // Peer order is ascending shard index with self skipped — identical
     // on every shard and every run, which keeps the collect order (and
     // therefore every merge interleaving) deterministic.
-    for (size_t Peer = 0; Peer != N; ++Peer) {
-      if (Peer == S)
-        continue;
-      ShardEndpoint::PeerState PS;
-      PS.In = Rings[Peer * N + S].get();
-      PS.Out = Rings[S * N + Peer].get();
-      E->Peers.push_back(PS);
-    }
-    Endpoints.push_back(std::move(E));
+    for (uint32_t Peer = 0; Peer != NumShards; ++Peer)
+      if (Peer != S)
+        E.Peers.push_back({Peer});
   }
 }
 
-uint32_t ShardEndpoint::peerCount() const {
-  return static_cast<uint32_t>(Peers.size());
+void ShardHub::post(uint32_t Producer, PacketRef P) {
+  size_t N = Endpoints.size();
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    for (size_t C = 0; C != N; ++C)
+      if (C != Producer)
+        Mailbox[C * N + Producer].push_back(P);
+  }
+  Posted.notify_all();
 }
 
-void ShardEndpoint::publish(const ShardPacket &P) {
+ShardHub::PacketRef ShardHub::take(uint32_t Consumer, uint32_t Producer) {
+  std::unique_lock<std::mutex> Lock(Mutex);
+  std::deque<PacketRef> &In = Mailbox[Consumer * Endpoints.size() + Producer];
+  Posted.wait(Lock, [&In] { return !In.empty(); });
+  PacketRef P = std::move(In.front());
+  In.pop_front();
+  return P;
+}
+
+void ShardEndpoint::publish(ShardPacket P) {
+  uint64_t Receivers = Peers.size();
   ++Stats.SyncPoints;
-  for (PeerState &Peer : Peers) {
-    ShardPacket Copy = P;
-    Peer.Out->push(std::move(Copy));
-    ++Stats.DeltasPublished;
-    if (P.HasCandidate)
-      ++Stats.MigrationsOffered;
-  }
+  Stats.DeltasPublished += Receivers;
+  if (P.HasCandidate)
+    Stats.MigrationsOffered += Receivers;
+  Hub->post(Index, std::make_shared<const ShardPacket>(std::move(P)));
 }
 
 void ShardEndpoint::consumeOne(PeerState &Peer, const PacketHandler &Handler) {
-  ShardPacket P;
-  Peer.In->pop(P);
+  ShardHub::PacketRef P = Hub->take(Index, Peer.Shard);
   ++Stats.DeltasMerged;
-  Peer.ConsumedEpoch = P.Epoch;
-  if (P.Final)
+  Peer.ConsumedEpoch = P->Epoch;
+  if (P->Final)
     Peer.Done = true;
-  Handler(P);
+  Handler(*P);
 }
 
 void ShardEndpoint::collectThrough(uint64_t Through,
@@ -77,20 +79,6 @@ void ShardEndpoint::collectThrough(uint64_t Through,
 }
 
 void ShardEndpoint::drainAll(const PacketHandler &Handler) {
-  // Opportunistic sweep first: packets already buffered are consumed
-  // without sleeping, which lets peers blocked on a full ring proceed
-  // before this shard commits to blocking waits.
-  for (PeerState &Peer : Peers)
-    while (!Peer.Done) {
-      ShardPacket P;
-      if (!Peer.In->tryPop(P))
-        break;
-      ++Stats.DeltasMerged;
-      Peer.ConsumedEpoch = P.Epoch;
-      if (P.Final)
-        Peer.Done = true;
-      Handler(P);
-    }
   for (PeerState &Peer : Peers)
     while (!Peer.Done)
       consumeOne(Peer, Handler);

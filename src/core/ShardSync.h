@@ -7,8 +7,8 @@
 /// \file
 /// The exchange layer of the sharded campaign engine (PFuzzerOptions::
 /// Shards): N shard loops — each a full Algorithm 1 campaign with its own
-/// candidate store — periodically trade two things through per-pair SPSC
-/// packet rings:
+/// candidate store — periodically trade two things through one shared
+/// mailbox:
 ///
 ///   1. *Coverage-frontier deltas*: the branch outcomes a shard's valid
 ///      inputs newly covered since its last packet (exported from the
@@ -29,13 +29,18 @@
 /// a peer has not reached E-1 yet. Both the content of every packet and
 /// the exact merge points in every shard's execution stream are pure
 /// functions of (seed, shard count, interval), so sharded reports are
-/// bit-reproducible while no shard ever takes a lock on its per-execution
-/// hot path (ring transfers are acquire/release atomics; a mutex+condvar
-/// pair backstops only the blocking waits at epoch boundaries).
+/// bit-reproducible.
+///
+/// The mailbox is one mutex and one condition variable over a FIFO per
+/// (consumer, producer) pair. A boundary comes once every few hundred
+/// executions, so the lock is never contended on the per-execution path.
+/// A packet is built once and shared by every receiving peer. The FIFOs
+/// are unbounded, so publishing never blocks; the lag-1 protocol keeps a
+/// live consumer's FIFOs short.
 ///
 /// Lifetimes end at different times (budgets split unevenly, valid-input
 /// work varies), so a finishing shard publishes a terminal Final packet
-/// carrying its last delta and then drains every incoming ring until each
+/// carrying its last delta and then drains every peer's FIFO until each
 /// peer's Final packet has been consumed. Globally, every published
 /// packet is therefore consumed exactly once — the published == merged
 /// ShardStats invariant the benches check.
@@ -45,9 +50,9 @@
 #ifndef PFUZZ_CORE_SHARDSYNC_H
 #define PFUZZ_CORE_SHARDSYNC_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -61,11 +66,11 @@ namespace pfuzz {
 /// eval/Campaign into BenchJson. Observational only — the search
 /// trajectory is a function of the packet protocol, not of these counts.
 struct ShardStats {
-  /// Packets pushed into peer rings (one per packet per receiving peer).
+  /// Packets delivered to peers (one per packet per receiving peer).
   uint64_t DeltasPublished = 0;
-  /// Packets consumed from peer rings (loop merges + end-of-campaign
-  /// drain). Summed across all shards this equals DeltasPublished once
-  /// every shard has drained.
+  /// Packets consumed from peers (loop merges + end-of-campaign drain).
+  /// Summed across all shards this equals DeltasPublished once every
+  /// shard has drained.
   uint64_t DeltasMerged = 0;
   /// Branch outcomes newly covered here because a peer's delta carried
   /// them first.
@@ -106,14 +111,13 @@ struct ShardStats {
 /// One epoch's worth of shard-to-peer exchange.
 struct ShardPacket {
   /// Logical boundary number (1, 2, ...); strictly increasing per
-  /// producer, so a ring always holds packets in epoch order.
+  /// producer, so a FIFO always holds packets in epoch order.
   uint64_t Epoch = 0;
   /// Terminal packet: the producer's campaign is over and no further
   /// packets will ever arrive from it.
   bool Final = false;
   /// Coverage-frontier delta: branch outcomes the producer newly covered
-  /// since its previous packet (journal slice; full resync after a
-  /// clear).
+  /// since its previous packet (a journal slice).
   std::vector<uint32_t> Branches;
 
   /// Candidate migration payload; absent when the producer's queue was
@@ -131,83 +135,6 @@ struct ShardPacket {
   uint32_t CandidateReplacementLen = 0;
 };
 
-/// Bounded single-producer single-consumer packet ring. The transfer
-/// itself is lock-free (acquire/release on the head and tail indices);
-/// the mutex+condvar pair exists only so a producer finding the ring full
-/// or a consumer finding it empty can sleep instead of spinning — both
-/// happen at epoch boundaries only, never per execution. Capacity 8 is
-/// generous: the lag-1 protocol bounds steady-state occupancy to two
-/// packets plus the terminal drain.
-class ShardPacketRing {
-public:
-  static constexpr size_t Capacity = 8;
-
-  /// Producer side; blocks while full.
-  void push(ShardPacket &&P) {
-    while (!tryPush(std::move(P))) {
-      std::unique_lock<std::mutex> Lock(WaitMutex);
-      WaitCv.wait(Lock, [this] {
-        return Tail.load(std::memory_order_relaxed) -
-                   Head.load(std::memory_order_acquire) <
-               Capacity;
-      });
-    }
-  }
-
-  /// Consumer side; blocks while empty.
-  void pop(ShardPacket &P) {
-    while (!tryPop(P)) {
-      std::unique_lock<std::mutex> Lock(WaitMutex);
-      WaitCv.wait(Lock, [this] {
-        return Head.load(std::memory_order_relaxed) !=
-               Tail.load(std::memory_order_acquire);
-      });
-    }
-  }
-
-  /// Non-blocking pop (the end-of-campaign drain peeks opportunistically
-  /// before committing to a blocking wait).
-  bool tryPop(ShardPacket &P) {
-    size_t T = Tail.load(std::memory_order_acquire);
-    size_t H = Head.load(std::memory_order_relaxed);
-    if (H == T)
-      return false;
-    P = std::move(Slots[H % Capacity]);
-    Head.store(H + 1, std::memory_order_release);
-    notify();
-    return true;
-  }
-
-private:
-  bool tryPush(ShardPacket &&P) {
-    size_t H = Head.load(std::memory_order_acquire);
-    size_t T = Tail.load(std::memory_order_relaxed);
-    if (T - H == Capacity)
-      return false;
-    Slots[T % Capacity] = std::move(P);
-    Tail.store(T + 1, std::memory_order_release);
-    notify();
-    return true;
-  }
-
-  /// Wakes the peer possibly sleeping on the other end. Taking the mutex
-  /// before notifying closes the check-then-sleep race: a waiter that
-  /// observed the old index either holds the mutex (and will be
-  /// notified) or has not re-checked yet (and will see the new index).
-  void notify() {
-    std::lock_guard<std::mutex> Lock(WaitMutex);
-    WaitCv.notify_all();
-  }
-
-  ShardPacket Slots[Capacity];
-  /// Consumer-owned read index; producer reads it to detect full.
-  std::atomic<size_t> Head{0};
-  /// Producer-owned write index; consumer reads it to detect empty.
-  std::atomic<size_t> Tail{0};
-  std::mutex WaitMutex;
-  std::condition_variable WaitCv;
-};
-
 class ShardHub;
 
 /// One shard's view of the exchange: publish at boundaries, collect
@@ -223,13 +150,9 @@ public:
   /// This shard's index within the campaign.
   uint32_t index() const { return Index; }
 
-  /// Number of peers (shards - 1).
-  uint32_t peerCount() const;
-
-  /// Publishes \p P to every peer (blocking while a ring is full, which
-  /// the lag-1 protocol makes transient). Call with strictly increasing
-  /// epochs; the Final packet must be the last.
-  void publish(const ShardPacket &P);
+  /// Publishes \p P to every peer; never blocks. Call with strictly
+  /// increasing epochs; the Final packet must be the last.
+  void publish(ShardPacket P);
 
   /// Consumes every peer's packets with epoch <= \p Through, in peer
   /// order, blocking until each peer has produced them (or consumed its
@@ -247,10 +170,7 @@ private:
 
   /// Per-peer consumption cursor.
   struct PeerState {
-    /// Ring carrying the peer's packets to this shard.
-    ShardPacketRing *In = nullptr;
-    /// Ring carrying this shard's packets to the peer.
-    ShardPacketRing *Out = nullptr;
+    uint32_t Shard = 0;
     /// Newest epoch consumed from this peer (packets arrive in epoch
     /// order, so this is also a count).
     uint64_t ConsumedEpoch = 0;
@@ -262,28 +182,36 @@ private:
   /// bookkeeping + \p Handler.
   void consumeOne(PeerState &Peer, const PacketHandler &Handler);
 
+  ShardHub *Hub = nullptr;
   uint32_t Index = 0;
   std::vector<PeerState> Peers;
 };
 
-/// Owns the N*(N-1) rings and N endpoints of one sharded campaign.
+/// Owns the mailbox and the N endpoints of one sharded campaign.
 /// Construct before the shard threads start; destroy after they join.
 class ShardHub {
 public:
   explicit ShardHub(uint32_t NumShards);
 
-  uint32_t shardCount() const {
-    return static_cast<uint32_t>(Endpoints.size());
-  }
-
-  ShardEndpoint &endpoint(uint32_t Shard) { return *Endpoints[Shard]; }
+  ShardEndpoint &endpoint(uint32_t Shard) { return Endpoints[Shard]; }
 
 private:
-  /// Ring from producer P to consumer C lives at [P * N + C]; the
-  /// diagonal is unused. unique_ptrs keep ring addresses stable (rings
-  /// hold a mutex and are neither movable nor copyable).
-  std::vector<std::unique_ptr<ShardPacketRing>> Rings;
-  std::vector<std::unique_ptr<ShardEndpoint>> Endpoints;
+  friend class ShardEndpoint;
+  using PacketRef = std::shared_ptr<const ShardPacket>;
+
+  /// Appends \p P to the FIFO from \p Producer of every other shard.
+  void post(uint32_t Producer, PacketRef P);
+  /// Pops the oldest packet from \p Producer to \p Consumer, waiting
+  /// while there is none.
+  PacketRef take(uint32_t Consumer, uint32_t Producer);
+
+  std::mutex Mutex;
+  std::condition_variable Posted;
+  /// FIFO from producer P to consumer C at [C * N + P]; the diagonal is
+  /// unused. Guarded by Mutex.
+  std::vector<std::deque<PacketRef>> Mailbox;
+  /// Sized once at construction: shard threads hold references into it.
+  std::vector<ShardEndpoint> Endpoints;
 };
 
 } // namespace pfuzz

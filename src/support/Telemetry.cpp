@@ -7,15 +7,13 @@
 #include "support/Telemetry.h"
 
 #include <cstdlib>
+#include <utility>
 
 using namespace pfuzz;
 
 RegistrySnapshot RegistrySnapshot::minus(const RegistrySnapshot &Base) const {
   auto Sub = [](uint64_t A, uint64_t B) { return A > B ? A - B : 0; };
   RegistrySnapshot Delta;
-  for (const auto &[Name, Value] : Counters)
-    Delta.Counters[Name] = Sub(Value, Base.counter(Name));
-  Delta.Gauges = Gauges;
   for (const auto &[Name, Hist] : Histograms) {
     HistogramData D;
     const HistogramData *B = Base.histogram(Name);
@@ -39,53 +37,21 @@ TelemetryRegistry::TelemetryRegistry()
 
 TelemetryRegistry::~TelemetryRegistry() = default;
 
-MetricId TelemetryRegistry::registerMetric(const std::string &Name, Kind K,
-                                           size_t Cells) {
+MetricId TelemetryRegistry::histogram(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(RegMutex);
   auto It = ByName.find(Name);
-  if (It != ByName.end()) {
-    if (It->second.first != K) {
-      std::fprintf(stderr,
-                   "telemetry: metric '%s' re-registered under a different "
-                   "kind\n",
-                   Name.c_str());
-      std::abort();
-    }
-    return It->second.second;
+  if (It != ByName.end())
+    return It->second;
+  constexpr size_t Cells = HistogramData::BucketCount + 2;
+  if (NextCell + Cells > MaxCells) {
+    std::fprintf(stderr, "telemetry: cell capacity exhausted at '%s'\n",
+                 Name.c_str());
+    std::abort();
   }
-  size_t Slot;
-  if (K == Kind::Gauge) {
-    if (NextGauge + 1 > MaxGauges) {
-      std::fprintf(stderr, "telemetry: gauge capacity exhausted at '%s'\n",
-                   Name.c_str());
-      std::abort();
-    }
-    Slot = NextGauge;
-    NextGauge += 1;
-  } else {
-    if (NextCell + Cells > MaxCells) {
-      std::fprintf(stderr, "telemetry: cell capacity exhausted at '%s'\n",
-                   Name.c_str());
-      std::abort();
-    }
-    Slot = NextCell;
-    NextCell += Cells;
-  }
-  MetricId Id{static_cast<uint32_t>(Slot)};
-  ByName.emplace(Name, std::make_pair(K, Id));
+  MetricId Id{static_cast<uint32_t>(NextCell)};
+  NextCell += Cells;
+  ByName.emplace(Name, Id);
   return Id;
-}
-
-MetricId TelemetryRegistry::counter(const std::string &Name) {
-  return registerMetric(Name, Kind::Counter, 1);
-}
-
-MetricId TelemetryRegistry::gauge(const std::string &Name) {
-  return registerMetric(Name, Kind::Gauge, 1);
-}
-
-MetricId TelemetryRegistry::histogram(const std::string &Name) {
-  return registerMetric(Name, Kind::Histogram, HistogramData::BucketCount + 2);
 }
 
 TelemetryRegistry::Shard *TelemetryRegistry::localShard() {
@@ -115,25 +81,13 @@ RegistrySnapshot TelemetryRegistry::snapshot() const {
       Total += S->Cells[Slot].load(std::memory_order_relaxed);
     return Total;
   };
-  for (const auto &[Name, Entry] : ByName) {
-    const auto &[K, Id] = Entry;
-    switch (K) {
-    case Kind::Counter:
-      Snap.Counters[Name] = SumCells(Id.Slot);
-      break;
-    case Kind::Gauge:
-      Snap.Gauges[Name] = GaugeCells[Id.Slot].load(std::memory_order_relaxed);
-      break;
-    case Kind::Histogram: {
-      HistogramData D;
-      for (size_t I = 0; I != HistogramData::BucketCount; ++I)
-        D.Buckets[I] = SumCells(Id.Slot + I);
-      D.Sum = SumCells(Id.Slot + HistogramData::BucketCount);
-      D.Count = SumCells(Id.Slot + HistogramData::BucketCount + 1);
-      Snap.Histograms[Name] = D;
-      break;
-    }
-    }
+  for (const auto &[Name, Id] : ByName) {
+    HistogramData D;
+    for (size_t I = 0; I != HistogramData::BucketCount; ++I)
+      D.Buckets[I] = SumCells(Id.Slot + I);
+    D.Sum = SumCells(Id.Slot + HistogramData::BucketCount);
+    D.Count = SumCells(Id.Slot + HistogramData::BucketCount + 1);
+    Snap.Histograms[Name] = D;
   }
   return Snap;
 }

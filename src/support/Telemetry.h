@@ -6,22 +6,21 @@
 ///
 /// \file
 /// The observability substrate of a production campaign: one process-wide
-/// registry of named monotonic counters, gauges, and fixed-bucket
-/// histograms, plus the heartbeat emitter that streams epoch-stamped
-/// NDJSON records while a campaign runs.
+/// registry of named fixed-bucket histograms (the trace spans record into
+/// it), plus the heartbeat emitter that streams epoch-stamped NDJSON
+/// records while a campaign runs.
 ///
-/// Hot-path discipline: counter increments and histogram samples land in
-/// per-worker shards of relaxed atomics — no locks, no allocation after a
-/// thread's first touch — and are only consolidated when someone takes a
-/// snapshot. Gauges are single last-writer-wins atomics. Registration
-/// (name -> MetricId) takes a mutex and is meant to happen once per call
-/// site, cached in a static local (see TELEMETRY_SPAN).
+/// Hot-path discipline: histogram samples land in per-worker shards of
+/// relaxed atomics — no locks, no allocation after a thread's first
+/// touch — and are only consolidated when someone takes a snapshot.
+/// Registration (name -> MetricId) takes a mutex and is meant to happen
+/// once per call site, cached in a static local (see TELEMETRY_SPAN).
 ///
 /// Telemetry is read-only with respect to fuzzing decisions: nothing in
 /// this file feeds back into the search, so FuzzReports are byte-identical
 /// with telemetry on, off, or compiled out. Defining PFUZZ_NO_TELEMETRY
 /// turns TELEMETRY_SPAN into a no-op statement and the registry's
-/// hot-path mutators into empty inlines; the heartbeat emitter (explicit
+/// record() into an empty inline; the heartbeat emitter (explicit
 /// opt-in via --telemetry, off the per-execution path beyond one branch
 /// and one relaxed increment) stays functional either way.
 ///
@@ -39,14 +38,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace pfuzz {
 
-/// Opaque handle to a registered metric. Cheap to copy; obtained once per
-/// call site from TelemetryRegistry::counter/gauge/histogram and reused
-/// for every update.
+/// Opaque handle to a registered histogram. Cheap to copy; obtained once
+/// per call site from TelemetryRegistry::histogram and reused for every
+/// sample.
 struct MetricId {
   uint32_t Slot = UINT32_MAX;
   bool valid() const { return Slot != UINT32_MAX; }
@@ -74,23 +72,11 @@ struct HistogramData {
   }
 };
 
-/// Point-in-time consolidation of a registry: every metric by name.
-/// Plain value type so tests can diff two snapshots with minus().
+/// Point-in-time consolidation of a registry: every histogram by name.
+/// Plain value type so callers can diff two snapshots with minus().
 class RegistrySnapshot {
 public:
-  std::map<std::string, uint64_t> Counters;
-  std::map<std::string, uint64_t> Gauges;
   std::map<std::string, HistogramData> Histograms;
-
-  uint64_t counter(const std::string &Name) const {
-    auto It = Counters.find(Name);
-    return It == Counters.end() ? 0 : It->second;
-  }
-
-  uint64_t gauge(const std::string &Name) const {
-    auto It = Gauges.find(Name);
-    return It == Gauges.end() ? 0 : It->second;
-  }
 
   const HistogramData *histogram(const std::string &Name) const {
     auto It = Histograms.find(Name);
@@ -98,57 +84,28 @@ public:
   }
 
   /// Per-interval delta against an earlier snapshot of the same registry:
-  /// counters and histograms subtract (saturating at 0 per field); gauges
-  /// keep this snapshot's value. Lets tests isolate one campaign's spans
-  /// on the process-global registry.
+  /// every histogram cell subtracts (saturating at 0). Isolates one
+  /// campaign's spans on the process-global registry.
   RegistrySnapshot minus(const RegistrySnapshot &Base) const;
 };
 
-/// Process-wide metrics registry. All methods are thread-safe;
-/// add/set/record are lock-free after a thread's first touch.
+/// Process-wide histogram registry. All methods are thread-safe;
+/// record is lock-free after a thread's first touch.
 class TelemetryRegistry {
 public:
-  /// Total metric cells (counters cost 1, histograms BucketCount + 2)
-  /// one registry can hold. Registration past the cap aborts — the
-  /// metric namespace is static, sized by call sites, not by data.
+  /// Total metric cells (BucketCount + 2 per histogram) one registry can
+  /// hold. Registration past the cap aborts — the metric namespace is
+  /// static, sized by call sites, not by data.
   static constexpr size_t MaxCells = 1024;
-  /// Gauge slots per registry (gauges live outside the sharded cells).
-  static constexpr size_t MaxGauges = 64;
 
   TelemetryRegistry();
   ~TelemetryRegistry();
   TelemetryRegistry(const TelemetryRegistry &) = delete;
   TelemetryRegistry &operator=(const TelemetryRegistry &) = delete;
 
-  /// Registers (or looks up) a monotonic counter. Idempotent per name;
-  /// re-registering a name under a different kind aborts.
-  MetricId counter(const std::string &Name);
-  /// Registers (or looks up) a last-writer-wins gauge.
-  MetricId gauge(const std::string &Name);
-  /// Registers (or looks up) a fixed-bucket histogram.
+  /// Registers (or looks up) a fixed-bucket histogram. Idempotent per
+  /// name.
   MetricId histogram(const std::string &Name);
-
-  /// Adds \p Delta to a counter on this thread's shard.
-  void add(MetricId Id, uint64_t Delta = 1) {
-#ifndef PFUZZ_NO_TELEMETRY
-    if (Id.valid())
-      localShard()->Cells[Id.Slot].fetch_add(Delta, std::memory_order_relaxed);
-#else
-    (void)Id;
-    (void)Delta;
-#endif
-  }
-
-  /// Stores \p Value into a gauge (last writer wins).
-  void set(MetricId Id, uint64_t Value) {
-#ifndef PFUZZ_NO_TELEMETRY
-    if (Id.valid())
-      GaugeCells[Id.Slot].store(Value, std::memory_order_relaxed);
-#else
-    (void)Id;
-    (void)Value;
-#endif
-  }
 
   /// Records one histogram sample on this thread's shard.
   void record(MetricId Id, uint64_t Value) {
@@ -172,9 +129,9 @@ public:
 #endif
   }
 
-  /// Consolidates every metric: sums counter and histogram cells across
-  /// all worker shards, reads gauges. Values written by threads joined
-  /// before the call are reflected exactly.
+  /// Consolidates every histogram: sums its cells across all worker
+  /// shards. Values written by threads joined before the call are
+  /// reflected exactly.
   RegistrySnapshot snapshot() const;
 
   /// The process-global registry every TELEMETRY_SPAN records into.
@@ -182,15 +139,12 @@ public:
   static TelemetryRegistry &global();
 
 private:
-  enum class Kind { Counter, Gauge, Histogram };
-
   /// One worker's cells. Fixed-size so a shard never reallocates under a
   /// concurrent snapshot; atomics zero-initialize.
   struct Shard {
     std::array<std::atomic<uint64_t>, MaxCells> Cells{};
   };
 
-  MetricId registerMetric(const std::string &Name, Kind K, size_t Cells);
   Shard *localShard();
 
   /// Never-reused registry identity; keys the thread-local shard cache so
@@ -198,11 +152,9 @@ private:
   const uint64_t UniqueId;
 
   mutable std::mutex RegMutex;
-  std::map<std::string, std::pair<Kind, MetricId>> ByName;
+  std::map<std::string, MetricId> ByName;
   size_t NextCell = 0;
-  size_t NextGauge = 0;
   std::vector<std::unique_ptr<Shard>> Shards;
-  std::array<std::atomic<uint64_t>, MaxGauges> GaugeCells{};
 };
 
 /// RAII phase timer: records elapsed nanoseconds into a histogram on

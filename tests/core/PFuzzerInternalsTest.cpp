@@ -160,39 +160,6 @@ TEST(PFuzzerInternalsTest, WorksOnAllSubjects) {
   }
 }
 
-TEST(PFuzzerInternalsTest, ResetOnValidStillEmitsValidInputs) {
-  PFuzzerOptions Config;
-  Config.ResetOnValid = true;
-  PFuzzer Tool(Config);
-  FuzzerOptions Opts;
-  Opts.Seed = 1;
-  Opts.MaxExecutions = 6000;
-  FuzzReport R = Tool.run(arithSubject(), Opts);
-  EXPECT_FALSE(R.ValidInputs.empty());
-  for (const std::string &Input : R.ValidInputs)
-    EXPECT_TRUE(arithSubject().accepts(Input));
-}
-
-TEST(PFuzzerInternalsTest, ResetOnValidKeepsInputsShorter) {
-  // Without continuation, valid inputs cannot grow past the first
-  // acceptance; the default mode produces longer ones.
-  FuzzerOptions Opts;
-  Opts.Seed = 3;
-  Opts.MaxExecutions = 8000;
-  PFuzzerOptions Reset;
-  Reset.ResetOnValid = true;
-  auto MaxLen = [](const FuzzReport &R) {
-    size_t Len = 0;
-    for (const std::string &I : R.ValidInputs)
-      Len = std::max(Len, I.size());
-    return Len;
-  };
-  PFuzzer Continue;
-  PFuzzer Resetting(Reset);
-  EXPECT_GE(MaxLen(Continue.run(arithSubject(), Opts)),
-            MaxLen(Resetting.run(arithSubject(), Opts)));
-}
-
 TEST(PFuzzerInternalsTest, RejectsMaxInputLenBeyondExactScores) {
   // Heap entries hold scores as exact floats, which holds only while the
   // length term stays small; a longer cap is refused up front instead of

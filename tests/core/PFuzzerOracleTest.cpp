@@ -8,8 +8,8 @@
 /// The campaign engine against the independent reference pFuzzer of
 /// tests/core/ReferencePFuzzer.h: on every evaluation subject, under the
 /// default cap, caps small enough to trim, a cap small enough to decay
-/// the path table, every heuristic ablation and the reset-on-valid
-/// continuation, both produce byte-identical FuzzReports; so do longer
+/// the path table and every heuristic ablation, both produce
+/// byte-identical FuzzReports; so do longer
 /// json and mjs campaigns where incremental rescore passes dominate. The
 /// engine's compact store, group-factored and incremental rescore and
 /// flat side tables are representation only; the pop order (highest
@@ -35,7 +35,6 @@ struct OracleConfig {
   const char *Name;
   size_t MaxQueue = 100000;
   HeuristicOptions Heur = HeuristicOptions();
-  bool ResetOnValid = false;
 };
 
 /// The ablation bench's heuristic configs (bench/ablation_heuristic.cpp):
@@ -64,7 +63,6 @@ QueueStats expectMatchesReference(const Subject &S, const OracleConfig &C,
   PFuzzerOptions Config;
   Config.MaxQueue = C.MaxQueue;
   Config.Heur = C.Heur;
-  Config.ResetOnValid = C.ResetOnValid;
   Config.TelemetryOut = &Telemetry;
   FuzzReport Engine = PFuzzer(Config).run(S, Opts);
   ReferencePFuzzer Reference(S, Opts, Config);
@@ -97,7 +95,6 @@ TEST(PFuzzerOracleTest, ReportsMatchReferenceAcrossConfigs) {
       {"no-path-novelty", 100000, ablated(16)},
       {"coverage-only", 100000, ablated(31)},
       {"decay-64", DecayCap},
-      {"reset-on-valid", 100000, HeuristicOptions(), /*ResetOnValid=*/true},
   };
   for (const Subject *S : evaluationSubjects()) {
     for (const OracleConfig &C : Configs) {

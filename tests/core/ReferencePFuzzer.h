@@ -43,8 +43,8 @@ namespace pfuzz {
 
 class ReferencePFuzzer {
 public:
-  /// Reads Config.Heur, Config.MaxQueue and Config.ResetOnValid; the
-  /// reference runs unsharded.
+  /// Reads Config.Heur and Config.MaxQueue; the reference runs
+  /// unsharded.
   ReferencePFuzzer(const Subject &S, const FuzzerOptions &Opts,
                    const PFuzzerOptions &Config)
       : S(S), Opts(Opts), Config(Config), R(Opts.Seed) {}
@@ -59,8 +59,7 @@ public:
       bool Valid = runCheck(Input, RR); // line 7
       Run Bare = stats(RR);
       if (Valid) {
-        if (!Config.ResetOnValid)
-          addInputs(Input, RR, Bare, NumParents); // line 44
+        addInputs(Input, RR, Bare, NumParents); // line 44
       } else {
         addInputs(Input, RR, Bare, NumParents);
         if (Report.Executions >= Opts.MaxExecutions)
@@ -71,8 +70,7 @@ public:
       }
       // The prefix requeue: a run that read past the end gets its prefix
       // back for another random extension, at most 12 times.
-      if (RR.hitEof() && Input.size() < Opts.MaxInputLen &&
-          !(Valid && Config.ResetOnValid)) {
+      if (RR.hitEof() && Input.size() < Opts.MaxInputLen) {
         uint32_t &Count = RequeueCounts[fnv(Input)];
         if (Count < 12) {
           ++Count;

@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The telemetry substrate on its own: registration is idempotent and
-/// kind-checked, sharded counters consolidate exactly (including under
-/// many concurrent writers — the TSan target), histogram samples land in
-/// their bit-width buckets with exact sums, snapshot diffs isolate an
-/// interval, and the heartbeat emitter writes schema-stable NDJSON with
-/// monotone beat/execution columns and exactly one boundary claim per
-/// interval.
+/// The telemetry substrate on its own: registration is idempotent,
+/// histogram samples land in their bit-width buckets with exact sums,
+/// per-thread cells consolidate exactly (including under many concurrent
+/// writers — the TSan target), snapshot diffs isolate an interval, and
+/// the heartbeat emitter writes schema-stable NDJSON with monotone
+/// beat/execution columns and exactly one boundary claim per interval.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,40 +60,14 @@ std::string fieldOf(const std::string &Line, const std::string &Key) {
 
 } // namespace
 
-TEST(TelemetryTest, CounterRegistrationIdempotentAndExact) {
-#ifdef PFUZZ_NO_TELEMETRY
-  GTEST_SKIP() << "registry mutators are compiled out under PFUZZ_NO_TELEMETRY";
-#endif
-  TelemetryRegistry Reg;
-  MetricId A = Reg.counter("test.counter");
-  MetricId B = Reg.counter("test.counter");
-  EXPECT_TRUE(A.valid());
-  EXPECT_EQ(A.Slot, B.Slot);
-  Reg.add(A, 3);
-  Reg.add(B, 4);
-  Reg.add(A);
-  RegistrySnapshot Snap = Reg.snapshot();
-  EXPECT_EQ(Snap.counter("test.counter"), 8u);
-  EXPECT_EQ(Snap.counter("test.never-registered"), 0u);
-}
-
-TEST(TelemetryTest, GaugeLastWriterWins) {
-#ifdef PFUZZ_NO_TELEMETRY
-  GTEST_SKIP() << "registry mutators are compiled out under PFUZZ_NO_TELEMETRY";
-#endif
-  TelemetryRegistry Reg;
-  MetricId G = Reg.gauge("test.gauge");
-  Reg.set(G, 41);
-  Reg.set(G, 17);
-  EXPECT_EQ(Reg.snapshot().gauge("test.gauge"), 17u);
-}
-
 TEST(TelemetryTest, HistogramBucketsByBitWidthWithExactSum) {
 #ifdef PFUZZ_NO_TELEMETRY
   GTEST_SKIP() << "registry mutators are compiled out under PFUZZ_NO_TELEMETRY";
 #endif
   TelemetryRegistry Reg;
   MetricId H = Reg.histogram("test.hist");
+  EXPECT_TRUE(H.valid());
+  EXPECT_EQ(Reg.histogram("test.hist").Slot, H.Slot);
   // Bucket index is the value's bit width: 0 -> bucket 0, 1 -> bucket 1,
   // 2 and 3 -> bucket 2, 1000 -> bucket 10.
   for (uint64_t V : {0ull, 1ull, 2ull, 3ull, 1000ull})
@@ -130,56 +103,47 @@ TEST(TelemetryTest, SnapshotMinusIsolatesAnInterval) {
   GTEST_SKIP() << "registry mutators are compiled out under PFUZZ_NO_TELEMETRY";
 #endif
   TelemetryRegistry Reg;
-  MetricId C = Reg.counter("test.delta");
-  MetricId G = Reg.gauge("test.delta-gauge");
   MetricId H = Reg.histogram("test.delta-hist");
-  Reg.add(C, 10);
-  Reg.set(G, 5);
   Reg.record(H, 100);
   RegistrySnapshot Before = Reg.snapshot();
-  Reg.add(C, 7);
-  Reg.set(G, 9);
   Reg.record(H, 200);
   RegistrySnapshot Delta = Reg.snapshot().minus(Before);
-  // Counters and histograms subtract; gauges keep the later value.
-  EXPECT_EQ(Delta.counter("test.delta"), 7u);
-  EXPECT_EQ(Delta.gauge("test.delta-gauge"), 9u);
   const HistogramData *D = Delta.histogram("test.delta-hist");
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->Count, 1u);
   EXPECT_EQ(D->Sum, 200u);
+  EXPECT_EQ(D->Buckets[7], 0u); // 100 came before the interval
+  EXPECT_EQ(D->Buckets[8], 1u);
 }
 
 TEST(TelemetryTest, ConcurrentCountersConsolidateExactly) {
 #ifdef PFUZZ_NO_TELEMETRY
   GTEST_SKIP() << "registry mutators are compiled out under PFUZZ_NO_TELEMETRY";
 #endif
-  // Many threads hammer the same counters through their per-thread
-  // shards; after joining, a snapshot must account for every increment.
-  // Run under TSan this is the registry's data-race pin: the hot path is
-  // relaxed atomics on per-thread cells, consolidation reads them all.
+  // Many threads hammer the same histogram's count, sum and bucket
+  // counters through their per-thread shards; after joining, a snapshot
+  // must account for every sample. Run under TSan this is the registry's
+  // data-race pin: the hot path is relaxed atomics on per-thread cells,
+  // consolidation reads them all.
   TelemetryRegistry Reg;
-  MetricId C = Reg.counter("test.hammer");
   MetricId H = Reg.histogram("test.hammer-hist");
   const int Threads = 8;
   const uint64_t PerThread = 50000;
   std::vector<std::thread> Pool;
   for (int T = 0; T != Threads; ++T)
-    Pool.emplace_back([&Reg, C, H] {
-      for (uint64_t I = 0; I != PerThread; ++I) {
-        Reg.add(C);
-        if (I % 100 == 0)
-          Reg.record(H, I);
-      }
+    Pool.emplace_back([&Reg, H] {
+      for (uint64_t I = 0; I != PerThread; ++I)
+        Reg.record(H, 1);
     });
   for (std::thread &T : Pool)
     T.join();
   RegistrySnapshot Snap = Reg.snapshot();
-  EXPECT_EQ(Snap.counter("test.hammer"),
-            static_cast<uint64_t>(Threads) * PerThread);
+  const uint64_t Total = static_cast<uint64_t>(Threads) * PerThread;
   const HistogramData *D = Snap.histogram("test.hammer-hist");
   ASSERT_NE(D, nullptr);
-  EXPECT_EQ(D->Count, static_cast<uint64_t>(Threads) * (PerThread / 100));
+  EXPECT_EQ(D->Count, Total);
+  EXPECT_EQ(D->Sum, Total);
+  EXPECT_EQ(D->Buckets[1], Total);
 }
 
 TEST(TelemetryTest, SpanRecordsIntoGlobalRegistry) {
