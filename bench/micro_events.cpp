@@ -11,11 +11,11 @@
 /// short warm-up that grows every pooled buffer to its working-set size,
 /// the steady state is measured.
 ///
-/// Read the numbers as a pair: allocs_per_exec in Off mode is what the
-/// subject itself allocates; the Full-mode figure minus the Off-mode
-/// figure is the allocation cost of event recording — the quantity the
-/// arena-backed events, inline taint representation and interned function
-/// names drive to zero.
+/// Read the numbers against Off: allocs_per_exec in Off mode is what the
+/// subject itself allocates; the Comparisons- and Full-mode figures minus
+/// the Off-mode figure are the allocation cost of event recording — the
+/// quantity the arena-backed events, inline taint representation and
+/// interned function names drive to zero.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,6 +100,11 @@ void runAllocBench(benchmark::State &State, const Subject &S,
     runAllocBench(State, SUBJECT##Subject(), InstrumentationMode::Off);      \
   }                                                                          \
   BENCHMARK(BM_##SUBJECT##_Allocs_Off);                                      \
+  static void BM_##SUBJECT##_Allocs_Comparisons(benchmark::State &State) {   \
+    runAllocBench(State, SUBJECT##Subject(),                                 \
+                  InstrumentationMode::Comparisons);                         \
+  }                                                                          \
+  BENCHMARK(BM_##SUBJECT##_Allocs_Comparisons);                              \
   static void BM_##SUBJECT##_Allocs_Full(benchmark::State &State) {          \
     runAllocBench(State, SUBJECT##Subject(), InstrumentationMode::Full);     \
   }                                                                          \

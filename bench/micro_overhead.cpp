@@ -8,8 +8,10 @@
 /// Measures the instrumentation overhead the paper quantifies in
 /// Section 4 ("executions are slowed down by a factor of about 100"):
 /// each subject parses a fixed valid corpus in Off (uninstrumented twin),
-/// CoverageOnly (AFL-grade) and Full (pFuzzer-grade) modes. Compare the
-/// per-mode timings to read off the slowdown factor.
+/// CoverageOnly (AFL-grade), Comparisons (what pFuzzer and KLEE record)
+/// and Full (plus the call trace and compared bytes that grammar mining
+/// and AFL-CTP read) modes. Compare the per-mode timings to read off the
+/// slowdown factor.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,6 +62,10 @@ void runSubject(benchmark::State &State, const Subject &S,
                InstrumentationMode::CoverageOnly);                            \
   }                                                                           \
   BENCHMARK(BM_##SUBJECT##_CoverageOnly);                                     \
+  static void BM_##SUBJECT##_Comparisons(benchmark::State &State) {           \
+    runSubject(State, SUBJECT##Subject(), InstrumentationMode::Comparisons);  \
+  }                                                                           \
+  BENCHMARK(BM_##SUBJECT##_Comparisons);                                      \
   static void BM_##SUBJECT##_Full(benchmark::State &State) {                  \
     runSubject(State, SUBJECT##Subject(), InstrumentationMode::Full);         \
   }                                                                           \

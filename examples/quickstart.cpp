@@ -44,7 +44,7 @@ int main(int Argc, char **Argv) {
               " Comparisons at index 0:\n",
               Probe.ExitCode);
   for (const ComparisonEvent &E : Probe.Comparisons) {
-    if (E.Taint.empty() || !E.Taint.contains(0))
+    if (E.Taint.empty() || E.Taint.minIndex() != 0)
       continue;
     const char *Kind = E.Kind == CompareKind::CharEq      ? "char=="
                        : E.Kind == CompareKind::CharSet   ? "in-set"

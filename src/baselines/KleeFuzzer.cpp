@@ -130,7 +130,7 @@ FuzzReport KleeCampaign::run() {
   std::string Input; // recycled copy of the state being run
   while (!States.empty() && Report.Executions < Opts.MaxExecutions) {
     States.pop(Input);
-    S.execute(Input, InstrumentationMode::Full, RR);
+    S.execute(Input, InstrumentationMode::Comparisons, RR);
     ++Report.Executions;
     bool NewCode = false;
     RR.coveredBranches(Covered);

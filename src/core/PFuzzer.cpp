@@ -411,8 +411,9 @@ FuzzReport Campaign::run() {
 }
 
 bool Campaign::runCheck(const std::string &Input, RunResult &RR) {
-  // Recycles RR's buffers.
-  S.execute(Input, InstrumentationMode::Full, RR);
+  // Recycles RR's buffers. The search reads comparisons, EOF accesses,
+  // stack depth and branches: no call trace, no compared bytes.
+  S.execute(Input, InstrumentationMode::Comparisons, RR);
   ++Report.Executions;
   // Heartbeat: one branch when disabled, one relaxed increment when
   // armed. The claiming tick samples and emits; nothing here reads back

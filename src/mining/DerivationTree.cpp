@@ -9,11 +9,14 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace pfuzz;
 
 std::optional<DerivationTree>
 DerivationTree::fromRun(const RunResult &RR, std::string_view Input) {
+  assert(RR.Mode == InstrumentationMode::Full &&
+         "only a Full run records the call trace");
   if (RR.CallTrace.empty())
     return std::nullopt;
   DerivationTree Tree;

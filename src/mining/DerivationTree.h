@@ -38,9 +38,9 @@ struct DerivationNode {
 /// The derivation tree of one (typically valid) run.
 class DerivationTree {
 public:
-  /// Rebuilds the tree from \p RR's call trace over \p Input. Returns
-  /// nullopt when the trace is empty or unbalanced (e.g. the run was not
-  /// executed in Full mode).
+  /// Rebuilds the tree from \p RR's call trace over \p Input. \p RR must
+  /// have been recorded in Full mode, the only mode with a call trace.
+  /// Returns nullopt when the trace is empty or unbalanced.
   static std::optional<DerivationTree> fromRun(const RunResult &RR,
                                                std::string_view Input);
 

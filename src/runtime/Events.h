@@ -15,9 +15,12 @@
 /// bytes) are not owned by the event: they live in a per-RunResult char
 /// arena and events hold offset+length slices into it. Recording a
 /// comparison therefore appends to one recycled buffer instead of
-/// constructing two std::strings per event — the dominant allocation in
-/// Full-mode execution. Resolve slices with RunResult::expected(E) /
-/// RunResult::actual(E).
+/// constructing two std::strings per event. Resolve slices with
+/// RunResult::expected(E) / RunResult::actual(E).
+///
+/// A ComparisonEvent is 40 bytes and trivially copyable: it keeps the
+/// compared value's taint as TaintBounds, not as a TaintSet, so recording
+/// one is a plain store and clearing a run's events is O(1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +30,7 @@
 #include "taint/Taint.h"
 
 #include <cstdint>
+#include <type_traits>
 
 namespace pfuzz {
 
@@ -51,9 +55,10 @@ struct EventSlice {
 
 /// One tracked comparison between a tainted value and an expected operand.
 struct ComparisonEvent {
-  /// Input indices the compared value derives from. Empty when the subject
-  /// compared a value whose taint was lost (implicit flow).
-  TaintSet Taint;
+  /// Bounds of the input indices the compared value derives from. Empty
+  /// when the subject compared a value whose taint was lost (implicit
+  /// flow).
+  TaintBounds Taint;
 
   CompareKind Kind = CompareKind::CharEq;
 
@@ -63,7 +68,8 @@ struct ComparisonEvent {
   EventSlice Expected;
 
   /// The concrete bytes of the compared value at comparison time, as an
-  /// arena slice. Resolve with RunResult::actual(E).
+  /// arena slice; recorded in Full mode only. Resolve with
+  /// RunResult::actual(E).
   EventSlice Actual;
 
   /// Whether the comparison succeeded.
@@ -88,6 +94,11 @@ struct ComparisonEvent {
   /// character" (Section 3.1).
   uint32_t TracePosition = 0;
 };
+
+static_assert(sizeof(ComparisonEvent) == 40,
+              "ComparisonEvent grew; the recorded event is on the hot path");
+static_assert(std::is_trivially_copyable_v<ComparisonEvent>,
+              "ComparisonEvent must stay trivially copyable");
 
 /// An attempted input access at or past the end of the input.
 struct EofEvent {

@@ -56,7 +56,7 @@ TChar ExecutionContext::nextChar() {
 TChar ExecutionContext::peekChar(uint32_t Lookahead) {
   uint64_t Index = static_cast<uint64_t>(Cursor) + Lookahead;
   if (Index >= Input.size()) {
-    if (Mode == InstrumentationMode::Full) {
+    if (recordsComparisons()) {
       // Re-reads at the same position collapse into one EofEvent: a
       // parser retrying its lookahead at one cursor wants one character,
       // and counting every attempt would inflate the "wants more input"
@@ -89,16 +89,16 @@ EventSlice ExecutionContext::internEventChars(std::string_view Bytes) {
 void ExecutionContext::recordComparison(const TChar &C, CompareKind Kind,
                                         std::string_view Expected,
                                         bool Matched, bool Implicit) {
-  if (Mode != InstrumentationMode::Full)
+  if (!recordsComparisons())
     return;
   ComparisonEvent &Event = Result.Comparisons.emplace_back();
-  Event.Taint = C.taint();
+  Event.Taint = C.taint().bounds();
   Event.Kind = Kind;
   Event.Expected = internEventChars(Expected);
   // The compared character is pushed, not appended through a call into
   // the library. (Pushing one- and two-byte expected operands as well
   // measured no faster: internEventChars stopped being inlined.)
-  if (!C.isEof()) {
+  if (mode() == InstrumentationMode::Full && !C.isEof()) {
     Event.Actual = {static_cast<uint32_t>(Result.EventChars.size()), 1};
     Result.EventChars.push_back(C.ch());
   }
@@ -143,12 +143,13 @@ bool ExecutionContext::cmpSet(const TChar &C, std::string_view Set,
 
 bool ExecutionContext::cmpStr(const TString &S, std::string_view Expected) {
   bool Matched = S.view() == Expected;
-  if (Mode == InstrumentationMode::Full) {
+  if (recordsComparisons()) {
     ComparisonEvent &Event = Result.Comparisons.emplace_back();
-    Event.Taint = S.taint();
+    Event.Taint = S.taint().bounds();
     Event.Kind = CompareKind::StrEq;
     Event.Expected = internEventChars(Expected);
-    Event.Actual = internEventChars(S.view());
+    if (mode() == InstrumentationMode::Full)
+      Event.Actual = internEventChars(S.view());
     Event.Matched = Matched;
     Event.OnEof = false;
     Event.StackDepth = StackDepth;
@@ -176,7 +177,7 @@ void ExecutionContext::exitFunction() {
 }
 
 bool ExecutionContext::recordBranch(uint32_t SiteId, bool Taken) {
-  if (Mode != InstrumentationMode::Off)
+  if (mode() != InstrumentationMode::Off)
     Result.BranchTrace.push_back((SiteId << 1) | (Taken ? 1u : 0u));
   return Taken;
 }

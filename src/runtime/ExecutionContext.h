@@ -37,6 +37,7 @@
 #include "taint/TaintedValue.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -44,12 +45,19 @@
 
 namespace pfuzz {
 
-/// How much the runtime records. Off gives an uninstrumented "twin" used to
-/// measure instrumentation overhead (the paper reports a ~100x slowdown);
-/// CoverageOnly is what an AFL-style fuzzer consumes.
+/// How much the runtime records; each mode records everything the one
+/// before it does. Each tool picks the mode whose records it reads.
 enum class InstrumentationMode {
+  /// Nothing: the uninstrumented "twin" used to measure instrumentation
+  /// overhead (the paper reports a ~100x slowdown).
   Off,
+  /// The branch trace: what an AFL-style fuzzer consumes.
   CoverageOnly,
+  /// Plus comparison events with their expected operands, EOF accesses
+  /// and stack depth: what pFuzzer and the KLEE baseline consume.
+  Comparisons,
+  /// Plus the function-call trace (read by src/mining) and the compared
+  /// bytes of every comparison (read by AFL-CTP).
   Full,
 };
 
@@ -68,14 +76,18 @@ struct RunResult {
   /// Subject exit code; 0 means the input was accepted as valid.
   int ExitCode = 1;
 
-  /// Comparisons of tainted values, in execution order (Full mode only).
+  /// The mode the run was recorded in. A hand-built result counts as Full.
+  InstrumentationMode Mode = InstrumentationMode::Full;
+
+  /// Comparisons of tainted values, in execution order (Comparisons and
+  /// Full modes).
   std::vector<ComparisonEvent> Comparisons;
 
-  /// Accesses past the end of the input (Full mode only).
+  /// Accesses past the end of the input (Comparisons and Full modes).
   std::vector<EofEvent> EofAccesses;
 
   /// Branch trace: each entry is (SiteId << 1) | TakenBit, in execution
-  /// order (CoverageOnly and Full).
+  /// order (every mode but Off).
   std::vector<uint32_t> BranchTrace;
 
   /// Function enter/exit events in execution order (Full mode only);
@@ -97,8 +109,11 @@ struct RunResult {
                                                E.Expected.Length);
   }
 
-  /// Resolves a comparison's concrete compared bytes.
+  /// Resolves a comparison's concrete compared bytes. Only a Full run
+  /// records them.
   std::string_view actual(const ComparisonEvent &E) const {
+    assert(Mode == InstrumentationMode::Full &&
+           "compared bytes are recorded in Full mode only");
     return std::string_view(EventChars).substr(E.Actual.Offset,
                                                E.Actual.Length);
   }
@@ -200,7 +215,9 @@ public:
   explicit ExecutionContext(
       std::string_view Input,
       InstrumentationMode Mode = InstrumentationMode::Full)
-      : Input(Input), Mode(Mode) {}
+      : Input(Input) {
+    Result.Mode = Mode;
+  }
 
   /// Pooled-execution constructor: adopts \p Recycled as the result
   /// storage, clearing its contents but keeping the vector capacities a
@@ -209,8 +226,9 @@ public:
   /// per execution (see Subject::execute(Input, Mode, InOut)).
   ExecutionContext(std::string_view Input, InstrumentationMode Mode,
                    RunResult &&Recycled)
-      : Input(Input), Mode(Mode), Result(std::move(Recycled)) {
+      : Input(Input), Result(std::move(Recycled)) {
     Result.clear();
+    Result.Mode = Mode;
   }
 
   //===--------------------------------------------------------------------===
@@ -245,7 +263,7 @@ public:
   std::string_view input() const { return Input; }
 
   //===--------------------------------------------------------------------===
-  // Tracked comparisons (Full mode records ComparisonEvents)
+  // Tracked comparisons (Comparisons and Full modes record events)
   //===--------------------------------------------------------------------===
 
   /// `C == Expected`. Returns the concrete outcome. \p Implicit marks a
@@ -272,19 +290,20 @@ public:
 
   /// RAII scope emitted at function entry by PF_FUNC. \p Name is the
   /// enclosing function's __func__ literal; Full mode records a call
-  /// trace from it for derivation-tree mining.
+  /// trace from it for derivation-tree mining, every other mode only
+  /// counts the depth.
   class FunctionScope {
   public:
     FunctionScope(ExecutionContext &Ctx, const char *Name) : Ctx(Ctx) {
       ++Ctx.StackDepth;
       if (Ctx.StackDepth > Ctx.MaxStackDepth)
         Ctx.MaxStackDepth = Ctx.StackDepth;
-      if (Ctx.Mode == InstrumentationMode::Full)
+      if (Ctx.mode() == InstrumentationMode::Full)
         Ctx.enterFunction(Name);
     }
     ~FunctionScope() {
       --Ctx.StackDepth;
-      if (Ctx.Mode == InstrumentationMode::Full)
+      if (Ctx.mode() == InstrumentationMode::Full)
         Ctx.exitFunction();
     }
     FunctionScope(const FunctionScope &) = delete;
@@ -297,7 +316,7 @@ public:
   uint32_t stackDepth() const { return StackDepth; }
   uint32_t maxStackDepth() const { return MaxStackDepth; }
 
-  InstrumentationMode mode() const { return Mode; }
+  InstrumentationMode mode() const { return Result.Mode; }
 
   /// Moves the collected result out of the context. The subject's exit
   /// code must be stored with setExitCode before calling this.
@@ -315,8 +334,12 @@ private:
   void enterFunction(const char *Name);
   void exitFunction();
 
+  /// True in the modes that record comparison events and EOF accesses.
+  bool recordsComparisons() const {
+    return mode() >= InstrumentationMode::Comparisons;
+  }
+
   std::string_view Input;
-  InstrumentationMode Mode;
   uint32_t Cursor = 0;
   uint32_t StackDepth = 0;
   uint32_t MaxStackDepth = 0;

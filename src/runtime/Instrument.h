@@ -87,10 +87,10 @@
 #define PF_IF_STR(CTX, S, EXPECTED)                                            \
   ((CTX).recordBranch(PF_SITE_ID, (CTX).cmpStr((S), (EXPECTED))))
 
-/// Function-entry instrumentation: call-stack depth tracking plus the
-/// function-call trace (Section 4: "the sequence of function calls
-/// together with current stack contents"). The enclosing function's name
-/// identifies the activation for derivation-tree mining.
+/// Function-entry instrumentation: call-stack depth tracking plus, in Full
+/// mode, the function-call trace (Section 4: "the sequence of function
+/// calls together with current stack contents"). The enclosing function's
+/// name identifies the activation for derivation-tree mining.
 #define PF_FUNC(CTX)                                                           \
   ::pfuzz::ExecutionContext::FunctionScope PfFunctionScope(CTX, __func__)
 

@@ -36,6 +36,9 @@
 /// concurrent executions (parallel campaign seeds, shard loops)
 /// propagate taint with no synchronization at all.
 ///
+/// A recorded comparison keeps only a TaintSet's TaintBounds: the
+/// smallest and largest index, which is all the search reads of it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PFUZZ_TAINT_TAINT_H
@@ -47,6 +50,48 @@
 #include <vector>
 
 namespace pfuzz {
+
+/// The bounds of a taint set: its smallest index and its largest index
+/// plus one, or an empty range for an untainted value. Eight bytes and
+/// trivially copyable, so recorded comparison events carry no heap-capable
+/// member. A scattered set {0, 2, 5} keeps the bounds [0, 6); membership
+/// is not recoverable, and nothing that reads recorded events asks for it.
+class TaintBounds {
+public:
+  /// Creates empty (untainted) bounds.
+  TaintBounds() = default;
+
+  /// Bounds of the half-open index range [\p Begin, \p End).
+  static TaintBounds forRange(uint32_t Begin, uint32_t End) {
+    assert(Begin <= End && "inverted taint bounds");
+    TaintBounds B;
+    B.Lo = Begin;
+    B.Hi = End;
+    return B;
+  }
+
+  bool empty() const { return Lo == Hi; }
+
+  /// Smallest tainted index. Must not be called on empty bounds.
+  uint32_t minIndex() const {
+    assert(!empty() && "minIndex of empty taint bounds");
+    return Lo;
+  }
+
+  /// Largest tainted index. Must not be called on empty bounds.
+  uint32_t maxIndex() const {
+    assert(!empty() && "maxIndex of empty taint bounds");
+    return Hi - 1;
+  }
+
+  bool operator==(const TaintBounds &Other) const {
+    return Lo == Other.Lo && Hi == Other.Hi;
+  }
+
+private:
+  uint32_t Lo = 0;
+  uint32_t Hi = 0;
+};
 
 /// The set of input indices a runtime value is derived from.
 class TaintSet {
@@ -98,6 +143,11 @@ public:
   uint32_t maxIndex() const {
     assert(!empty() && "maxIndex of empty taint set");
     return Kind == Rep::Interval ? Hi - 1 : Hi;
+  }
+
+  /// The set's bounds [minIndex, maxIndex + 1); empty for the empty set.
+  TaintBounds bounds() const {
+    return TaintBounds::forRange(Lo, Kind == Rep::Interval ? Hi : Hi + 1);
   }
 
   /// Merges \p Other into this set (value derivation accumulates taints).

@@ -167,6 +167,8 @@ private:
   /// Lines 27-45: a valid input is exit code 0 with new coverage; it is
   /// emitted, grows vBr and re-ranks the queue.
   bool runCheck(const std::string &Input, RunResult &Out) {
+    // Full, not the engine's Comparisons mode: the oracle records
+    // everything, so a lean-mode recording gap shows up as a report diff.
     S.execute(Input, InstrumentationMode::Full, Out);
     ++Report.Executions;
     if (Out.ExitCode != 0)

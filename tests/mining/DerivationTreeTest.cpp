@@ -17,6 +17,19 @@ TEST(DerivationTreeTest, EmptyTraceYieldsNothing) {
   EXPECT_FALSE(DerivationTree::fromRun(RR, "x").has_value());
 }
 
+TEST(DerivationTreeTest, FromRunRequiresFullModeDeathTest) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the mode assertion is compiled out without assertions";
+#else
+  // A Comparisons run has no call trace; reading one as an empty tree
+  // would silently mine nothing.
+  RunResult RR =
+      arithSubject().execute("(2-94)", InstrumentationMode::Comparisons);
+  ASSERT_EQ(RR.ExitCode, 0);
+  EXPECT_DEATH(DerivationTree::fromRun(RR, "(2-94)"), "call trace");
+#endif
+}
+
 TEST(DerivationTreeTest, HandRolledTrace) {
   // parse [0,3) { lex [0,1), lex [2,3) } over "a b".
   RunResult RR;

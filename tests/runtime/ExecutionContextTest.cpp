@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace pfuzz;
 
 TEST(ExecutionContextTest, ReadsCharactersWithTaints) {
@@ -111,7 +113,9 @@ TEST(ExecutionContextTest, CmpEqRecordsEvent) {
   EXPECT_EQ(RR.actual(RR.Comparisons[0]), "a");
   EXPECT_FALSE(RR.Comparisons[0].Matched);
   EXPECT_TRUE(RR.Comparisons[1].Matched);
-  EXPECT_TRUE(RR.Comparisons[0].Taint.contains(0));
+  ASSERT_FALSE(RR.Comparisons[0].Taint.empty());
+  EXPECT_EQ(RR.Comparisons[0].Taint.minIndex(), 0u);
+  EXPECT_EQ(RR.Comparisons[0].Taint.maxIndex(), 0u);
 }
 
 TEST(ExecutionContextTest, CmpRangeUnsignedSemantics) {
@@ -164,6 +168,43 @@ TEST(ExecutionContextTest, CmpStrRecordsFullOperands) {
   EXPECT_EQ(RR.actual(RR.Comparisons[0]), "whx");
   EXPECT_EQ(RR.Comparisons[0].Taint.minIndex(), 0u);
   EXPECT_EQ(RR.Comparisons[0].Taint.maxIndex(), 2u);
+}
+
+TEST(ExecutionContextTest, CmpStrOnScatteredTaintRecordsItsBounds) {
+  // A value derived from indices {0, 2, 5} spills to the heap form of
+  // TaintSet; the event keeps only the bounds [0, 5].
+  ExecutionContext Ctx("abcdef");
+  std::vector<TChar> Chars;
+  for (int I = 0; I != 6; ++I)
+    Chars.push_back(Ctx.nextChar());
+  TString S;
+  S.push_back(Chars[0]);
+  S.push_back(Chars[2]);
+  S.push_back(Chars[5]);
+  ASSERT_TRUE(S.taint().isSpilled());
+  EXPECT_TRUE(Ctx.cmpStr(S, "acf"));
+  Ctx.setExitCode(0);
+  RunResult RR = Ctx.takeResult();
+  ASSERT_EQ(RR.Comparisons.size(), 1u);
+  const TaintBounds &Bounds = RR.Comparisons[0].Taint;
+  ASSERT_FALSE(Bounds.empty());
+  EXPECT_EQ(Bounds.minIndex(), 0u);
+  EXPECT_EQ(Bounds.maxIndex(), 5u);
+  EXPECT_EQ(Bounds, TaintBounds::forRange(0, 6));
+}
+
+TEST(ExecutionContextTest, UntaintedComparisonRecordsEmptyBounds) {
+  ExecutionContext Ctx("x");
+  EXPECT_TRUE(Ctx.cmpEq(TChar::constant('a'), 'a'));
+  TString Literal;
+  Literal.appendLiteral('k');
+  EXPECT_TRUE(Ctx.cmpStr(Literal, "k"));
+  Ctx.setExitCode(0);
+  RunResult RR = Ctx.takeResult();
+  ASSERT_EQ(RR.Comparisons.size(), 2u);
+  EXPECT_TRUE(RR.Comparisons[0].Taint.empty());
+  EXPECT_TRUE(RR.Comparisons[1].Taint.empty());
+  EXPECT_EQ(RR.Comparisons[0].Taint, TaintBounds());
 }
 
 TEST(ExecutionContextTest, ImplicitFlagPropagates) {
@@ -286,10 +327,54 @@ TEST(ExecutionContextTest, CoverageOnlyRecordsBranchesOnly) {
   EXPECT_EQ(RR.BranchTrace.size(), 1u);
 }
 
+TEST(ExecutionContextTest, ComparisonsModeSkipsCallTraceAndComparedBytes) {
+  ExecutionContext Ctx("ab", InstrumentationMode::Comparisons);
+  {
+    ExecutionContext::FunctionScope Scope(Ctx, "parse");
+    TChar A = Ctx.nextChar();
+    Ctx.recordBranch(0, Ctx.cmpEq(A, 'a'));
+    TString S;
+    S.push_back(A);
+    S.push_back(Ctx.nextChar());
+    Ctx.cmpStr(S, "ab");
+    Ctx.peekChar();
+  }
+  Ctx.setExitCode(0);
+  RunResult RR = Ctx.takeResult();
+  EXPECT_EQ(RR.Mode, InstrumentationMode::Comparisons);
+  EXPECT_EQ(RR.BranchTrace.size(), 1u);
+  ASSERT_EQ(RR.Comparisons.size(), 2u);
+  EXPECT_EQ(RR.expected(RR.Comparisons[0]), "a");
+  EXPECT_EQ(RR.expected(RR.Comparisons[1]), "ab");
+  EXPECT_EQ(RR.Comparisons[0].StackDepth, 1u);
+  EXPECT_EQ(RR.Comparisons[1].Taint, TaintBounds::forRange(0, 2));
+  for (const ComparisonEvent &E : RR.Comparisons)
+    EXPECT_EQ(E.Actual.Length, 0u);
+  // Only the expected operands reach the arena.
+  EXPECT_EQ(RR.EventChars, "aab");
+  ASSERT_EQ(RR.EofAccesses.size(), 1u);
+  EXPECT_EQ(RR.EofAccesses[0].AccessIndex, 2u);
+  EXPECT_TRUE(RR.CallTrace.empty());
+  EXPECT_TRUE(RR.FunctionNames.empty());
+}
+
+TEST(ExecutionContextTest, ActualRequiresFullModeDeathTest) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the mode assertion is compiled out without assertions";
+#else
+  ExecutionContext Ctx("a", InstrumentationMode::Comparisons);
+  Ctx.cmpEq(Ctx.nextChar(), 'a');
+  Ctx.setExitCode(0);
+  RunResult RR = Ctx.takeResult();
+  ASSERT_EQ(RR.Comparisons.size(), 1u);
+  EXPECT_DEATH(RR.actual(RR.Comparisons[0]), "Full mode only");
+#endif
+}
+
 TEST(ExecutionContextTest, ComparisonOutcomeSameAcrossModes) {
   for (InstrumentationMode Mode :
        {InstrumentationMode::Off, InstrumentationMode::CoverageOnly,
-        InstrumentationMode::Full}) {
+        InstrumentationMode::Comparisons, InstrumentationMode::Full}) {
     ExecutionContext Ctx("q", Mode);
     TChar C = Ctx.nextChar();
     EXPECT_TRUE(Ctx.cmpEq(C, 'q'));

@@ -55,7 +55,7 @@ TEST(ArithTest, RejectionComparesAgainstGrammarAlternatives) {
   EXPECT_NE(RR.ExitCode, 0);
   bool SawParen = false, SawSign = false, SawDigit = false;
   for (const ComparisonEvent &E : RR.Comparisons) {
-    if (E.Taint.empty() || !E.Taint.contains(0))
+    if (E.Taint.empty() || E.Taint.minIndex() != 0)
       continue;
     if (E.Kind == CompareKind::CharEq && RR.expected(E) == "(")
       SawParen = true;
