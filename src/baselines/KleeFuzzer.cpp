@@ -85,12 +85,14 @@ void forEachSolution(const RunResult &RR, const ComparisonEvent &E, Fn F) {
 
 void KleeCampaign::forkFrom(const std::string &Input, const RunResult &RR,
                             bool Prioritise) {
+  // The forks go to the store as one batch, in the order a KLEE searcher
+  // would queue them.
   std::string_view In = Input;
   for (const ComparisonEvent &E : RR.Comparisons) {
     // Nothing pops while forking, so once the queue is full every
     // further fork would be refused.
     if (States.full())
-      return;
+      break;
     if (E.Taint.empty())
       continue;
     // Branch-negation targeting: the instrumented comparison records its
@@ -102,13 +104,16 @@ void KleeCampaign::forkFrom(const std::string &Input, const RunResult &RR,
         !AllCovered.test(RR.BranchTrace[E.TracePosition] ^ 1u);
     size_t Begin = std::min<size_t>(E.Taint.minIndex(), Input.size());
     size_t End = std::min<size_t>(E.Taint.maxIndex() + 1, Input.size());
+    std::string_view Solved = In.substr(Begin, End - Begin);
     forEachSolution(RR, E, [&](std::string_view Sol) {
+      // A solution equal to the bytes it replaces forks the input itself.
+      if (Sol == Solved)
+        return;
       // Substitute the solved bytes, keep the unconstrained suffix.
       Fork.assign(In.substr(0, Begin));
       Fork.append(Sol);
       Fork.append(In.substr(End));
-      if (Fork != In)
-        States.push(Fork, Prioritise || TargetsNewCode);
+      States.stage(Fork, Prioritise || TargetsNewCode);
     });
   }
   // Symbolic input length (KLEE's symbolic stdin): a state where the
@@ -116,12 +121,13 @@ void KleeCampaign::forkFrom(const std::string &Input, const RunResult &RR,
   // one where an additional unconstrained byte exists. The filler byte's
   // value is arbitrary; the next run's comparisons constrain it.
   if (!Input.empty())
-    States.push(In.substr(0, In.size() - 1), /*Front=*/false);
+    States.stage(In.substr(0, In.size() - 1), /*Front=*/false);
   if (RR.hitEof()) {
     Fork.assign(In);
     Fork.push_back('A');
-    States.push(Fork, Prioritise);
+    States.stage(Fork, Prioritise);
   }
+  States.flush();
 }
 
 FuzzReport KleeCampaign::run() {

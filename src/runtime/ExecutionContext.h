@@ -296,8 +296,6 @@ public:
   public:
     FunctionScope(ExecutionContext &Ctx, const char *Name) : Ctx(Ctx) {
       ++Ctx.StackDepth;
-      if (Ctx.StackDepth > Ctx.MaxStackDepth)
-        Ctx.MaxStackDepth = Ctx.StackDepth;
       if (Ctx.mode() == InstrumentationMode::Full)
         Ctx.enterFunction(Name);
     }
@@ -314,7 +312,6 @@ public:
   };
 
   uint32_t stackDepth() const { return StackDepth; }
-  uint32_t maxStackDepth() const { return MaxStackDepth; }
 
   InstrumentationMode mode() const { return Result.Mode; }
 
@@ -342,7 +339,6 @@ private:
   std::string_view Input;
   uint32_t Cursor = 0;
   uint32_t StackDepth = 0;
-  uint32_t MaxStackDepth = 0;
   RunResult Result;
 };
 

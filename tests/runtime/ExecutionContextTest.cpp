@@ -257,7 +257,6 @@ TEST(ExecutionContextTest, StackDepthTracked) {
     }
   }
   EXPECT_EQ(Ctx.stackDepth(), 0u);
-  EXPECT_EQ(Ctx.maxStackDepth(), 2u);
   Ctx.setExitCode(0);
   RunResult RR = Ctx.takeResult();
   EXPECT_EQ(RR.Comparisons[0].StackDepth, 2u);
