@@ -10,8 +10,7 @@
 ///
 ///   {"bench": ..., "subject": ..., "execs_per_sec": ...,
 ///    "wall_ms": ..., "queue_bytes_peak": ..., "rescore_ns_per_exec": ...,
-///    "shards": ..., "shard_deltas": ..., "shard_migrations": ...,
-///    "shard_frontier_lag": ...}
+///    "shards": ...}
 ///
 /// so CI and trend scripts consume throughput numbers without scraping
 /// the human-readable tables. Every record carries every key — disabled
@@ -51,15 +50,9 @@ struct BenchJsonRecord {
   double QueueBytesPeak = 0;
   /// Queue-rescore wall time amortized per execution, in nanoseconds.
   double RescoreNsPerExec = 0;
-  /// Shard loops the measurement ran with (0 = not a sharded pFuzzer
-  /// measurement; 1 = sharded engine explicitly pinned to one shard).
+  /// Shards per pFuzzer campaign (PFuzzerOptions::Shards; 0 = not a
+  /// pFuzzer measurement).
   double Shards = 0;
-  /// Coverage-frontier delta packets published across all shards.
-  double ShardDeltas = 0;
-  /// Candidate migrations accepted across all shards.
-  double ShardMigrations = 0;
-  /// Worst observed frontier lag, in sync epochs.
-  double ShardFrontierLag = 0;
 };
 
 /// Escapes \p S for embedding in a JSON string literal: quotes and
@@ -135,14 +128,11 @@ public:
                    "  {\"bench\": \"%s\", \"subject\": \"%s\","
                    " \"execs_per_sec\": %.1f, \"wall_ms\": %.3f,"
                    " \"queue_bytes_peak\": %.0f,"
-                   " \"rescore_ns_per_exec\": %.4f, \"shards\": %.0f,"
-                   " \"shard_deltas\": %.0f, \"shard_migrations\": %.0f,"
-                   " \"shard_frontier_lag\": %.0f}%s\n",
+                   " \"rescore_ns_per_exec\": %.4f, \"shards\": %.0f}%s\n",
                    benchJsonEscape(R.Bench).c_str(),
                    benchJsonEscape(R.Subject).c_str(), R.ExecsPerSec, R.WallMs,
                    R.QueueBytesPeak,
-                   R.RescoreNsPerExec, R.Shards, R.ShardDeltas,
-                   R.ShardMigrations, R.ShardFrontierLag,
+                   R.RescoreNsPerExec, R.Shards,
                    I + 1 == Records.size() ? "" : ",");
     }
     std::fprintf(Out, "]\n");

@@ -159,13 +159,7 @@ int main(int Argc, char **Argv) {
                static_cast<double>(std::max<uint64_t>(R.TotalExecutions, 1)),
            .Shards = Tools[T] == ToolKind::PFuzzer
                          ? static_cast<double>(ToolCfg.PFuzzerShards)
-                         : 0,
-           .ShardDeltas =
-               static_cast<double>(R.Telemetry.Sharding.DeltasPublished),
-           .ShardMigrations =
-               static_cast<double>(R.Telemetry.Sharding.MigrationsAccepted),
-           .ShardFrontierLag =
-               static_cast<double>(R.Telemetry.Sharding.MaxFrontierLag)});
+                         : 0});
       Cells.push_back(formatDouble(Row.Ratios[T] * 100, 1));
       std::fprintf(stderr,
                    "  done: %s on %s (%llu execs, %zu valid, %s, %s)\n",

@@ -12,7 +12,7 @@
 ///
 ///   ./pfuzz_cli --subject=json [--tool=pfuzzer|afl|klee|random]
 ///               [--execs=N] [--seed=N] [--runs=N] [--jobs=N]
-///               [--max-queue=N] [--shards=N] [--shard-sync=N]
+///               [--max-queue=N] [--shards=N]
 ///               [--telemetry=FILE] [--heartbeat=N] [--telemetry-stats]
 ///               [--list-subjects] [--mine] [--quiet]
 ///
@@ -47,8 +47,6 @@ int main(int Argc, char **Argv) {
   // a campaign always has at least one shard.
   Tools.PFuzzerShards = static_cast<uint32_t>(
       Cli.getCount("shards", Tools.PFuzzerShards, /*Min=*/1));
-  Tools.PFuzzerShardSyncInterval = static_cast<uint32_t>(
-      Cli.getCount("shard-sync", Tools.PFuzzerShardSyncInterval));
   std::string TelemetryPath = Cli.getString("telemetry", "");
   // Interval in executions between heartbeat records; the default keeps
   // the stream small even on long campaigns.
@@ -66,25 +64,24 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr,
                  "usage: pfuzz_cli [--subject=NAME] [--tool=NAME]"
                  " [--execs=N] [--seed=N] [--runs=N] [--jobs=N]"
-                 " [--max-queue=N] [--shards=N] [--shard-sync=N]"
+                 " [--max-queue=N] [--shards=N]"
                  " [--telemetry=FILE] [--heartbeat=N] [--telemetry-stats]"
                  " [--list-subjects] [--mine] [--quiet]\n"
                  "subjects: arith dyck ini csv json tinyc mjs\n"
                  "tools: pfuzzer afl klee random\n"
                  "--max-queue: candidate-queue cap (0 = default, else at"
                  " least 2; changes which candidates survive trims)\n"
-                 "--shards: concurrent pFuzzer shard loops (>= 1; shards=1"
-                 " matches the unsharded engine byte for byte, N > 1 is a"
-                 " deterministic sharded search)\n"
-                 "--shard-sync: executions per coverage-sync epoch"
-                 " (needs --shards > 1)\n"
+                 "--shards: split each pFuzzer campaign into N independent"
+                 " campaigns at derived seeds, each with 1/N of --execs,"
+                 " run in parallel and merged into one report (>= 1;"
+                 " shards=1 is the plain campaign)\n"
                  "--telemetry: stream heartbeat NDJSON records to FILE"
                  " (observational only; results are identical with or"
                  " without)\n"
                  "--heartbeat: executions between heartbeat records"
                  " (needs --telemetry)\n"
                  "--telemetry-stats: print the campaign's telemetry"
-                 " (executions, candidate store, shard sync)\n"
+                 " (executions, candidate store)\n"
                  "--list-subjects: print the built-in subject names and"
                  " exit\n");
     return 1;
@@ -118,8 +115,6 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> Conflicts;
   if (Cli.has("heartbeat") && TelemetryPath.empty())
     Conflicts.push_back("--heartbeat requires --telemetry");
-  if (Cli.has("shard-sync") && Tools.PFuzzerShards == 1)
-    Conflicts.push_back("--shard-sync requires --shards > 1");
   if (Kind != ToolKind::PFuzzer)
     for (const char *Flag :
          {"shards", "max-queue", "telemetry", "telemetry-stats"})
@@ -210,20 +205,6 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Q.PeakArenaBytes),
                  static_cast<unsigned long long>(Q.PeakGroups),
                  static_cast<unsigned long long>(Q.PeakPathTable));
-    const ShardStats &Sh = T.Sharding;
-    std::fprintf(stderr,
-                 "shard sync: %llu sync points, %llu deltas published"
-                 " (%llu merged), %llu branches imported, migrations"
-                 " %llu accepted / %llu rejected of %llu offered,"
-                 " max frontier lag %llu epochs\n",
-                 static_cast<unsigned long long>(Sh.SyncPoints),
-                 static_cast<unsigned long long>(Sh.DeltasPublished),
-                 static_cast<unsigned long long>(Sh.DeltasMerged),
-                 static_cast<unsigned long long>(Sh.BranchesImported),
-                 static_cast<unsigned long long>(Sh.MigrationsAccepted),
-                 static_cast<unsigned long long>(Sh.MigrationsRejected),
-                 static_cast<unsigned long long>(Sh.MigrationsOffered),
-                 static_cast<unsigned long long>(Sh.MaxFrontierLag));
   }
   if (Heartbeat.enabled()) {
     uint64_t Beats = Heartbeat.beats();

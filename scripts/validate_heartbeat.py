@@ -28,7 +28,6 @@ SCHEMA = {
     "execs_per_sec": ((int, float), lambda v: v >= 0),
     "frontier": (int, lambda v: v >= 0),
     "queue_bytes": (int, lambda v: v >= 0),
-    "shard_lag": (int, lambda v: v >= 0),
 }
 
 

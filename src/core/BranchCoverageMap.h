@@ -12,17 +12,8 @@
 /// valid input?) from an std::set lookup into a single word test. The
 /// epoch counter lets consumers cache derived data (e.g. a candidate's
 /// filtered new-branch list) and skip recomputation while coverage has
-/// not grown.
-///
-/// The map also keeps an append-only journal of the keys in the order
-/// they were first set. Because every newly set key advances the epoch by
-/// exactly one, an epoch value doubles as a journal position, and
-/// exportDelta(SinceEpoch) hands out precisely the keys set after that
-/// epoch — the coverage-frontier packets the sharded campaign engine
-/// (core/ShardSync.h) exchanges between shards. The journal costs four
-/// bytes per distinct covered outcome (a few KB on the paper subjects).
-/// The map only grows, so the journal's length is both the map's size
-/// and its epoch.
+/// not grown. The map only grows, so one count of the set keys is both
+/// its size and its epoch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +40,7 @@ public:
     if (Words[Word] & Bit)
       return false;
     Words[Word] |= Bit;
-    Journal.push_back(Key);
+    ++Count;
     return true;
   }
 
@@ -66,43 +57,18 @@ public:
   }
 
   /// Number of set keys.
-  size_t size() const { return Journal.size(); }
+  size_t size() const { return Count; }
 
-  bool empty() const { return Journal.empty(); }
+  bool empty() const { return Count == 0; }
 
   /// Monotone counter that advances whenever a new key is set. Equal
   /// epochs guarantee the map content has not changed in between.
-  uint64_t epoch() const { return Journal.size(); }
-
-  /// Appends to \p Out every key set after \p SinceEpoch, in the order
-  /// they were first set. \p SinceEpoch is a value previously returned by
-  /// epoch(); passing the current epoch appends nothing. Returns the
-  /// number of keys appended.
-  size_t exportDelta(uint64_t SinceEpoch, std::vector<uint32_t> &Out) const {
-    // Journal entry I was recorded when the epoch advanced to I + 1.
-    size_t From = static_cast<size_t>(SinceEpoch);
-    if (From >= Journal.size())
-      return 0;
-    Out.insert(Out.end(), Journal.begin() + static_cast<ptrdiff_t>(From),
-               Journal.end());
-    return Journal.size() - From;
-  }
-
-  /// Sets every key of [First, Last) — a delta another map exported —
-  /// and returns how many were newly set here. Keys this map already
-  /// covers merge silently.
-  template <typename It> size_t mergeDelta(It First, It Last) {
-    size_t Fresh = 0;
-    for (; First != Last; ++First)
-      if (set(*First))
-        ++Fresh;
-    return Fresh;
-  }
+  uint64_t epoch() const { return Count; }
 
   /// The set keys in ascending order.
   std::vector<uint32_t> values() const {
     std::vector<uint32_t> Out;
-    Out.reserve(Journal.size());
+    Out.reserve(Count);
     for (size_t W = 0; W != Words.size(); ++W) {
       uint64_t Word = Words[W];
       while (Word != 0) {
@@ -135,9 +101,7 @@ public:
 
 private:
   std::vector<uint64_t> Words;
-  /// Keys in first-set order; see exportDelta. Holds each set key exactly
-  /// once (set() appends only on a fresh bit).
-  std::vector<uint32_t> Journal;
+  size_t Count = 0;
 };
 
 } // namespace pfuzz

@@ -407,21 +407,6 @@ CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
   return P; // the queue pin transfers to the caller — no Refs change
 }
 
-void CandidateStore::exportTop(Exported &Out) const {
-  assert(QueueLen > 0 && "export from an empty queue");
-  uint32_t N =
-      freshOnTop() ? FreshHeap.front().NodeId : GroupHeap.front().Root;
-  const Record &R = Records[Nodes[N].Id];
-  const Group &G = Groups[R.Group];
-  materialize(Nodes[N].Id, Out.Bytes);
-  Out.Hash = R.InputHash;
-  Out.Branches = G.Branches;
-  Out.AvgStack = G.AvgStack;
-  Out.PathHash = G.PathHash;
-  Out.NumParents = G.NumParentsBase + R.ParentDelta;
-  Out.ReplacementLen = R.ReplacementLen;
-}
-
 //===----------------------------------------------------------------------===//
 // Member heaps and the group heap
 //===----------------------------------------------------------------------===//

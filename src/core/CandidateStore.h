@@ -40,11 +40,11 @@
 ///
 /// Pop order: highest score first; among equal scores, the earlier push
 /// first. Every push gets the next sequence number, and the order is a
-/// total order on (score, sequence), so pops, trim survivors (a trim keeps
-/// the first MaxQueue / 2 candidates in this order) and the shard export
-/// (exportTop, the next pop) do not depend on how the heaps arrange their
-/// arrays. Any structure that pops the maximal (score, sequence) yields
-/// the same campaign; tests/core/PFuzzerOracleTest.cpp checks the campaign
+/// total order on (score, sequence), so pops and trim survivors (a trim
+/// keeps the first MaxQueue / 2 candidates in this order) do not depend on
+/// how the heaps arrange their arrays. Any structure that pops the maximal
+/// (score, sequence) yields the same campaign;
+/// tests/core/PFuzzerOracleTest.cpp checks the campaign
 /// against an independent reference built on an ordered set. Scores
 /// themselves are exact: (a) push-time scores come from the run's
 /// captured (unfiltered) branch count, (b) filtering a group's list in
@@ -254,30 +254,6 @@ public:
   /// Records that the path table decayed: the next pass re-terms every
   /// group.
   void pathCountsDecayed() { PathsDecayed = true; }
-
-  //===--------------------------------------------------------------------===//
-  // Shard export
-  //===--------------------------------------------------------------------===//
-
-  /// Everything a candidate needs to cross a shard boundary (see
-  /// core/ShardSync.h): full bytes, hash, and the run features an
-  /// importing shard rescores against its own coverage. Branches is the
-  /// candidate's group list as last filtered *here* — importers re-filter
-  /// it against their own vBr, which monotone filtering makes exact.
-  struct Exported {
-    std::string Bytes;
-    uint64_t Hash = 0;
-    std::vector<uint32_t> Branches;
-    double AvgStack = 0;
-    uint64_t PathHash = 0;
-    uint32_t NumParents = 0;
-    uint32_t ReplacementLen = 0;
-  };
-
-  /// Copies the next pop out of the store without popping it. The queue
-  /// must not be empty. String buffers of \p Out are recycled across
-  /// calls.
-  void exportTop(Exported &Out) const;
 
   //===--------------------------------------------------------------------===//
   // Accounting

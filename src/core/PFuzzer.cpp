@@ -6,8 +6,8 @@
 
 #include "core/PFuzzer.h"
 
-#include "core/ShardSync.h"
 #include "support/FlatHashMap.h"
+#include "support/Parallel.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
 
@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 using namespace pfuzz;
 
@@ -52,12 +51,12 @@ uint64_t hashInput(std::string_view Input) {
 /// One pFuzzer campaign against one subject.
 class Campaign {
 public:
-  /// \p Sync is the shard's endpoint when the sharded engine runs this
-  /// campaign as one of its shards, null otherwise.
+  /// \p Shard is this campaign's index in a sharded campaign's fan-out
+  /// (0 when unsharded); only heartbeat records carry it.
   Campaign(const Subject &S, const FuzzerOptions &Opts,
-           const PFuzzerOptions &Config, ShardEndpoint *Sync = nullptr)
+           const PFuzzerOptions &Config, uint32_t Shard = 0)
       : S(S), Opts(Opts), Config(Config), Heur(Config.Heur), R(Opts.Seed),
-        Store(Config.MaxQueue, Config.Heur), Sync(Sync) {}
+        Store(Config.MaxQueue, Config.Heur), Shard(Shard) {}
 
   FuzzReport run();
 
@@ -124,16 +123,15 @@ private:
       RequeueCounts.clear();
   }
 
-  /// Samples this shard's local state and writes one heartbeat record.
+  /// Samples this campaign's state and writes one heartbeat record.
   /// Called by the runCheck whose tick crossed an interval boundary;
-  /// reads only shard-confined state, so concurrent shard emissions need
-  /// no shared locks beyond the emitter's own.
+  /// reads only campaign-confined state, so concurrent shard emissions
+  /// need no shared locks beyond the emitter's own.
   void emitHeartbeat() {
     HeartbeatSample HS;
-    HS.Shard = Sync ? Sync->index() : 0;
+    HS.Shard = Shard;
     HS.Frontier = VBr.size();
     HS.QueueBytes = Store.bytesInUse();
-    HS.ShardLag = Sync ? Sync->Stats.MaxFrontierLag : 0;
     Config.Heartbeat->emit(HS);
   }
 
@@ -181,24 +179,6 @@ private:
     return runTerm(NewBranchCount, AvgStack, NumParents,
                    PathCount ? *PathCount : 0, Heur);
   }
-
-  /// Crosses every epoch boundary the execution count has passed:
-  /// publishes this shard's packet (coverage delta + next-pop
-  /// candidate), then merges peers' packets through the previous epoch —
-  /// the lag-1 discipline that makes every merge point and packet content
-  /// a pure function of execution counts. No-op when unsharded.
-  void shardSyncPoints();
-
-  /// Builds and publishes the packet of epoch EpochsDone. Final packets
-  /// carry the last coverage delta and never a candidate.
-  void publishShardPacket(bool Final);
-
-  /// Bookkeeping of one consumed peer packet: folds the coverage delta
-  /// into vBr and imports the migrated candidate (rescored against this
-  /// shard's own coverage and path counts). \p Alive distinguishes
-  /// in-loop merges from the end-of-campaign drain, where candidates are
-  /// counted rejected — the campaign is over and cannot execute them.
-  void handleShardPacket(const ShardPacket &P, bool Alive);
 
   char randomChar() {
     // "A random character from the set of all ASCII characters"; we skew
@@ -271,16 +251,8 @@ private:
   std::string RangeCopies;
   /// The random-extension input (line 15), recycled across iterations.
   std::string EInp;
-  /// Shard-sync endpoint, or null when this campaign is unsharded.
-  ShardEndpoint *Sync;
-  /// Epoch boundaries crossed so far (== packets published).
-  uint64_t EpochsDone = 0;
-  /// vBr epoch at the last publish: the exportDelta anchor, so each
-  /// packet carries exactly the outcomes covered since the previous one.
-  uint64_t LastPublishedMark = 0;
-  /// Scratch of publishShardPacket / handleShardPacket (recycled).
-  CandidateStore::Exported ExportScratch;
-  std::vector<uint32_t> ImportFilterScratch;
+  /// Fan-out index, for heartbeat records.
+  uint32_t Shard;
 };
 
 } // namespace
@@ -352,11 +324,6 @@ FuzzReport Campaign::run() {
       LastRescore = Report.Executions;
       rescoreQueue();
     }
-    // Shard synchronization at deterministic execution-count boundaries.
-    // Before the empty-queue check: a migrated candidate can rescue an
-    // exhausted queue instead of forcing a random restart.
-    if (Sync)
-      shardSyncPoints();
     if (Store.empty()) {
       // Search exhausted (tiny languages): restart from a fresh random
       // character to keep exploring different seeds.
@@ -385,17 +352,6 @@ FuzzReport Campaign::run() {
     ParentCount = Best.NumParents;
   }
   sampleTimeline();
-  // Terminal exchange: the Final packet carries the last coverage delta
-  // and tells peers to stop waiting for this shard; the drain consumes
-  // every remaining peer packet so that globally every published packet
-  // is merged exactly once (late migrations count as rejected — the
-  // campaign cannot execute them anymore).
-  if (Sync) {
-    ++EpochsDone;
-    publishShardPacket(/*Final=*/true);
-    Sync->drainAll(
-        [this](const ShardPacket &P) { handleShardPacket(P, false); });
-  }
   Store.samplePeaks();
   if (Config.TelemetryOut) {
     TelemetrySnapshot &T = *Config.TelemetryOut;
@@ -404,8 +360,6 @@ FuzzReport Campaign::run() {
     T.ValidInputs = Report.ValidInputs.size();
     T.FrontierSize = VBr.size();
     T.Queue = Store.Stats;
-    if (Sync)
-      T.Sharding = Sync->Stats;
   }
   return std::move(Report);
 }
@@ -656,127 +610,22 @@ void Campaign::requeuePrefix(const std::string &Input, uint64_t Hash,
     rescoreQueue();
 }
 
-void Campaign::shardSyncPoints() {
-  uint64_t Interval = std::max<uint64_t>(1, Config.ShardSyncInterval);
-  // An iteration can cross more than one boundary (two executions per
-  // iteration at a tiny interval); every crossed boundary publishes its
-  // own packet so the per-producer epoch sequence stays gapless — the
-  // collect protocol counts on packets arriving as 1, 2, 3, ...
-  while (Report.Executions >= (EpochsDone + 1) * Interval) {
-    TELEMETRY_SPAN("shard_sync");
-    ++EpochsDone;
-    publishShardPacket(/*Final=*/false);
-    // Lag-1 merge: consume peers through the previous epoch. Publishing
-    // *before* collecting keeps the protocol deadlock-free — every shard
-    // makes its packet available before it waits on anyone else's.
-    Sync->collectThrough(EpochsDone - 1, [this](const ShardPacket &P) {
-      handleShardPacket(P, /*Alive=*/true);
-    });
-  }
-}
-
-void Campaign::publishShardPacket(bool Final) {
-  ShardPacket P;
-  P.Epoch = EpochsDone;
-  P.Final = Final;
-  VBr.exportDelta(LastPublishedMark, P.Branches);
-  LastPublishedMark = VBr.epoch();
-  // Migration payload: the exact next pop of this shard's queue — its
-  // best-scored lead, worth propagating instead of re-deriving N times.
-  // Final packets skip it (peers may already be draining).
-  if (!Final && !Store.empty()) {
-    Store.exportTop(ExportScratch);
-    P.HasCandidate = true;
-    P.CandidateBytes = ExportScratch.Bytes;
-    P.CandidateHash = ExportScratch.Hash;
-    P.CandidateBranches = ExportScratch.Branches;
-    P.CandidateAvgStack = ExportScratch.AvgStack;
-    P.CandidatePathHash = ExportScratch.PathHash;
-    P.CandidateNumParents = ExportScratch.NumParents;
-    P.CandidateReplacementLen = ExportScratch.ReplacementLen;
-  }
-  Sync->publish(std::move(P));
-}
-
-void Campaign::handleShardPacket(const ShardPacket &P, bool Alive) {
-  // Foreign coverage folds straight into vBr: the valid-input novelty
-  // test and the heuristic's NewBranches term now measure against the
-  // joint frontier, so shards stop re-earning each other's discoveries.
-  // vBr stays grow-only, which is all the store's monotone group
-  // filtering assumes.
-  Sync->Stats.BranchesImported +=
-      VBr.mergeDelta(P.Branches.begin(), P.Branches.end());
-  if (!P.HasCandidate)
-    return;
-  // Rejected when oversize, arriving after this campaign's budget ended,
-  // or already enqueued here (or previously migrated in).
-  if (!Alive || P.CandidateBytes.size() > Opts.MaxInputLen) {
-    ++Sync->Stats.MigrationsRejected;
-    return;
-  }
-  ++Store.Stats.DedupProbes;
-  if (!Enqueued.insert(P.CandidateHash)) {
-    ++Store.Stats.DedupHits;
-    ++Sync->Stats.MigrationsRejected;
-    return;
-  }
-  // Rescore against *this* shard's coverage: the carried branch list is
-  // re-filtered against local vBr and the score recomputed with local
-  // path counts, so an import competes in the local queue on local
-  // merit.
-  ImportFilterScratch.clear();
-  for (uint32_t B : P.CandidateBranches)
-    if (!VBr.test(B))
-      ImportFilterScratch.push_back(B);
-  uint32_t Run = Store.makeRun(ImportFilterScratch, VBr.epoch(),
-                               P.CandidateAvgStack, P.CandidatePathHash,
-                               P.CandidateNumParents);
-  double Score =
-      pushRunTerm(static_cast<uint32_t>(ImportFilterScratch.size()),
-                  P.CandidateAvgStack, P.CandidateNumParents,
-                  P.CandidatePathHash) +
-      static_cast<double>(
-          candidateTerm(static_cast<uint32_t>(P.CandidateBytes.size()),
-                        P.CandidateReplacementLen, /*ParentDelta=*/0, Heur));
-  // Root-shaped push: no parent record, splice at 0, the full bytes as
-  // the suffix.
-  Store.push(Run, CandidateStore::None, P.CandidateBytes, /*SpliceAt=*/0,
-             P.CandidateBytes, P.CandidateHash, P.CandidateReplacementLen,
-             /*ParentDelta=*/0, Score);
-  Store.releaseRun(Run);
-  ++Sync->Stats.MigrationsAccepted;
-  if (Store.queueSize() > Config.MaxQueue)
-    rescoreQueue();
-}
-
-namespace {
-
-/// Per-shard seed: a SplitMix64 finalizer over (seed, shard) so shard
-/// streams are decorrelated. Deliberately maps shard 0 away from the
-/// campaign seed — a sharded search differs from the unsharded one
-/// anyway, and distinct streams avoid N shards racing through identical
-/// opening moves.
-uint64_t mixShardSeed(uint64_t Seed, uint32_t Shard) {
+uint64_t pfuzz::shardSeed(uint64_t Seed, uint32_t Shard) {
   uint64_t Z = Seed + 0x9E3779B97F4A7C15ULL * (uint64_t(Shard) + 1);
   Z = (Z ^ (Z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   Z = (Z ^ (Z >> 27)) * 0x94D049BB133111EBULL;
   return Z ^ (Z >> 31);
 }
 
-/// The sharded campaign engine: N full shard campaigns on dedicated
-/// threads, exchanging frontier deltas and candidates through a ShardHub,
-/// reduced into one FuzzReport in stable shard order. Deterministic for
-/// fixed (seed, N, interval): per-shard seeds and budgets are computed,
-/// sync points are execution-count epochs, and the reduce never looks at
-/// completion order.
+namespace {
+
+/// A sharded campaign: N independent campaigns, each at its own shard
+/// seed and budget share, reduced into one FuzzReport in stable shard
+/// order. The shards share nothing while they run, so the merged report
+/// depends on (seed, N) alone, never on threads or completion order.
 FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
                       const PFuzzerOptions &Config) {
   uint32_t N = Config.Shards;
-  ShardHub Hub(N);
-  // Option blocks and telemetry sinks live here so the campaign-held
-  // references stay valid for the threads' whole lifetime.
-  std::vector<FuzzerOptions> ShardOpts(N);
-  std::vector<PFuzzerOptions> ShardConfigs(N);
   std::vector<TelemetrySnapshot> Telemetry_(N);
   std::vector<FuzzReport> Reports(N);
   // OnValidInput is caller-supplied and not required to be thread-safe;
@@ -784,36 +633,22 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
   // every caller in the tree accumulates commutatively (token sets), and
   // the FuzzReport itself never depends on the callback.
   std::mutex ValidMutex;
-  for (uint32_t I = 0; I != N; ++I) {
-    FuzzerOptions &SO = ShardOpts[I];
-    SO = Opts;
-    SO.Seed = mixShardSeed(Opts.Seed, I);
+  parallelFor(0, N, [&](size_t I) {
+    FuzzerOptions SO = Opts;
+    SO.Seed = shardSeed(Opts.Seed, static_cast<uint32_t>(I));
     // Budget split: first MaxExecutions % N shards take the remainder,
     // so the shard budgets are a deterministic partition of the total.
     SO.MaxExecutions =
         Opts.MaxExecutions / N + (I < Opts.MaxExecutions % N ? 1 : 0);
-    if (Opts.OnValidInput) {
-      auto Inner = Opts.OnValidInput;
-      SO.OnValidInput = [&ValidMutex, Inner](std::string_view Input) {
+    if (Opts.OnValidInput)
+      SO.OnValidInput = [&ValidMutex, &Opts](std::string_view Input) {
         std::lock_guard<std::mutex> Lock(ValidMutex);
-        Inner(Input);
+        Opts.OnValidInput(Input);
       };
-    }
-    PFuzzerOptions &SC = ShardConfigs[I];
-    SC = Config;
-    SC.Shards = 1;
+    PFuzzerOptions SC = Config;
     SC.TelemetryOut = Config.TelemetryOut ? &Telemetry_[I] : nullptr;
-  }
-  // Dedicated threads by design — see PFuzzerOptions::Shards.
-  std::vector<std::thread> Threads;
-  Threads.reserve(N);
-  for (uint32_t I = 0; I != N; ++I)
-    Threads.emplace_back([&S, &ShardOpts, &ShardConfigs, &Reports, &Hub, I] {
-      Reports[I] =
-          Campaign(S, ShardOpts[I], ShardConfigs[I], &Hub.endpoint(I)).run();
-    });
-  for (std::thread &T : Threads)
-    T.join();
+    Reports[I] = Campaign(S, SO, SC, static_cast<uint32_t>(I)).run();
+  });
 
   if (Config.TelemetryOut) {
     // Fold per-shard snapshots in stable shard order.
@@ -831,9 +666,8 @@ FuzzReport runSharded(const Subject &S, const FuzzerOptions &Opts,
     Merged.Executions += R.Executions;
     for (std::string &Input : R.ValidInputs)
       Merged.ValidInputs.push_back(std::move(Input));
-    // Union of per-shard frontiers. Every foreign branch a shard merged
-    // was genuinely covered by its origin shard, so the union equals the
-    // coverage of the concatenated valid-input stream.
+    // Union of per-shard frontiers: the coverage of the concatenated
+    // valid-input stream.
     std::vector<uint32_t> Values = R.ValidBranches.values();
     Merged.ValidBranches.insert(Values.begin(), Values.end());
     // Timeline: concatenate with per-shard execution offsets, forcing
@@ -879,6 +713,5 @@ FuzzReport PFuzzer::run(const Subject &S, const FuzzerOptions &Opts) {
     throw std::invalid_argument("pfuzzer: Shards must be at least 1");
   if (Options.Shards > 1)
     return runSharded(S, Opts, Options);
-  // Unsharded: the plain sequential engine.
   return Campaign(S, Opts, Options).run();
 }

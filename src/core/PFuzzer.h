@@ -20,15 +20,14 @@
 #include "core/CandidateStore.h"
 #include "core/Fuzzer.h"
 #include "core/Heuristic.h"
-#include "core/ShardSync.h"
 
 namespace pfuzz {
 
 class HeartbeatEmitter;
 
 /// Every diagnostic counter a campaign exports, in one tree: the
-/// candidate store's and shard sync's counters plus the campaign-level
-/// counts neither carries (executions, valid inputs, frontier size).
+/// candidate store's counters plus the campaign-level counts it does not
+/// carry (executions, valid inputs, frontier size).
 /// Purely observational — never part of the report, never feeds back
 /// into the search.
 struct TelemetrySnapshot {
@@ -48,10 +47,9 @@ struct TelemetrySnapshot {
   uint64_t RunCacheHits = 0;
 
   QueueStats Queue;
-  ShardStats Sharding;
 
   /// Folds \p Other into this: counters sum, FrontierSize takes the max.
-  /// The sharded engine folds per-shard snapshots into one campaign
+  /// A sharded campaign folds per-shard snapshots into one campaign
   /// total; campaign runners fold per-seed totals into one per-cell
   /// total.
   void accumulate(const TelemetrySnapshot &Other) {
@@ -60,7 +58,6 @@ struct TelemetrySnapshot {
     FrontierSize =
         FrontierSize > Other.FrontierSize ? FrontierSize : Other.FrontierSize;
     Queue.accumulate(Other.Queue);
-    Sharding.accumulate(Other.Sharding);
   }
 };
 
@@ -77,28 +74,16 @@ struct PFuzzerOptions {
   /// PFuzzer::run throws std::invalid_argument below 2.
   size_t MaxQueue = 100000;
 
-  /// Shard count of the campaign. 1 (the default) runs the plain
-  /// sequential Algorithm 1 loop with no shard sync. With N > 1 the
-  /// campaign splits into N concurrent shard loops — each a full pFuzzer
-  /// with its own candidate store, on its own dedicated thread — that
-  /// exchange coverage-frontier deltas and migrate top candidates through
-  /// core/ShardSync at deterministic execution-count epochs. The
-  /// execution budget is split across shards and the shard reports are
-  /// merged in stable shard order, so for a fixed (seed, N) the merged
-  /// report is bit-reproducible; different N values explore differently
-  /// (sharding changes the search, deterministically).
-  ///
-  /// Shard loops run on dedicated threads, all started at once: a shard
-  /// blocks at epoch boundaries waiting for peers, so every peer must be
-  /// running for the waited-on packet to arrive. PFuzzer::run throws
-  /// std::invalid_argument for 0.
+  /// Shard count of the campaign. 1 (the default) runs one Algorithm 1
+  /// campaign. With N > 1 the campaign fans out into N independent
+  /// campaigns on parallelFor (support/Parallel.h): shard I runs at seed
+  /// shardSeed(Seed, I) with its share of the execution budget, and the
+  /// shard reports are reduced in shard order (union of the covered
+  /// branches, concatenated valid inputs, offset timelines). The shards
+  /// share nothing while they run, so for a fixed (seed, N) the merged
+  /// report is bit-reproducible whatever the thread count. PFuzzer::run
+  /// throws std::invalid_argument for 0.
   uint32_t Shards = 1;
-
-  /// Executions per shard between synchronization epochs (delta publish
-  /// + peer merge + candidate migration). Smaller intervals tighten the
-  /// joint frontier at more sync overhead. Part of the deterministic
-  /// protocol: changing it changes the (reproducible) sharded search.
-  uint32_t ShardSyncInterval = 512;
 
   /// Optional out-param: the campaign's telemetry tree, filled when the
   /// campaign finishes. Never part of the report; filling it changes no
@@ -107,12 +92,18 @@ struct PFuzzerOptions {
 
   /// Optional heartbeat stream (see support/Telemetry.h): every
   /// HeartbeatEmitter::interval() executions the campaign samples its
-  /// shard-local state and emits one NDJSON record. Shared across shard
-  /// loops — they tick one common execution counter. Read-only with
+  /// local state and emits one NDJSON record. Shared across shards —
+  /// they tick one common execution counter. Read-only with
   /// respect to the search: one branch per execution when null, one
   /// relaxed increment when armed, reports byte-identical either way.
   HeartbeatEmitter *Heartbeat = nullptr;
 };
+
+/// The seed of shard \p Shard of a campaign at \p Seed: a SplitMix64
+/// finalizer over (seed, shard), so shard streams are decorrelated. Shard
+/// 0 deliberately maps away from the campaign seed, so an N-shard
+/// campaign is not the unsharded one plus N - 1 extra searches.
+uint64_t shardSeed(uint64_t Seed, uint32_t Shard);
 
 /// The parser-directed fuzzer.
 class PFuzzer final : public Fuzzer {

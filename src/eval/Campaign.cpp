@@ -24,8 +24,6 @@ std::unique_ptr<Fuzzer> pfuzz::makeFuzzer(ToolKind Kind,
     if (Tools.PFuzzerMaxQueue != 0)
       Options.MaxQueue = Tools.PFuzzerMaxQueue;
     Options.Shards = std::max(1u, Tools.PFuzzerShards);
-    if (Tools.PFuzzerShardSyncInterval != 0)
-      Options.ShardSyncInterval = Tools.PFuzzerShardSyncInterval;
     Options.TelemetryOut = Tools.PFuzzerTelemetryOut;
     Options.Heartbeat = Tools.PFuzzerHeartbeat;
     return std::make_unique<PFuzzer>(Options);

@@ -42,22 +42,19 @@ enum class ToolKind {
 /// Per-tool configuration the campaign runners thread through to the
 /// fuzzer instances they create. The defaults are safe for every caller.
 /// PFuzzerTelemetryOut and PFuzzerHeartbeat leave reports byte-identical.
-/// PFuzzerMaxQueue, PFuzzerShards and PFuzzerShardSyncInterval change the
-/// search, deterministically for a fixed seed.
+/// PFuzzerMaxQueue and PFuzzerShards change the search, deterministically
+/// for a fixed seed.
 struct ToolOptions {
   /// PFuzzerOptions::MaxQueue: candidate-queue cap (a trim past it keeps
   /// the first half in pop order). 0 keeps the PFuzzerOptions default.
   /// Changes which candidates survive trims.
   size_t PFuzzerMaxQueue = 0;
 
-  /// PFuzzerOptions::Shards: shard loops per pFuzzer campaign. 1 (the
-  /// default) is the plain unsharded engine; N > 1 runs the sharded
-  /// engine — deterministic for fixed (seed, N) but a different search
-  /// than unsharded.
+  /// PFuzzerOptions::Shards: independent campaigns per pFuzzer campaign,
+  /// each at its own shard seed and budget share, merged into one report.
+  /// 1 (the default) is the plain campaign; N > 1 is deterministic for
+  /// fixed (seed, N) but a different search than unsharded.
   uint32_t PFuzzerShards = 1;
-
-  /// PFuzzerOptions::ShardSyncInterval. 0 keeps the engine default.
-  uint32_t PFuzzerShardSyncInterval = 0;
 
   /// When set, receives the telemetry snapshot of a pFuzzer run. The
   /// campaign runners manage a per-seed sink and aggregate it into
@@ -119,7 +116,7 @@ struct CampaignResult {
   uint64_t TotalExecutions = 0;
 
   /// Telemetry accumulated over every run of the cell: executions,
-  /// valid inputs, frontier, and the Queue/Sharding subtrees (see
+  /// valid inputs, frontier, and the Queue subtree (see
   /// TelemetrySnapshot::accumulate for the per-field sum/max
   /// semantics). Diagnostic only — never part of the deterministic
   /// result.

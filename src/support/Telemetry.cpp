@@ -138,13 +138,12 @@ void HeartbeatEmitter::emit(const HeartbeatSample &S) {
       Out,
       "{\"ts_ms\": %llu, \"beat\": %llu, \"shard\": %u,"
       " \"executions\": %llu, \"wall_s\": %.3f, \"execs_per_sec\": %.1f,"
-      " \"frontier\": %llu, \"queue_bytes\": %llu, \"shard_lag\": %llu}\n",
+      " \"frontier\": %llu, \"queue_bytes\": %llu}\n",
       static_cast<unsigned long long>(TsMs),
       static_cast<unsigned long long>(Beat), S.Shard,
       static_cast<unsigned long long>(ExecsNow), WallS, Rate,
       static_cast<unsigned long long>(S.Frontier),
-      static_cast<unsigned long long>(S.QueueBytes),
-      static_cast<unsigned long long>(S.ShardLag));
+      static_cast<unsigned long long>(S.QueueBytes));
   if (Rc < 0 || std::fflush(Out) != 0)
     WriteError = true;
   LastExecs = ExecsNow;

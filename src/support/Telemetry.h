@@ -204,20 +204,19 @@ private:
 /// Everything the emitter can't derive itself (it owns the execution
 /// count, timestamps, and rate).
 struct HeartbeatSample {
-  /// Shard loop that crossed the heartbeat boundary (0 when unsharded).
+  /// Fan-out index of the campaign that crossed the heartbeat boundary
+  /// (its shard in a sharded campaign, 0 when unsharded).
   uint32_t Shard = 0;
-  /// Covered branch outcomes in the sampling shard's frontier.
+  /// Covered branch outcomes in the sampling campaign's frontier.
   uint64_t Frontier = 0;
-  /// Candidate-queue bytes currently held by the sampling shard.
+  /// Candidate-queue bytes currently held by the sampling campaign.
   uint64_t QueueBytes = 0;
-  /// Worst frontier lag this shard has observed, in sync epochs.
-  uint64_t ShardLag = 0;
 };
 
 /// Streams one NDJSON record every N executions to a file. Shared by all
-/// shard loops of a campaign: each loop ticks the common execution
-/// counter; the loop whose tick crosses an interval boundary samples its
-/// local state and emits. Records carry a stable key set, a wall-clock
+/// shards of a campaign: each shard ticks the common execution counter;
+/// the shard whose tick crosses an interval boundary samples its local
+/// state and emits. Records carry a stable key set, a wall-clock
 /// epoch timestamp, and a monotone execution count (re-read under the
 /// emit lock, so concurrent shard emissions never regress).
 class HeartbeatEmitter {

@@ -18,6 +18,13 @@
 /// (highest score, then earliest push; see core/CandidateStore.h), in
 /// Debug, RelWithDebInfo and Release builds, which agree.
 ///
+/// The 4-shard rows kept their digests when sharding became N independent
+/// campaigns merged in shard order. The shards used to trade coverage and
+/// candidates every 512 executions, merging a peer's packet one interval
+/// late. At 750 executions per shard no shard merged anything before its
+/// budget ended, so these rows never saw an exchange. PFuzzerShardTest
+/// pins longer sharded campaigns, where an exchange would show.
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/PFuzzer.h"

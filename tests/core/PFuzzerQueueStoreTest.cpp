@@ -7,7 +7,7 @@
 /// \file
 /// The contract of the compact candidate store (core/CandidateStore.h):
 /// its pop order — highest score first, the earlier push first among
-/// equal scores — through pushes, rescores, trims and the shard export;
+/// equal scores — through pushes, rescores and trims;
 /// materialization chains; trim + arena compaction; the PathCounts decay
 /// regression; and a differential test of random operation sequences
 /// against a naive model that recomputes every score at every pass. The
@@ -121,32 +121,10 @@ TEST(PFuzzerQueueStoreTest, TrimAmongTiesKeepsEarliestPushes) {
   EXPECT_EQ(F.drain(), "abc");
 }
 
-TEST(PFuzzerQueueStoreTest, ExportTopIsTheNextPop) {
-  TieFixture F;
-  std::string Tags = "pqrstuvw";
-  for (size_t I = 0; I != Tags.size(); ++I)
-    F.push(Tags[I], 1 + I % 3, static_cast<double>(I % 2));
-  EXPECT_FALSE(F.Store.rescore(F.VBr, F.PathCounts));
-  CandidateStore::Exported Top;
-  std::string Out;
-  while (!F.Store.empty()) {
-    F.Store.exportTop(Top);
-    CandidateStore::Popped P = F.Store.pop(Out);
-    EXPECT_EQ(Top.Bytes, Out);
-    EXPECT_EQ(Top.Hash, P.InputHash);
-    EXPECT_EQ(Top.ReplacementLen, P.ReplacementLen);
-    EXPECT_EQ(Top.NumParents, P.NumParents);
-    F.Store.release(P.Id);
-  }
-}
-
 TEST(PFuzzerQueueStoreTest, LongReplacementLengthRoundTrips) {
   // Replacements longer than 65,535 bytes (MaxInputLen allows 2^20).
   TieFixture F;
   F.push('x', 70000, 0.0);
-  CandidateStore::Exported Top;
-  F.Store.exportTop(Top);
-  EXPECT_EQ(Top.ReplacementLen, 70000u);
   std::string Out;
   CandidateStore::Popped P = F.Store.pop(Out);
   EXPECT_EQ(P.ReplacementLen, 70000u);
@@ -351,10 +329,6 @@ public:
     return A.Score != B.Score ? A.Score > B.Score : A.Seq < B.Seq;
   }
 
-  const Candidate &top() const {
-    return *std::min_element(Queue.begin(), Queue.end(), before);
-  }
-
   Candidate pop() {
     auto It = std::min_element(Queue.begin(), Queue.end(), before);
     Candidate C = *It;
@@ -478,7 +452,7 @@ void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
     uint64_t Op = R.below(100);
     if (Op < 40) {
       push();
-    } else if (Op < 60) {
+    } else if (Op < 65) {
       if (Store.empty()) {
         ASSERT_TRUE(Model.Queue.empty());
         continue;
@@ -489,13 +463,6 @@ void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
       ASSERT_EQ(P.Score, Want.Score) << "step " << Step;
       ASSERT_EQ(Out, Want.Bytes);
       Store.release(P.Id);
-    } else if (Op < 65) {
-      if (Store.empty())
-        continue;
-      CandidateStore::Exported Top;
-      Store.exportTop(Top);
-      ASSERT_EQ(Top.Hash, Model.top().Hash) << "step " << Step;
-      ASSERT_EQ(Top.Bytes, Model.top().Bytes);
     } else if (Op < 72) {
       openRun();
     } else if (Op < 80) {

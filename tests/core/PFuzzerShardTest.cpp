@@ -1,27 +1,26 @@
-//===- tests/core/PFuzzerShardTest.cpp - Sharded campaign engine tests ----===//
+//===- tests/core/PFuzzerShardTest.cpp - Sharded campaign tests -----------===//
 //
 // Part of the pfuzz project. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The contract of the sharded campaign engine (PFuzzerOptions::Shards):
-/// --shards=1 takes the plain sequential code path, so its report is
-/// byte-identical to the unsharded engine at any sync interval. For N > 1
-/// the search is different by design but deterministic: a fixed (seed, N,
-/// interval) reproduces the merged report bit for bit, the budget is spent
-/// exactly, the valid-input stream and coverage union are consistent, and
-/// the sync ledger balances (published == merged, accepted + rejected ==
-/// offered).
+/// The contract of sharded campaigns (PFuzzerOptions::Shards): --shards=1
+/// is the plain campaign byte for byte. For N > 1 the report is the
+/// shard-order reduce of N independent unsharded campaigns, shard I at
+/// seed shardSeed(Seed, I) with its share of the budget: the union of
+/// their covered branches, their valid inputs concatenated, and their
+/// timelines offset end to end. It is therefore reproducible, spends the
+/// budget exactly and reports only accepted inputs.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/PFuzzer.h"
-#include "core/ShardSync.h"
 #include "subjects/Subject.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <set>
 
@@ -29,20 +28,11 @@ using namespace pfuzz;
 
 namespace {
 
-struct ShardRunConfig {
-  uint32_t Shards = 1;
-  uint32_t SyncInterval = 0; // 0 = engine default
-};
-
 FuzzReport fuzzWith(const Subject &S, uint64_t Execs, uint64_t Seed,
-                    const ShardRunConfig &Cfg,
-                    TelemetrySnapshot *Telemetry = nullptr,
+                    uint32_t Shards,
                     std::vector<std::string> *ValidLog = nullptr) {
   PFuzzerOptions Options;
-  Options.Shards = Cfg.Shards;
-  if (Cfg.SyncInterval != 0)
-    Options.ShardSyncInterval = Cfg.SyncInterval;
-  Options.TelemetryOut = Telemetry;
+  Options.Shards = Shards;
   PFuzzer Tool(Options);
   FuzzerOptions Opts;
   Opts.Seed = Seed;
@@ -63,46 +53,78 @@ void expectIdenticalReports(const FuzzReport &A, const FuzzReport &B) {
   EXPECT_EQ(A.CoverageTimeline, B.CoverageTimeline);
 }
 
+/// Folds \p Shard, the next shard's report, into \p Merged: executions
+/// add up, valid inputs append, branches unite, and the timeline
+/// continues at the executions merged so far with its coverage held
+/// monotone.
+void appendShard(FuzzReport &Merged, const FuzzReport &Shard) {
+  uint64_t Offset = Merged.Executions;
+  Merged.Executions += Shard.Executions;
+  Merged.ValidInputs.insert(Merged.ValidInputs.end(),
+                            Shard.ValidInputs.begin(),
+                            Shard.ValidInputs.end());
+  std::vector<uint32_t> Branches = Shard.ValidBranches.values();
+  Merged.ValidBranches.insert(Branches.begin(), Branches.end());
+  for (auto [Execs, Covered] : Shard.CoverageTimeline) {
+    std::pair<uint64_t, uint64_t> Sample(Offset + Execs, Covered);
+    if (!Merged.CoverageTimeline.empty())
+      Sample.second =
+          std::max(Sample.second, Merged.CoverageTimeline.back().second);
+    if (Merged.CoverageTimeline.empty() ||
+        Merged.CoverageTimeline.back() != Sample)
+      Merged.CoverageTimeline.push_back(Sample);
+  }
+}
+
 } // namespace
 
 TEST(PFuzzerShardTest, SingleShardIdenticalToUnshardedAcrossSubjects) {
   // --shards=1 must reproduce a default-constructed engine on every
-  // evaluation subject, at the default and at an odd sync interval (which
-  // a single shard never reaches).
-  const ShardRunConfig Configs[] = {{1, 0}, {1, 128}};
+  // evaluation subject.
   for (const Subject *S : evaluationSubjects()) {
-    uint64_t Execs = 1500;
+    SCOPED_TRACE(std::string(S->name()));
     FuzzerOptions Opts;
     Opts.Seed = 7;
-    Opts.MaxExecutions = Execs;
-    FuzzReport Baseline = PFuzzer().run(*S, Opts);
-    for (const ShardRunConfig &Cfg : Configs) {
-      SCOPED_TRACE(std::string(S->name()) + " interval " +
-                   std::to_string(Cfg.SyncInterval));
-      expectIdenticalReports(Baseline, fuzzWith(*S, Execs, 7, Cfg));
+    Opts.MaxExecutions = 1500;
+    expectIdenticalReports(PFuzzer().run(*S, Opts),
+                           fuzzWith(*S, 1500, 7, /*Shards=*/1));
+  }
+}
+
+TEST(PFuzzerShardTest, ShardedReportIsUnionOfIndependentCampaigns) {
+  // Budgets that do not divide by the shard count: the first
+  // Execs % Shards shards run one execution more. Each shard runs well
+  // past a thousand executions, so any exchange between the shards would
+  // have time to change what they find.
+  struct Config {
+    uint32_t Shards;
+    uint64_t Execs;
+  };
+  for (const Subject *S : {&jsonSubject(), &mjsSubject()}) {
+    for (Config C : {Config{3, 6001}, Config{4, 8002}}) {
+      SCOPED_TRACE(std::string(S->name()) + " shards=" +
+                   std::to_string(C.Shards));
+      constexpr uint64_t Seed = 9;
+      FuzzReport Want;
+      for (uint32_t I = 0; I != C.Shards; ++I) {
+        uint64_t Budget = C.Execs / C.Shards + (I < C.Execs % C.Shards);
+        appendShard(Want,
+                    fuzzWith(*S, Budget, shardSeed(Seed, I), /*Shards=*/1));
+      }
+      std::pair<uint64_t, uint64_t> Final(Want.Executions,
+                                          Want.ValidBranches.size());
+      if (Want.CoverageTimeline.back() != Final)
+        Want.CoverageTimeline.push_back(Final);
+      expectIdenticalReports(fuzzWith(*S, C.Execs, Seed, C.Shards), Want);
     }
   }
 }
 
-TEST(PFuzzerShardTest, SingleShardLeavesStatsZeroed) {
-  TelemetrySnapshot Telemetry;
-  // Stale sink content must be overwritten.
-  Telemetry.Sharding.DeltasPublished = 99;
-  fuzzWith(jsonSubject(), 500, 1, ShardRunConfig(), &Telemetry);
-  const ShardStats &Stats = Telemetry.Sharding;
-  EXPECT_EQ(Stats.DeltasPublished, 0u);
-  EXPECT_EQ(Stats.SyncPoints, 0u);
-  EXPECT_EQ(Stats.MigrationsOffered, 0u);
-}
-
 TEST(PFuzzerShardTest, ShardedRunIsReproducible) {
-  ShardRunConfig Cfg;
-  Cfg.Shards = 3;
-  Cfg.SyncInterval = 200;
   for (const Subject *S : {&jsonSubject(), &mjsSubject()}) {
     SCOPED_TRACE(std::string(S->name()));
-    FuzzReport First = fuzzWith(*S, 3000, 11, Cfg);
-    FuzzReport Second = fuzzWith(*S, 3000, 11, Cfg);
+    FuzzReport First = fuzzWith(*S, 3000, 11, /*Shards=*/3);
+    FuzzReport Second = fuzzWith(*S, 3000, 11, /*Shards=*/3);
     expectIdenticalReports(First, Second);
   }
 }
@@ -110,11 +132,9 @@ TEST(PFuzzerShardTest, ShardedRunIsReproducible) {
 TEST(PFuzzerShardTest, ShardedBudgetIsSpentExactly) {
   // Budgets that do not divide evenly by the shard count must still sum
   // to exactly the requested total.
-  ShardRunConfig Cfg;
-  Cfg.Shards = 3;
   for (uint64_t Execs : {999u, 1000u, 1001u}) {
     SCOPED_TRACE(std::to_string(Execs));
-    FuzzReport R = fuzzWith(jsonSubject(), Execs, 2, Cfg);
+    FuzzReport R = fuzzWith(jsonSubject(), Execs, 2, /*Shards=*/3);
     EXPECT_EQ(R.Executions, Execs);
     // The merged timeline ends at the full budget with the union
     // coverage.
@@ -124,34 +144,11 @@ TEST(PFuzzerShardTest, ShardedBudgetIsSpentExactly) {
   }
 }
 
-TEST(PFuzzerShardTest, ShardedLedgerBalances) {
-  TelemetrySnapshot Telemetry;
-  ShardRunConfig Cfg;
-  Cfg.Shards = 4;
-  Cfg.SyncInterval = 100;
-  FuzzReport R = fuzzWith(jsonSubject(), 4000, 3, Cfg, &Telemetry);
-  const ShardStats &Stats = Telemetry.Sharding;
-  EXPECT_EQ(R.Executions, 4000u);
-  // Every published packet consumed exactly once; every offered
-  // candidate either accepted or rejected.
-  EXPECT_EQ(Stats.DeltasPublished, Stats.DeltasMerged);
-  EXPECT_EQ(Stats.MigrationsAccepted + Stats.MigrationsRejected,
-            Stats.MigrationsOffered);
-  // 4 shards x 1000 execs at interval 100: ~10 boundaries each plus the
-  // Final packet (one fewer when a shard's budget ends exactly on a
-  // boundary, whose packet then rides along as the Final).
-  EXPECT_GE(Stats.SyncPoints, 4u * 10);
-  EXPECT_GT(Stats.DeltasPublished, 0u);
-}
-
 TEST(PFuzzerShardTest, ShardedValidInputsAreAccepted) {
   // Every input in the merged report must actually be accepted by the
-  // subject — migration and frontier merging must never smuggle a
-  // rejected input into the output stream.
-  ShardRunConfig Cfg;
-  Cfg.Shards = 2;
+  // subject.
   std::vector<std::string> ValidLog;
-  FuzzReport R = fuzzWith(jsonSubject(), 3000, 5, Cfg, nullptr, &ValidLog);
+  FuzzReport R = fuzzWith(jsonSubject(), 3000, 5, /*Shards=*/2, &ValidLog);
   for (const std::string &Input : R.ValidInputs)
     EXPECT_EQ(jsonSubject().execute(Input).ExitCode, 0) << Input;
   // The callback fires on every accepted execution (novel or not), so

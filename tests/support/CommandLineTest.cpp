@@ -89,9 +89,9 @@ TEST(CommandLineTest, GetCountRejectsGarbage) {
 }
 
 TEST(CommandLineTest, GetCountRejectsNegativeAndTrailingJunk) {
-  CommandLine C = parse({"--jobs=-2", "--shard-sync=12x", "--depth="});
+  CommandLine C = parse({"--jobs=-2", "--shards=12x", "--depth="});
   EXPECT_EQ(C.getCount("jobs", 1), 1);
-  EXPECT_EQ(C.getCount("shard-sync", 0), 0);
+  EXPECT_EQ(C.getCount("shards", 0), 0);
   EXPECT_EQ(C.getCount("depth", 3), 3);
   EXPECT_FALSE(C.ok());
   EXPECT_EQ(C.errors().size(), 3u);

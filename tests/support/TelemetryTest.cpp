@@ -217,7 +217,6 @@ TEST(TelemetryTest, HeartbeatRecordsCarryStableSchemaAndMonotoneColumns) {
         S.Shard = 2;
         S.Frontier = static_cast<uint64_t>(10 * (Beat + 1));
         S.QueueBytes = 4096;
-        S.ShardLag = 1;
         HB.emit(S);
       }
   }
@@ -225,9 +224,8 @@ TEST(TelemetryTest, HeartbeatRecordsCarryStableSchemaAndMonotoneColumns) {
   ASSERT_TRUE(HB.close());
   std::vector<std::string> Lines = readLines(Path);
   ASSERT_EQ(Lines.size(), 5u);
-  const char *Keys[] = {"ts_ms",    "beat",        "shard",
-                        "executions", "wall_s",    "execs_per_sec",
-                        "frontier", "queue_bytes", "shard_lag"};
+  const char *Keys[] = {"ts_ms",  "beat",     "shard",      "executions",
+                        "wall_s", "execs_per_sec", "frontier", "queue_bytes"};
   uint64_t LastBeat = 0, LastExecs = 0;
   for (const std::string &Line : Lines) {
     // Every record is a one-line object carrying the full fixed key set.
@@ -243,7 +241,6 @@ TEST(TelemetryTest, HeartbeatRecordsCarryStableSchemaAndMonotoneColumns) {
     LastExecs = Execs;
     EXPECT_EQ(fieldOf(Line, "shard"), "2");
     EXPECT_EQ(fieldOf(Line, "queue_bytes"), "4096");
-    EXPECT_EQ(fieldOf(Line, "shard_lag"), "1");
   }
   std::remove(Path.c_str());
 }
