@@ -9,8 +9,7 @@
 /// as a JSON array of records
 ///
 ///   {"bench": ..., "subject": ..., "execs_per_sec": ...,
-///    "wall_ms": ..., "queue_bytes_peak": ..., "rescore_ns_per_exec": ...,
-///    "shards": ...}
+///    "wall_ms": ..., "queue_bytes_peak": ..., "shards": ...}
 ///
 /// so CI and trend scripts consume throughput numbers without scraping
 /// the human-readable tables. Every record carries every key — disabled
@@ -48,8 +47,6 @@ struct BenchJsonRecord {
   double WallMs = 0;
   /// Peak sampled candidate-queue bytes (0 = not a pFuzzer measurement).
   double QueueBytesPeak = 0;
-  /// Queue-rescore wall time amortized per execution, in nanoseconds.
-  double RescoreNsPerExec = 0;
   /// Shards per pFuzzer campaign (PFuzzerOptions::Shards; 0 = not a
   /// pFuzzer measurement).
   double Shards = 0;
@@ -127,12 +124,10 @@ public:
       std::fprintf(Out,
                    "  {\"bench\": \"%s\", \"subject\": \"%s\","
                    " \"execs_per_sec\": %.1f, \"wall_ms\": %.3f,"
-                   " \"queue_bytes_peak\": %.0f,"
-                   " \"rescore_ns_per_exec\": %.4f, \"shards\": %.0f}%s\n",
+                   " \"queue_bytes_peak\": %.0f, \"shards\": %.0f}%s\n",
                    benchJsonEscape(R.Bench).c_str(),
                    benchJsonEscape(R.Subject).c_str(), R.ExecsPerSec, R.WallMs,
-                   R.QueueBytesPeak,
-                   R.RescoreNsPerExec, R.Shards,
+                   R.QueueBytesPeak, R.Shards,
                    I + 1 == Records.size() ? "" : ",");
     }
     std::fprintf(Out, "]\n");

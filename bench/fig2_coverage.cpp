@@ -154,9 +154,6 @@ int main(int Argc, char **Argv) {
            .ExecsPerSec = R.execsPerSec(),
            .WallMs = R.WallSeconds * 1000.0,
            .QueueBytesPeak = static_cast<double>(R.Telemetry.Queue.PeakBytes),
-           .RescoreNsPerExec =
-               static_cast<double>(R.Telemetry.Queue.RescoreNanos) /
-               static_cast<double>(std::max<uint64_t>(R.TotalExecutions, 1)),
            .Shards = Tools[T] == ToolKind::PFuzzer
                          ? static_cast<double>(ToolCfg.PFuzzerShards)
                          : 0});

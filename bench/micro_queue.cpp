@@ -88,7 +88,6 @@ struct JsonQueue {
   BranchCoverageMap VBr;
   PathCountMap PathCounts;
   std::string Parent = std::string(40, 'a');
-  uint32_t Root = Store.internRoot(Parent, 0x1);
   uint64_t Hash = 2;
 
   JsonQueue() {
@@ -111,8 +110,8 @@ struct JsonQueue {
     for (uint32_t C = 0; C != PerGroup; ++C) {
       size_t SpliceAt = 30 + (PathHash + C) % 10;
       std::string_view Rep = std::string_view("true").substr(0, C + 1);
-      Store.push(Run, Root, Parent, SpliceAt, Rep, Hash++,
-                 static_cast<uint32_t>(Rep.size()), 1, Score);
+      Store.push(Run, std::string_view(Parent).substr(0, SpliceAt), Rep,
+                 Hash++, static_cast<uint32_t>(Rep.size()), 1, Score);
     }
     Store.releaseRun(Run);
   }
@@ -191,21 +190,17 @@ static void BM_StorePopHotPath(benchmark::State &State) {
   for (auto _ : State) {
     State.PauseTiming();
     Store.emplace(/*MaxQueue=*/2 * NumGroups, HeuristicOptions());
-    uint32_t Root = Store->internRoot(Parent, 0x1);
     for (uint32_t G = 0; G != NumGroups; ++G) {
       uint32_t Run = Store->makeRun(NoBranches, VBr.epoch(), (G % 9) / 2.0,
                                     /*PathHash=*/G % 4 + 1, G % 7);
-      Store->push(Run, Root, Parent, 30 + G % 10, "x", G + 2, 1, 1,
-                  -static_cast<double>(G % 64));
+      Store->push(Run, std::string_view(Parent).substr(0, 30 + G % 10), "x",
+                  G + 2, 1, 1, -static_cast<double>(G % 64));
       Store->releaseRun(Run);
     }
     Store->rescore(VBr, PathCounts);
     State.ResumeTiming();
     while (!Store->empty())
-      Store->release(Store->pop(Out).Id);
-    State.PauseTiming();
-    Store->release(Root);
-    State.ResumeTiming();
+      Store->pop(Out);
   }
   State.counters["sec_per_pop"] = benchmark::Counter(
       NumGroups, benchmark::Counter::kIsIterationInvariantRate |

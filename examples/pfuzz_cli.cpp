@@ -175,8 +175,8 @@ int main(int Argc, char **Argv) {
     const QueueStats &Q = T.Queue;
     std::fprintf(stderr,
                  "candidate store: %llu pushes (%llu dedup probes, %llu"
-                 " hits, %llu requeues), %llu rescores (%.1f ms,"
-                 " %llu group slices), %llu trims (%llu dropped),"
+                 " hits, %llu requeues), %llu rescores (%llu group"
+                 " slices), %llu trims (%llu dropped),"
                  " %llu compactions (%llu bytes reclaimed),"
                  " %llu path decays\n",
                  static_cast<unsigned long long>(Q.Pushes),
@@ -184,7 +184,6 @@ int main(int Argc, char **Argv) {
                  static_cast<unsigned long long>(Q.DedupHits),
                  static_cast<unsigned long long>(Q.Requeues),
                  static_cast<unsigned long long>(Q.Rescores),
-                 static_cast<double>(Q.RescoreNanos) / 1e6,
                  static_cast<unsigned long long>(Q.GroupsFiltered),
                  static_cast<unsigned long long>(Q.Trims),
                  static_cast<unsigned long long>(Q.TrimmedCandidates),

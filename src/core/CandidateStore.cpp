@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <chrono>
-#include <cstring>
 
 using namespace pfuzz;
 
@@ -43,7 +41,6 @@ void QueueStats::accumulate(const QueueStats &Other) {
   Rescores += Other.Rescores;
   FullRescores += Other.FullRescores;
   DirtyGroups += Other.DirtyGroups;
-  RescoreNanos += Other.RescoreNanos;
   GroupsFiltered += Other.GroupsFiltered;
   Trims += Other.Trims;
   TrimmedCandidates += Other.TrimmedCandidates;
@@ -71,7 +68,7 @@ CandidateStore::~CandidateStore() = default;
 uint32_t CandidateStore::allocRecord() {
   if (FreeHead != None) {
     uint32_t Id = FreeHead;
-    FreeHead = Records[Id].Parent; // the intrusive free-list link
+    FreeHead = Records[Id].Ofs; // the intrusive free-list link
     // Freed slots are scattered over the slab: fetch the next pop's now,
     // while this one is filled.
     if (FreeHead != None)
@@ -90,12 +87,14 @@ uint32_t CandidateStore::allocRecord() {
 
 void CandidateStore::freeRecord(uint32_t Id) {
   Record &R = Records[Id];
-  ArenaGarbage += R.SuffixLen;
-  unlinkGroup(Id);
-  R.Refs = 0;
-  R.SuffixLen = 0;   // compaction walks Refs>0 only, but keep it inert
-  R.Parent = FreeHead; // freed slots chain through their Parent field
+  ArenaGarbage += R.Len;
+  uint32_t GroupId = R.Group;
+  R.Group = None; // compaction skips free slots
+  R.Len = 0;
+  R.Ofs = FreeHead; // freed slots chain through their Ofs field
   FreeHead = Id;
+  --Groups[GroupId].Refs;
+  maybeFreeGroup(GroupId);
 }
 
 uint32_t CandidateStore::allocGroup() {
@@ -142,88 +141,6 @@ void CandidateStore::maybeFreeGroup(uint32_t GroupId) {
   --LiveGroups;
 }
 
-void CandidateStore::unlinkGroup(uint32_t Id) {
-  Record &R = Records[Id];
-  if (R.Group == None)
-    return;
-  uint32_t GroupId = R.Group;
-  R.Group = None;
-  --Groups[GroupId].Refs;
-  maybeFreeGroup(GroupId);
-}
-
-//===----------------------------------------------------------------------===//
-// Lineage
-//===----------------------------------------------------------------------===//
-
-uint32_t CandidateStore::internRoot(std::string_view Input, uint64_t Hash) {
-  uint32_t Id = allocRecord();
-  Record &R = Records[Id];
-  R.InputHash = Hash;
-  R.Parent = None;
-  R.SpliceAt = 0;
-  R.SuffixOfs = Arena.append(Input);
-  R.SuffixLen = static_cast<uint32_t>(Input.size());
-  R.Refs = 1;
-  return Id;
-}
-
-uint32_t CandidateStore::internChild(uint32_t Parent, size_t SpliceAt,
-                                     std::string_view ParentInput,
-                                     std::string_view Suffix, uint64_t Hash) {
-  if (Parent != None)
-    maybeRebase(Parent, ParentInput);
-  uint32_t Id = allocRecord();
-  Record &R = Records[Id];
-  R.InputHash = Hash;
-  R.Parent = Parent;
-  if (Parent != None) {
-    ++Records[Parent].Refs;
-    R.Depth = static_cast<uint8_t>(Records[Parent].Depth + 1);
-  }
-  R.SpliceAt = static_cast<uint32_t>(SpliceAt);
-  R.SuffixOfs = Arena.append(Suffix);
-  R.SuffixLen = static_cast<uint32_t>(Suffix.size());
-  R.Refs = 1;
-  return Id;
-}
-
-void CandidateStore::maybeRebase(uint32_t Id, std::string_view Input) {
-  // About to become a parent at the chain-depth cap: rewrite the record
-  // as a root holding its full bytes. Purely a storage change — the
-  // record's materialized bytes, hash, input length (SpliceAt+SuffixLen)
-  // and group are all unchanged, and records gaining children are never
-  // queue members — so scores and pop order cannot move. The lineage pin
-  // on the old parent drops, releasing ancestry nothing else holds.
-  Record &R = Records[Id];
-  if (R.Depth < MaxChainDepth)
-    return;
-  assert(Input.size() == R.SpliceAt + R.SuffixLen &&
-         "rebase input must be the record's materialized bytes");
-  ArenaGarbage += R.SuffixLen;
-  uint32_t OldParent = R.Parent;
-  R.SuffixOfs = Arena.append(Input);
-  R.SuffixLen = static_cast<uint32_t>(Input.size());
-  R.SpliceAt = 0;
-  R.Parent = None;
-  R.Depth = 0;
-  release(OldParent);
-}
-
-void CandidateStore::release(uint32_t Id) {
-  // The cascade is what keeps chains from leaking: freeing a record drops
-  // its parent pin, which may free the parent, and so on up to the root.
-  // A record queued anywhere below keeps its whole ancestry alive.
-  while (Id != None) {
-    Record &R = Records[Id];
-    if (--R.Refs > 0)
-      return;
-    uint32_t Parent = R.Parent;
-    freeRecord(Id);
-    Id = Parent;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Run lifecycle
 //===----------------------------------------------------------------------===//
@@ -258,39 +175,28 @@ void CandidateStore::releaseRun(uint32_t Run) {
 // Queue operations
 //===----------------------------------------------------------------------===//
 
-void CandidateStore::push(uint32_t Run, uint32_t Parent,
-                          std::string_view ParentInput, size_t SpliceAt,
+void CandidateStore::push(uint32_t Run, std::string_view Prefix,
                           std::string_view Suffix, uint64_t Hash,
                           uint32_t ReplacementLen, uint32_t ParentDelta,
                           double Score) {
   ++Stats.Pushes;
-  if (Parent != None)
-    maybeRebase(Parent, ParentInput);
-  // Dead rebased roots and released ancestry can pile up whole-input
-  // blocks in the arena between trims, so garbage collection cannot
-  // wait for trim pressure alone; the threshold check makes the
-  // periodic call nearly free.
+  // Popped candidates leave their bytes behind in the arena, so garbage
+  // collection cannot wait for trim pressure alone; the threshold check
+  // makes the periodic call nearly free.
   if ((PushTick & 255) == 0)
     maybeCompactArena();
   uint32_t Id = allocRecord();
   Record &R = Records[Id];
   R.InputHash = Hash;
-  R.Parent = Parent;
-  if (Parent != None) {
-    ++Records[Parent].Refs;
-    R.Depth = static_cast<uint8_t>(Records[Parent].Depth + 1);
-  }
-  R.SpliceAt = static_cast<uint32_t>(SpliceAt);
-  R.SuffixOfs = Arena.append(Suffix);
-  R.SuffixLen = static_cast<uint32_t>(Suffix.size());
+  R.Ofs = Arena.append(Prefix);
+  Arena.append(Suffix);
+  R.Len = static_cast<uint32_t>(Prefix.size() + Suffix.size());
   R.Group = Run;
   ++Groups[Run].Refs;
-  R.Refs = 1; // the queue entry's pin; pop transfers it to the caller
   R.ReplacementLen = ReplacementLen;
-  R.ParentDelta = static_cast<uint8_t>(ParentDelta);
+  R.ParentDelta = ParentDelta;
   // The Node key precondition (see the header).
-  int64_t Base = candidateTerm(R.SpliceAt + R.SuffixLen, ReplacementLen,
-                               ParentDelta, Heur);
+  int64_t Base = candidateTerm(R.Len, ReplacementLen, ParentDelta, Heur);
   assert(Base > -MaxExactTerm && Base < MaxExactTerm &&
          "candidate term outside the packed key's range");
   int64_t TwiceScore = static_cast<int64_t>(2 * Score);
@@ -323,30 +229,6 @@ void CandidateStore::push(uint32_t Run, uint32_t Parent,
   ++QueueLen;
   if ((++PushTick & 1023) == 0)
     samplePeaks();
-}
-
-void CandidateStore::materialize(uint32_t Id, std::string &Out) const {
-  const Record &Top = Records[Id];
-  size_t Take = Top.SpliceAt + Top.SuffixLen;
-  Out.resize(Take);
-  // Walk up the chain copying each record's suffix segment into its
-  // [SpliceAt, SpliceAt + SuffixLen) window, clipped to the bytes the
-  // descendants have not already overridden (Take). Every visited record
-  // satisfies Take <= SpliceAt + SuffixLen — a child's splice point never
-  // exceeds its parent's length — so the loop terminates with Take == 0
-  // at or before the chain root.
-  uint32_t Cur = Id;
-  while (Take > 0) {
-    const Record &R = Records[Cur];
-    if (R.SpliceAt < Take) {
-      size_t Copy = std::min<size_t>(R.SuffixLen, Take - R.SpliceAt);
-      std::memcpy(&Out[R.SpliceAt], Arena.data() + R.SuffixOfs, Copy);
-      Take = R.SpliceAt;
-    }
-    if (R.Parent == None)
-      break;
-    Cur = R.Parent;
-  }
 }
 
 bool CandidateStore::freshOnTop() const {
@@ -389,22 +271,18 @@ CandidateStore::Popped CandidateStore::pop(std::string &InputOut) {
   Nodes[N].Sibling = FreeNode;
   FreeNode = N;
   --QueueLen;
-  Record &R = Records[Id];
-  Group &G = Groups[R.Group];
+  const Record &R = Records[Id];
+  const Group &G = Groups[R.Group];
   Popped P;
-  P.Id = Id;
   int64_t TwiceScore = static_cast<int64_t>(Key >> KeySeqBits) - KeyBias;
   P.Score = static_cast<double>(TwiceScore) / 2;
   P.InputHash = R.InputHash;
   P.NumParents = G.NumParentsBase + R.ParentDelta;
   P.ReplacementLen = R.ReplacementLen;
   P.NewBranchCount = static_cast<uint32_t>(G.Branches.size());
-  // The popped input is about to execute; its branch list has served its
-  // purpose, so leave the group now and let it die with its last queued
-  // member instead of with this record's whole ancestry.
-  unlinkGroup(Id);
-  materialize(Id, InputOut);
-  return P; // the queue pin transfers to the caller — no Refs change
+  InputOut.assign(Arena.data() + R.Ofs, R.Len);
+  freeRecord(Id);
+  return P;
 }
 
 //===----------------------------------------------------------------------===//
@@ -580,7 +458,6 @@ void CandidateStore::reterm(Group &G, const BranchCoverageMap &VBr,
 
 bool CandidateStore::rescore(const BranchCoverageMap &VBr,
                              const PathCountMap &PathCounts) {
-  auto Begin = std::chrono::steady_clock::now();
   ++Stats.Rescores;
   uint64_t TrimsBefore = Stats.Trims;
   // A group's run term depends on its filtered list and its capped path
@@ -594,10 +471,6 @@ bool CandidateStore::rescore(const BranchCoverageMap &VBr,
   PassEpoch = VBr.epoch();
   PathsDecayed = false;
   DirtyPaths.clear();
-  Stats.RescoreNanos += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - Begin)
-          .count());
   samplePeaks();
   return Stats.Trims != TrimsBefore;
 }
@@ -680,8 +553,7 @@ void CandidateStore::trim() {
   // settled and the slots are rebuilt below, so no node index needs to
   // survive: pack the live nodes at the front of the pool under their
   // full keys and select with nth_element (keys are unique, so it
-  // selects exactly that set). The dropped ids release their suffix
-  // bytes and (via the pin cascade) any ancestry nothing else holds.
+  // selects exactly that set). The dropped records are freed.
   size_t Live = 0;
   for (size_t I = 0, N = Nodes.size(); I != N; ++I) {
     if (Nodes[I].Id == None)
@@ -698,7 +570,7 @@ void CandidateStore::trim() {
   std::nth_element(Nodes.begin(), Nodes.begin() + Keep, Nodes.begin() + Live,
                    KeyGreater());
   for (size_t I = Keep; I != Live; ++I)
-    release(Nodes[I].Id);
+    freeRecord(Nodes[I].Id);
   Nodes.resize(Keep);
   FreeNode = None;
   for (uint32_t I = 0; I != Keep; ++I) {
@@ -718,18 +590,16 @@ void CandidateStore::trim() {
 //===----------------------------------------------------------------------===//
 
 void CandidateStore::maybeCompactArena() {
-  // Rebuild when over half the arena is dead suffix bytes (and enough of
-  // them to be worth a pass). Live records are exactly those with pins;
-  // their offsets are patched to the fresh arena.
+  // Rebuild when over half the arena is dead bytes (and enough of them to
+  // be worth a pass). Live records are exactly the queued ones; their
+  // offsets are patched to the fresh arena.
   if (ArenaGarbage <= 4096 || ArenaGarbage <= Arena.size() / 2)
     return;
   ByteArena Fresh;
   Fresh.reserve(Arena.size() - ArenaGarbage);
-  for (Record &R : Records) {
-    if (R.Refs == 0)
-      continue;
-    R.SuffixOfs = Fresh.append(Arena.view(R.SuffixOfs, R.SuffixLen));
-  }
+  for (Record &R : Records)
+    if (R.Group != None)
+      R.Ofs = Fresh.append(Arena.view(R.Ofs, R.Len));
   Stats.ArenaBytesReclaimed += Arena.size() - Fresh.size();
   ++Stats.Compactions;
   Arena.swap(Fresh);

@@ -6,16 +6,14 @@
 ///
 /// \file
 /// The candidate priority queue of Algorithm 1, stored compactly: a
-/// queued candidate is a 40-byte POD record (parent id, splice point,
-/// suffix slice in a shared byte arena, input hash) instead of an owned
-/// std::string, plus one 24-byte heap node. A candidate's full input
-/// bytes exist only on demand — materialize() walks the parent chain and
-/// reassembles the prefix + suffix segments — so queue memory is
-/// O(candidates + distinct-suffix-bytes) instead of O(candidates x
-/// input-length), and pushing a candidate allocates nothing in steady
-/// state.
+/// queued candidate is a 32-byte POD record (input hash, the offset and
+/// length of its full bytes in a shared byte arena, group, replacement
+/// length, parent delta) instead of an owned std::string, plus one 24-byte
+/// heap node. pop() copies the bytes out and frees the record; the arena
+/// bytes of popped and trimmed records are reclaimed by compaction. Pushing
+/// a candidate allocates nothing in steady state.
 ///
-/// Records that share one parent run's new-branch list are chained into a
+/// Records that share one parent run's new-branch list reference one
 /// *group* holding the list plus the run-constant heuristic terms
 /// (average stack depth, path hash, parent-chain base). A score is the
 /// sum of a run term shared by the whole group and a candidate term fixed
@@ -101,15 +99,13 @@ struct QueueStats {
   /// Groups re-termed by incremental passes (live groups on a path whose
   /// capped count moved).
   uint64_t DirtyGroups = 0;
-  /// Wall time spent inside rescore passes.
-  uint64_t RescoreNanos = 0;
   /// Group branch lists filtered across all rescores.
   uint64_t GroupsFiltered = 0;
   /// Overflow trims (all but the first MaxQueue / 2 in pop order dropped).
   uint64_t Trims = 0;
   /// Candidates dropped by trims.
   uint64_t TrimmedCandidates = 0;
-  /// Suffix-arena compactions after trims.
+  /// Arena compactions (after trims and every 256th push).
   uint64_t Compactions = 0;
   /// Arena bytes reclaimed by compactions.
   uint64_t ArenaBytesReclaimed = 0;
@@ -121,7 +117,7 @@ struct QueueStats {
   uint64_t PeakBytes = 0;
   /// High-water mark of queued candidates.
   uint64_t PeakCandidates = 0;
-  /// High-water mark of suffix-arena bytes.
+  /// High-water mark of arena bytes.
   uint64_t PeakArenaBytes = 0;
   /// High-water mark of live groups (distinct parent runs with queued
   /// candidates or a live run handle).
@@ -140,12 +136,10 @@ public:
   /// Null record/run id.
   static constexpr uint32_t None = ~0u;
 
-  /// What pop() hands the campaign, besides the materialized input: the
-  /// popped record's pin (the caller releases it when the input stops
-  /// being a potential parent) and the fields the verbose trace and the
-  /// next iteration's bookkeeping need. Score is decoded from the key.
+  /// What pop() hands the campaign besides the input bytes: the fields
+  /// the verbose trace and the next iteration's bookkeeping need. Score is
+  /// decoded from the key.
   struct Popped {
-    uint32_t Id = None;
     double Score = 0;
     uint64_t InputHash = 0;
     uint32_t NumParents = 0;
@@ -169,27 +163,6 @@ public:
   QueueStats Stats;
 
   //===--------------------------------------------------------------------===//
-  // Lineage
-  //===--------------------------------------------------------------------===//
-
-  /// Interns \p Input as a chain root (campaign start / restart) and
-  /// returns its pinned record id.
-  uint32_t internRoot(std::string_view Input, uint64_t Hash);
-
-  /// Interns parent[0, SpliceAt) + \p Suffix as a pinned record — the
-  /// campaign's random-extension input, so the extension's substitution
-  /// children can reference it as their parent. \p ParentInput must be
-  /// the parent's full materialized bytes (used to rebase a deep chain,
-  /// see maybeRebase).
-  uint32_t internChild(uint32_t Parent, size_t SpliceAt,
-                       std::string_view ParentInput, std::string_view Suffix,
-                       uint64_t Hash);
-
-  /// Drops one pin of \p Id. A record with no pins left is freed and the
-  /// release cascades up its parent chain. release(None) is a no-op.
-  void release(uint32_t Id);
-
-  //===--------------------------------------------------------------------===//
   // Run lifecycle
   //===--------------------------------------------------------------------===//
 
@@ -210,24 +183,22 @@ public:
   // Queue operations
   //===--------------------------------------------------------------------===//
 
-  /// Pushes the candidate parent[0, SpliceAt) + \p Suffix with
-  /// \p Score, attached to \p Run's group; the store derives the
-  /// candidate term from the length, \p ReplacementLen and
-  /// \p ParentDelta. \p Hash must be the FNV-1a hash of the full
-  /// candidate bytes (the campaign derives it from a
+  /// Pushes the candidate \p Prefix + \p Suffix with \p Score, attached
+  /// to \p Run's group; its bytes are stored back to back in the arena.
+  /// The store derives the candidate term from the length,
+  /// \p ReplacementLen and \p ParentDelta. \p Hash must be the FNV-1a
+  /// hash of the full candidate bytes (the campaign derives it from a
   /// prefix-hash array without building the string). \p ParentDelta is
   /// the candidate's parent-chain growth over the group's base (1 for
-  /// substitutions, 0 for requeued prefixes). \p ParentInput must be the
-  /// parent's full materialized bytes (see maybeRebase). \p Score must be
-  /// a half-integer of magnitude below 2^23. The caller checks
-  /// queueSize() against its cap and triggers rescore.
-  void push(uint32_t Run, uint32_t Parent, std::string_view ParentInput,
-            size_t SpliceAt, std::string_view Suffix, uint64_t Hash,
-            uint32_t ReplacementLen, uint32_t ParentDelta, double Score);
+  /// substitutions, 0 for requeued prefixes). \p Score must be a
+  /// half-integer of magnitude below 2^23. The caller checks queueSize()
+  /// against its cap and triggers rescore.
+  void push(uint32_t Run, std::string_view Prefix, std::string_view Suffix,
+            uint64_t Hash, uint32_t ReplacementLen, uint32_t ParentDelta,
+            double Score);
 
-  /// Pops the first candidate in pop order: materializes its input into
-  /// \p InputOut and returns its metadata. The record stays pinned (the
-  /// queue pin transfers to the caller).
+  /// Pops the first candidate in pop order: copies its bytes into
+  /// \p InputOut, frees its record and returns its metadata.
   Popped pop(std::string &InputOut);
 
   size_t queueSize() const { return QueueLen; }
@@ -259,8 +230,8 @@ public:
   // Accounting
   //===--------------------------------------------------------------------===//
 
-  /// Exact current queue memory: records, suffix arena, heap entries and
-  /// group lists.
+  /// Exact current queue memory: records, arena, heap entries and group
+  /// lists.
   size_t bytesInUse() const;
 
   /// Folds the current footprint into the Peak* stats. Called
@@ -269,36 +240,20 @@ public:
   void samplePeaks();
 
 private:
-  /// A queued candidate: input = parent[0, SpliceAt) + suffix.
-  /// Refs counts pins (one per queue entry, campaign handle, or child
-  /// record); a record is freed when it reaches zero.
+  /// A queued candidate: its full bytes are Arena[Ofs, Ofs + Len). A
+  /// record lives from push to pop or trim; a free slot has Group None
+  /// and chains the free list through Ofs.
   struct Record {
     uint64_t InputHash = 0;
-    uint32_t Parent = None;
-    uint32_t SpliceAt = 0;
-    uint32_t SuffixOfs = 0;
-    uint32_t SuffixLen = 0;
+    uint32_t Ofs = 0;
+    uint32_t Len = 0;
     uint32_t Group = None;
-    uint32_t Refs = 0;
     uint32_t ReplacementLen = 0;
-    uint8_t ParentDelta = 0;
-    /// Parent-chain length to the nearest root. Bounded by MaxChainDepth:
-    /// a record about to gain children at the cap is rebased first (see
-    /// maybeRebase), so materialize never walks more than MaxChainDepth+1
-    /// records and deep lineages cannot accumulate one ~40-byte ancestry
-    /// record per historical byte.
-    uint8_t Depth = 0;
+    uint32_t ParentDelta = 0;
   };
-
-  /// Chain-depth cap. Rebasing copies the record's full bytes into the
-  /// arena once per MaxChainDepth generations of a lineage — amortized
-  /// len/MaxChainDepth arena bytes per record versus one ~40-byte record
-  /// per chain link without it — and bounds the materialize walk.
-  static constexpr uint8_t MaxChainDepth = 4;
-
-  static_assert(sizeof(Record) == 40,
+  static_assert(sizeof(Record) == 32,
                 "Record outgrew its slot; the queue-memory math in "
-                "DESIGN.md section 14 assumes 40-byte records");
+                "DESIGN.md section 14 assumes 32-byte records");
 
   /// One queued candidate in the heaps. Key packs the candidate's place
   /// in its group into one integer, so heaps compare nodes with a single
@@ -376,12 +331,11 @@ private:
   static_assert(sizeof(Group) == 64, "group outgrew its 64-byte slot");
 
   uint32_t allocRecord();
+  /// Frees record \p Id: its bytes become arena garbage and its group
+  /// pin drops.
   void freeRecord(uint32_t Id);
-  void maybeRebase(uint32_t Id, std::string_view Input);
   uint32_t allocGroup();
   void maybeFreeGroup(uint32_t GroupId);
-  void unlinkGroup(uint32_t Id);
-  void materialize(uint32_t Id, std::string &Out) const;
   void maybeCompactArena();
 
   /// Whether the next pop comes from the side heap rather than the
@@ -426,8 +380,8 @@ private:
   const HeuristicOptions Heur;
 
   std::vector<Record> Records;
-  /// Head of the intrusive free list threaded through freed records'
-  /// Parent fields — no side vector of free ids.
+  /// Head of the intrusive free list threaded through freed records' Ofs
+  /// fields — no side vector of free ids.
   uint32_t FreeHead = None;
   /// Node pool (one node per queued candidate) and its free list.
   std::vector<Node> Nodes;
@@ -449,7 +403,7 @@ private:
   std::vector<Group> Groups;
   std::vector<uint32_t> FreeGroups;
   ByteArena Arena;
-  /// Suffix bytes owned by freed records; compaction reclaims them.
+  /// Arena bytes of freed records; compaction reclaims them.
   size_t ArenaGarbage = 0;
   size_t LiveGroups = 0;
   /// Capacity bytes of every group slot's branch list, kept current where

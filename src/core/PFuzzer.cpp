@@ -99,19 +99,16 @@ private:
   RunStats computeStats(const RunResult &RR, uint32_t ParentCount);
 
   /// Generates substitution candidates from the comparisons of \p RR on
-  /// \p Input (procedure addInputs, lines 19-25). \p ParentRec is the
-  /// store record of \p Input (the candidates' materialization parent).
+  /// \p Input (procedure addInputs, lines 19-25).
   void addInputs(const std::string &Input, const RunResult &RR,
-                 const RunStats &Stats, uint32_t ParentCount,
-                 uint32_t ParentRec);
+                 const RunStats &Stats, uint32_t ParentCount);
 
   /// Puts \p Input back into the queue after a run that tried to read
   /// past the end: the parser wants more input, so the prefix deserves
   /// further random extensions (Section 2: "continue with the generated
   /// prefix"). Path-novelty decay keeps this from looping forever.
   void requeuePrefix(const std::string &Input, uint64_t Hash,
-                     const RunStats &Stats, uint32_t ParentCount,
-                     uint32_t ParentRec);
+                     const RunStats &Stats, uint32_t ParentCount);
 
   /// Brings every queue score up to date with vBr (lines 40-43) and the
   /// path counts, and enforces the queue cap; a trim also resets
@@ -261,11 +258,6 @@ FuzzReport Campaign::run() {
   std::string Input(1, randomChar()); // line 4
   uint64_t InputHash = hashInput(Input);
   uint32_t ParentCount = 0;
-  // The current input's store record: candidates spawned from it
-  // reference it as their materialization parent instead of copying its
-  // bytes. Popping a candidate hands over its (already pinned) record;
-  // campaign starts and restarts intern a fresh root.
-  uint32_t CurId = Store.internRoot(Input, InputHash);
   uint64_t SampleEvery = std::max<uint64_t>(1, Opts.MaxExecutions / 256);
   // The two RunResults live across the whole campaign: each execution
   // recycles their trace buffers (Subject::execute clears contents but
@@ -275,43 +267,32 @@ FuzzReport Campaign::run() {
     bool Valid = runCheck(Input, RR); // line 7
     RunStats Stats = computeStats(RR, ParentCount);
     notePath(Stats.PathHash);
-    // The extension input's record, when this iteration makes one; its
-    // substitution children splice below its one-char suffix.
-    uint32_t EId = CandidateStore::None;
     if (Valid) {
-      addInputs(Input, RR, Stats, ParentCount, CurId); // via validInp, line 44
+      addInputs(Input, RR, Stats, ParentCount); // via validInp, line 44
     } else {
       // "After every rejection, we satisfy the comparisons leading to
       // rejection": substitutions from the bare run first. (A random
       // extension could merge into the last token -- e.g. a letter after
       // a keyword -- and hide these alternatives.)
-      addInputs(Input, RR, Stats, ParentCount, CurId);
+      addInputs(Input, RR, Stats, ParentCount);
       if (Report.Executions >= Opts.MaxExecutions) {
         Store.releaseRun(Stats.Run);
         break;
       }
-      // Line 15. The FNV-1a state of Input extends by the one new
-      // character; no string is built or rehashed.
-      assert(InputHash == hashInput(Input) && "stale current-input hash");
-      char C = randomChar();
-      EInp.assign(Input);
-      EInp.push_back(C);
-      uint64_t EHash = extendHash(InputHash, std::string_view(&C, 1));
+      EInp.assign(Input); // line 15
+      EInp.push_back(randomChar());
       // Line 9-12: run the extended input; whether it turned out valid or
       // not, its comparisons seed the next substitutions.
       runCheck(EInp, RE);
       RunStats EStats = computeStats(RE, ParentCount);
       notePath(EStats.PathHash);
-      EId = Store.internChild(CurId, Input.size(), Input,
-                              std::string_view(EInp).substr(Input.size()),
-                              EHash);
-      addInputs(EInp, RE, EStats, ParentCount, EId);
+      addInputs(EInp, RE, EStats, ParentCount);
       Store.releaseRun(EStats.Run);
     }
     // A run that read past the end wants more input: keep the prefix
     // alive so it receives further random extensions.
     if (RR.hitEof() && Input.size() < Opts.MaxInputLen)
-      requeuePrefix(Input, InputHash, Stats, ParentCount, CurId);
+      requeuePrefix(Input, InputHash, Stats, ParentCount);
     Store.releaseRun(Stats.Run);
     if (Report.Executions / SampleEvery !=
         (Report.Executions + 1) / SampleEvery)
@@ -327,12 +308,9 @@ FuzzReport Campaign::run() {
     if (Store.empty()) {
       // Search exhausted (tiny languages): restart from a fresh random
       // character to keep exploring different seeds.
-      Store.release(EId);
-      Store.release(CurId);
       Input.assign(1, randomChar());
       InputHash = hashInput(Input);
       ParentCount = 0;
-      CurId = Store.internRoot(Input, InputHash);
       continue;
     }
     CandidateStore::Popped Best = Store.pop(Input); // line 14
@@ -342,12 +320,6 @@ FuzzReport Campaign::run() {
                    Best.Score, static_cast<size_t>(Best.NewBranchCount),
                    Input.size(), Best.ReplacementLen, Best.NumParents,
                    Input.c_str());
-    // The old current input (and this iteration's extension) stop being
-    // potential parents; their pins drop and the popped record's takes
-    // over. Any queued descendant keeps the needed ancestry alive.
-    Store.release(EId);
-    Store.release(CurId);
-    CurId = Best.Id;
     InputHash = Best.InputHash;
     ParentCount = Best.NumParents;
   }
@@ -495,8 +467,7 @@ Campaign::RunStats Campaign::computeStats(const RunResult &RR,
 }
 
 void Campaign::addInputs(const std::string &Input, const RunResult &RR,
-                         const RunStats &Stats, uint32_t ParentCount,
-                         uint32_t ParentRec) {
+                         const RunStats &Stats, uint32_t ParentCount) {
   if (!Stats.HaveIdx)
     return;
   // Rolling prefix hashes, computed once per call: candidate hashes are
@@ -575,16 +546,16 @@ void Campaign::addInputs(const std::string &Input, const RunResult &RR,
     double Score =
         RunTerm + static_cast<double>(candidateTerm(
                       C.SpliceAt + C.Len, C.Len, /*ParentDelta=*/1, Heur));
-    Store.push(Stats.Run, ParentRec, Input, C.SpliceAt, Rep, C.Hash, C.Len,
-               /*ParentDelta=*/1, Score);
+    Store.push(Stats.Run, std::string_view(Input).substr(0, C.SpliceAt), Rep,
+               C.Hash, C.Len, /*ParentDelta=*/1, Score);
     if (Store.queueSize() > Config.MaxQueue)
       rescoreQueue();
   }
 }
 
 void Campaign::requeuePrefix(const std::string &Input, uint64_t Hash,
-                             const RunStats &Stats, uint32_t ParentCount,
-                             uint32_t ParentRec) {
+                             const RunStats &Stats, uint32_t ParentCount) {
+  assert(Hash == hashInput(Input) && "stale current-input hash");
   uint32_t &Count = RequeueCounts[Hash];
   if (Count >= 12)
     return; // retired: this prefix had its chances
@@ -602,10 +573,9 @@ void Campaign::requeuePrefix(const std::string &Input, uint64_t Hash,
   if (Opts.Verbose)
     std::fprintf(stderr, "requeue score=%.1f count=%u [%s]\n", Score, Count,
                  Input.c_str());
-  // An empty-suffix record spliced at the full length: the requeued
-  // candidate *is* its parent, byte for byte, at zero stored bytes.
-  Store.push(Stats.Run, ParentRec, Input, Input.size(), std::string_view(),
-             Hash, /*ReplacementLen=*/1, /*ParentDelta=*/0, Score);
+  // The requeued candidate *is* its parent, byte for byte.
+  Store.push(Stats.Run, Input, std::string_view(), Hash,
+             /*ReplacementLen=*/1, /*ParentDelta=*/0, Score);
   if (Store.queueSize() > Config.MaxQueue)
     rescoreQueue();
 }

@@ -7,7 +7,7 @@
 /// \file
 /// A flat append-only byte arena: callers append slices and address them
 /// by (offset, length) instead of owning a string each. The candidate
-/// store keeps every queued candidate's suffix bytes here, so a hundred
+/// store keeps every queued candidate's full bytes here, so a hundred
 /// thousand candidates cost one allocation-amortized buffer instead of a
 /// hundred thousand std::string heads. Offsets are stable until the
 /// owner rebuilds the arena (compaction swaps in a fresh one and patches

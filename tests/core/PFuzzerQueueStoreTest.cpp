@@ -7,8 +7,8 @@
 /// \file
 /// The contract of the compact candidate store (core/CandidateStore.h):
 /// its pop order — highest score first, the earlier push first among
-/// equal scores — through pushes, rescores and trims;
-/// materialization chains; trim + arena compaction; the PathCounts decay
+/// equal scores — through pushes, rescores and trims; the bytes a pop
+/// returns; trim, pop and arena compaction; the PathCounts decay
 /// regression; and a differential test of random operation sequences
 /// against a naive model that recomputes every score at every pass. The
 /// campaign-level identity check against an independent reference lives
@@ -46,9 +46,9 @@ FuzzReport fuzzQueue(const Subject &S, uint64_t Execs, size_t MaxQueue,
   return Report;
 }
 
-/// A store with one root record and a branch-free run group: a push of
-/// a single-byte suffix \p Tag scores 2 * ReplacementLen - 2 after any
-/// rescore (0 branches, length 1, replacement, one parent link).
+/// A store with a branch-free run group: a push of the single byte
+/// \p Tag scores 2 * ReplacementLen - 2 after any rescore (0 branches,
+/// length 1, replacement, one parent link).
 struct TieFixture {
   explicit TieFixture(size_t MaxQueue = 100)
       : Store(MaxQueue, HeuristicOptions()) {}
@@ -56,12 +56,11 @@ struct TieFixture {
   CandidateStore Store;
   BranchCoverageMap VBr;
   PathCountMap PathCounts;
-  uint32_t Root = Store.internRoot("", 0x1);
   std::vector<uint32_t> NoBranches;
   uint32_t Run = Store.makeRun(NoBranches, 0, 0.0, 0, 0);
 
   void push(char Tag, uint32_t ReplacementLen, double Score) {
-    Store.push(Run, Root, "", 0, std::string_view(&Tag, 1),
+    Store.push(Run, "", std::string_view(&Tag, 1),
                static_cast<unsigned char>(Tag), ReplacementLen,
                /*ParentDelta=*/1, Score);
   }
@@ -70,9 +69,8 @@ struct TieFixture {
   std::string drain() {
     std::string Order, Out;
     while (!Store.empty()) {
-      CandidateStore::Popped P = Store.pop(Out);
+      Store.pop(Out);
       Order += Out;
-      Store.release(P.Id);
     }
     return Order;
   }
@@ -128,7 +126,6 @@ TEST(PFuzzerQueueStoreTest, LongReplacementLengthRoundTrips) {
   std::string Out;
   CandidateStore::Popped P = F.Store.pop(Out);
   EXPECT_EQ(P.ReplacementLen, 70000u);
-  F.Store.release(P.Id);
 }
 
 TEST(PFuzzerQueueStoreTest, PathTableDecaysInsteadOfGrowingUnbounded) {
@@ -145,14 +142,14 @@ TEST(PFuzzerQueueStoreTest, PathTableDecaysInsteadOfGrowingUnbounded) {
   EXPECT_LE(Stats.PeakPathTable, 2 * Cap);
 }
 
-TEST(PFuzzerQueueStoreTest, MaterializesParentChains) {
-  // Direct store exercise: a substitution chain three records deep, each
-  // splicing below its parent, must reassemble exactly.
+TEST(PFuzzerQueueStoreTest, PopReturnsPushedBytes) {
+  // Direct store exercise: each pop returns the pushed prefix + suffix
+  // byte for byte, with an empty prefix, an empty suffix (a requeued
+  // prefix) and a long prefix.
   CandidateStore Store(/*MaxQueue=*/100, HeuristicOptions());
-  uint32_t Root = Store.internRoot("abc", 0x1);
   std::vector<uint32_t> Branches{10, 20, 30};
   uint32_t Run = Store.makeRun(Branches, 0, 1.5, 0x99, 0);
-  Store.push(Run, Root, "abc", 2, "xy", 0x2, 2, 1, 5.0);
+  Store.push(Run, "", "abxy", 0x2, 2, 1, 5.0);
   std::string Out;
   CandidateStore::Popped P = Store.pop(Out);
   EXPECT_EQ(Out, "abxy");
@@ -161,36 +158,73 @@ TEST(PFuzzerQueueStoreTest, MaterializesParentChains) {
   EXPECT_EQ(P.NumParents, 1u);
   EXPECT_EQ(P.ReplacementLen, 2u);
   EXPECT_EQ(P.NewBranchCount, 3u);
-  // The popped record (still pinned) becomes the next parent.
+  // The popped input becomes the next parent.
   uint32_t Run2 = Store.makeRun(Branches, 0, 1.5, 0x99, P.NumParents);
-  Store.push(Run2, P.Id, Out, 3, "z", 0x3, 1, 1, 6.0);
-  // A requeue-style record: empty suffix spliced at the full length is
-  // its parent byte for byte at zero stored bytes.
-  Store.push(Run2, P.Id, Out, 4, std::string_view(), 0x4, 1, 0, 4.0);
+  Store.push(Run2, std::string_view(Out).substr(0, 3), "z", 0x3, 1, 1, 6.0);
+  // A requeue-style push: the parent byte for byte, empty suffix.
+  Store.push(Run2, Out, std::string_view(), 0x4, 1, 0, 4.0);
+  const std::string Long(256, 'q');
+  Store.push(Run2, Long, "!", 0x5, 1, 1, 3.0);
   CandidateStore::Popped Child = Store.pop(Out);
   EXPECT_EQ(Out, "abxz");
   EXPECT_EQ(Child.NumParents, 2u);
   CandidateStore::Popped Requeue = Store.pop(Out);
   EXPECT_EQ(Out, "abxy");
   EXPECT_EQ(Requeue.NumParents, 1u);
+  CandidateStore::Popped LongPrefix = Store.pop(Out);
+  EXPECT_EQ(Out, Long + "!");
+  EXPECT_EQ(LongPrefix.InputHash, 0x5u);
   EXPECT_TRUE(Store.empty());
   Store.releaseRun(Run);
   Store.releaseRun(Run2);
-  Store.release(Requeue.Id);
-  Store.release(Child.Id);
-  Store.release(P.Id);
-  Store.release(Root);
+}
+
+TEST(PFuzzerQueueStoreTest, PoppedRecordsAreReclaimedWithoutTrim) {
+  // Pops alone leave dead bytes in the arena: once they are most of it,
+  // the periodic compaction at a push rebuilds it without any trim, and
+  // the survivors still pop byte for byte (offsets patched correctly).
+  CandidateStore Store(/*MaxQueue=*/1000, HeuristicOptions());
+  std::vector<uint32_t> NoBranches;
+  uint32_t Run = Store.makeRun(NoBranches, 0, 0.0, 0, 0);
+  auto bytesOf = [](uint32_t I) {
+    return std::string(100 + I, static_cast<char>('a' + I % 26));
+  };
+  // Push scores fall with I, so pops take the earliest pushes first.
+  for (uint32_t I = 0; I != 256; ++I)
+    Store.push(Run, bytesOf(I), "", I, 1, 1, -static_cast<double>(I));
+  std::string Out;
+  for (uint32_t I = 0; I != 200; ++I) {
+    Store.pop(Out);
+    ASSERT_EQ(Out, bytesOf(I));
+  }
+  EXPECT_EQ(Store.Stats.Compactions, 0u);
+  // The 257th push is the next periodic check.
+  Store.push(Run, "", "tail", 256, 1, 1, -256.0);
+  EXPECT_EQ(Store.Stats.Trims, 0u);
+  EXPECT_EQ(Store.Stats.Compactions, 1u);
+  size_t Dead = 0;
+  for (uint32_t I = 0; I != 200; ++I)
+    Dead += bytesOf(I).size();
+  EXPECT_EQ(Store.Stats.ArenaBytesReclaimed, Dead);
+  for (uint32_t I = 200; I != 256; ++I) {
+    CandidateStore::Popped P = Store.pop(Out);
+    ASSERT_EQ(Out, bytesOf(I));
+    EXPECT_EQ(P.InputHash, I);
+  }
+  Store.pop(Out);
+  EXPECT_EQ(Out, "tail");
+  EXPECT_TRUE(Store.empty());
+  Store.releaseRun(Run);
 }
 
 TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
   // Overflow a tiny queue with large-suffix candidates: the rescore trim
   // must drop the worst-scored half, and with most of the arena then
   // dead, compaction must rebuild it — after which the survivors must
-  // still materialize byte for byte (offsets patched correctly).
+  // still pop byte for byte (offsets patched correctly).
   CandidateStore Store(/*MaxQueue=*/4, HeuristicOptions());
   BranchCoverageMap VBr;
   PathCountMap PathCounts;
-  uint32_t Root = Store.internRoot("", 0x1);
   std::vector<uint32_t> NoBranches;
   uint32_t Run = Store.makeRun(NoBranches, 0, 0.0, 0, 0);
   for (uint32_t I = 0; I != 12; ++I) {
@@ -198,7 +232,7 @@ TEST(PFuzzerQueueStoreTest, TrimReleasesRecordsAndCompactsArena) {
     // Score recomputation at rescore: 0 new branches - 600 length +
     // 2 * ReplacementLen - 0 stack - 1 parent - 0 path = 2 * I - 601,
     // strictly increasing in I, so the trim keeps the highest I's.
-    Store.push(Run, Root, "", 0, Suffix, 0x100 + I, /*ReplacementLen=*/I,
+    Store.push(Run, "", Suffix, 0x100 + I, /*ReplacementLen=*/I,
                /*ParentDelta=*/1, 2.0 * I - 601);
   }
   ASSERT_EQ(Store.queueSize(), 12u);
@@ -222,7 +256,7 @@ TEST(PFuzzerQueueStoreTest, RescoredScoresEqualHeuristicOfFeatures) {
   // The group-factored rescore against the one-candidate formula: two run
   // groups with non-zero path counts (one past the 24 cap), a
   // half-integer stack depth, branches partly covered since the push,
-  // and a requeue-shaped record (empty suffix, ParentDelta 0). Every
+  // and a requeue-shaped push (empty suffix, ParentDelta 0). Every
   // score popped after rescore must equal heuristicScore of that
   // candidate's features exactly.
   HeuristicOptions Heur;
@@ -231,16 +265,16 @@ TEST(PFuzzerQueueStoreTest, RescoredScoresEqualHeuristicOfFeatures) {
   PathCountMap PathCounts;
   PathCounts[0xA] = 3;
   PathCounts[0xB] = 40;
-  uint32_t Root = Store.internRoot("{\"k\":", 0x1);
+  const std::string Parent = "{\"k\":";
   std::vector<uint32_t> BranchesA{2, 4, 6, 8};
   std::vector<uint32_t> BranchesB{10, 12};
   uint32_t RunA = Store.makeRun(BranchesA, VBr.epoch(), 2.5, 0xA, 3);
   uint32_t RunB = Store.makeRun(BranchesB, VBr.epoch(), 7.0, 0xB, 1);
   // Push scores are placeholders; rescore replaces every one of them.
-  Store.push(RunA, Root, "{\"k\":", 5, "true", 0x2, 4, 1, 0.0);
-  Store.push(RunA, Root, "{\"k\":", 5, "1", 0x3, 1, 1, 0.0);
-  Store.push(RunA, Root, "{\"k\":", 5, std::string_view(), 0x4, 1, 0, 0.0);
-  Store.push(RunB, Root, "{\"k\":", 3, "null", 0x5, 4, 1, 0.0);
+  Store.push(RunA, Parent, "true", 0x2, 4, 1, 0.0);
+  Store.push(RunA, Parent, "1", 0x3, 1, 1, 0.0);
+  Store.push(RunA, Parent, std::string_view(), 0x4, 1, 0, 0.0);
+  Store.push(RunB, Parent.substr(0, 3), "null", 0x5, 4, 1, 0.0);
   Store.releaseRun(RunA);
   Store.releaseRun(RunB);
   std::vector<uint32_t> Covered{4, 10};
@@ -271,10 +305,8 @@ TEST(PFuzzerQueueStoreTest, RescoredScoresEqualHeuristicOfFeatures) {
       EXPECT_EQ(P.Score, heuristicScore(W.In, Heur)) << "hash " << W.Hash;
     }
     EXPECT_TRUE(Found);
-    Store.release(P.Id);
   }
   EXPECT_TRUE(Store.empty());
-  Store.release(Root);
 }
 
 namespace {
@@ -354,7 +386,7 @@ private:
 };
 
 /// Drives one random interleaving of store operations against the naive
-/// model, comparing every pop and export. Runs and path bumps draw from
+/// model, comparing every pop. Runs and path bumps draw from
 /// the first \p NumPaths of five paths. Counts, for the caller's coverage
 /// checks, the run slots the store recycled after its first pass.
 void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
@@ -374,7 +406,6 @@ void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
     if (StartCounts[I] > 0)
       PathCounts[Paths[I]] = StartCounts[I];
   const std::string RootBytes = "abcdef";
-  uint32_t Root = Store.internRoot(RootBytes, 0x1);
   struct Open {
     uint32_t Run;
     size_t ModelRun;
@@ -429,8 +460,7 @@ void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
       // retry count.
       int64_t Base = candidateTerm(6, 1, /*ParentDelta=*/0, Heur);
       double Score = Term + static_cast<double>(Base) - ++O.Requeues;
-      Store.push(O.Run, Root, RootBytes, 6, std::string_view(), Hash, 1, 0,
-                 Score);
+      Store.push(O.Run, RootBytes, std::string_view(), Hash, 1, 0, Score);
       Model.push(O.ModelRun, Score, Base, Hash, RootBytes);
     } else {
       size_t SpliceAt = R.below(7);
@@ -439,8 +469,8 @@ void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
       int64_t Base = candidateTerm(static_cast<uint32_t>(SpliceAt + RepLen),
                                    RepLen, /*ParentDelta=*/1, Heur);
       double Score = Term + static_cast<double>(Base);
-      Store.push(O.Run, Root, RootBytes, SpliceAt, Suffix, Hash, RepLen, 1,
-                 Score);
+      Store.push(O.Run, std::string_view(RootBytes).substr(0, SpliceAt), Suffix,
+                 Hash, RepLen, 1, Score);
       Model.push(O.ModelRun, Score, Base, Hash,
                  RootBytes.substr(0, SpliceAt) + Suffix);
     }
@@ -462,7 +492,6 @@ void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
       ASSERT_EQ(P.InputHash, Want.Hash) << "step " << Step;
       ASSERT_EQ(P.Score, Want.Score) << "step " << Step;
       ASSERT_EQ(Out, Want.Bytes);
-      Store.release(P.Id);
     } else if (Op < 72) {
       openRun();
     } else if (Op < 80) {
@@ -498,11 +527,9 @@ void runDifferential(uint64_t Seed, size_t NumPaths, QueueStats &Stats,
   while (!Store.empty()) {
     CandidateStore::Popped P = Store.pop(Out);
     ASSERT_EQ(P.InputHash, Model.pop().Hash);
-    Store.release(P.Id);
   }
   for (const Open &O : Pinned)
     Store.releaseRun(O.Run);
-  Store.release(Root);
   Stats.accumulate(Store.Stats);
 }
 
