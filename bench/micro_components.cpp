@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Micro-benchmarks of the fuzzing building blocks: taint-set algebra,
-/// tainted strings, tokenizers, the heuristic, and short end-to-end
-/// fuzzing bursts of each tool. These bound the per-execution cost of the
-/// machinery around the subjects.
+/// Micro-benchmarks of the fuzzing building blocks: tainted strings,
+/// tokenizers, the heuristic, and short end-to-end fuzzing bursts of each
+/// tool. These bound the per-execution cost of the machinery around the
+/// subjects.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,31 +22,11 @@
 
 using namespace pfuzz;
 
-static void BM_TaintMergeDisjoint(benchmark::State &State) {
-  TaintSet A = TaintSet::forRange(0, 16);
-  TaintSet B = TaintSet::forRange(100, 116);
-  for (auto _ : State) {
-    TaintSet M = TaintSet::merged(A, B);
-    benchmark::DoNotOptimize(M.size());
-  }
-}
-BENCHMARK(BM_TaintMergeDisjoint);
-
-static void BM_TaintMergeOverlapping(benchmark::State &State) {
-  TaintSet A = TaintSet::forRange(0, 64);
-  TaintSet B = TaintSet::forRange(32, 96);
-  for (auto _ : State) {
-    TaintSet M = TaintSet::merged(A, B);
-    benchmark::DoNotOptimize(M.size());
-  }
-}
-BENCHMARK(BM_TaintMergeOverlapping);
-
 static void BM_TStringAccumulate(benchmark::State &State) {
   for (auto _ : State) {
     TString S;
     for (uint32_t I = 0; I != 32; ++I)
-      S.push_back(TChar('a' + (I % 26), TaintSet::forIndex(I)));
+      S.push_back(TChar('a' + (I % 26), TaintBounds::forIndex(I)));
     benchmark::DoNotOptimize(S.size());
   }
 }

@@ -10,7 +10,7 @@
 /// prototype does), and finish with coverage, token and timeline
 /// statistics. Also exposes the mined-grammar pipeline via --mine.
 ///
-///   ./pfuzz_cli --subject=json [--tool=pfuzzer|afl|klee|random]
+///   ./pfuzz_cli --subject=json [--tool=pfuzzer|afl|klee]
 ///               [--execs=N] [--seed=N] [--runs=N] [--jobs=N]
 ///               [--max-queue=N] [--shards=N]
 ///               [--telemetry=FILE] [--heartbeat=N] [--telemetry-stats]
@@ -68,7 +68,7 @@ int main(int Argc, char **Argv) {
                  " [--telemetry=FILE] [--heartbeat=N] [--telemetry-stats]"
                  " [--list-subjects] [--mine] [--quiet]\n"
                  "subjects: arith dyck ini csv json tinyc mjs\n"
-                 "tools: pfuzzer afl klee random\n"
+                 "tools: pfuzzer afl klee\n"
                  "--max-queue: candidate-queue cap (0 = default, else at"
                  " least 2; changes which candidates survive trims)\n"
                  "--shards: split each pFuzzer campaign into N independent"
@@ -105,8 +105,6 @@ int main(int Argc, char **Argv) {
     Kind = ToolKind::Afl;
   else if (ToolName == "klee")
     Kind = ToolKind::Klee;
-  else if (ToolName == "random")
-    Kind = ToolKind::Random;
   else {
     std::fprintf(stderr, "error: unknown tool '%s'\n", ToolName.c_str());
     return 1;

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs pFuzzer, AFL, KLEE and the random baseline on one subject and
-/// prints a side-by-side comparison: coverage, valid inputs, tokens by
-/// length. A one-subject slice of the paper's evaluation.
+/// Runs pFuzzer, AFL and KLEE on one subject and prints a side-by-side
+/// comparison: coverage, valid inputs, tokens by length. A one-subject
+/// slice of the paper's evaluation.
 ///
 ///   ./tool_shootout [--subject=tinyc] [--execs=N] [--seed=N] [--jobs=N]
 ///
@@ -49,8 +49,7 @@ int main(int Argc, char **Argv) {
   TableWriter Table({"Tool", "Coverage %", "Valid inputs", "Tokens",
                      "Long tokens", "Longest input", "Execs/s"});
   std::vector<CampaignCell> Grid;
-  for (ToolKind Kind : {ToolKind::Random, ToolKind::Afl, ToolKind::Klee,
-                        ToolKind::PFuzzer})
+  for (ToolKind Kind : {ToolKind::Afl, ToolKind::Klee, ToolKind::PFuzzer})
     Grid.push_back({Kind, S, Execs});
   std::vector<CampaignResult> Results = runCampaignGrid(Grid, Seed, 1, Jobs);
   for (const CampaignResult &R : Results) {

@@ -81,12 +81,12 @@ using PathCountMap = FlatHashMap<uint32_t>;
 /// 1024th push, and at campaign end), so PeakBytes is a high-water mark
 /// of the sampled points, not of every instant.
 struct QueueStats {
-  /// Candidates pushed into the queue (substitutions + requeues +
-  /// migrations). Pushes == DedupProbes - DedupHits + Requeues.
+  /// Candidates pushed into the queue (substitutions + requeues).
+  /// Pushes == DedupProbes - DedupHits + Requeues.
   uint64_t Pushes = 0;
   /// Probes of the campaign's seen-candidate set (one per substitution
-  /// candidate and per migrated candidate considered) and those that
-  /// found the candidate already seen, so it was not pushed.
+  /// candidate considered) and those that found the candidate already
+  /// seen, so it was not pushed.
   uint64_t DedupProbes = 0;
   uint64_t DedupHits = 0;
   /// Requeued prefixes; they bypass the seen-candidate set.

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The interface shared by pFuzzer and the baseline fuzzers (AFL-style,
-/// KLEE-style, random), plus the campaign options and the report every
+/// The interface shared by pFuzzer and the baseline fuzzers (AFL-style
+/// and KLEE-style), plus the campaign options and the report every
 /// campaign produces. The evaluation harness (src/eval) treats all tools
 /// uniformly through this interface.
 ///
@@ -80,7 +80,7 @@ class Fuzzer {
 public:
   virtual ~Fuzzer();
 
-  /// Tool identifier ("pfuzzer", "afl", "klee", "random").
+  /// Tool identifier ("pfuzzer", "afl", "klee").
   virtual std::string_view name() const = 0;
 
   /// Runs one campaign against \p S.

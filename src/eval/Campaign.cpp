@@ -8,7 +8,6 @@
 
 #include "baselines/AflFuzzer.h"
 #include "baselines/KleeFuzzer.h"
-#include "baselines/RandomFuzzer.h"
 #include "core/PFuzzer.h"
 #include "support/Parallel.h"
 
@@ -32,8 +31,6 @@ std::unique_ptr<Fuzzer> pfuzz::makeFuzzer(ToolKind Kind,
     return std::make_unique<AflFuzzer>();
   case ToolKind::Klee:
     return std::make_unique<KleeFuzzer>();
-  case ToolKind::Random:
-    return std::make_unique<RandomFuzzer>();
   }
   return nullptr;
 }
@@ -46,8 +43,6 @@ std::string_view pfuzz::toolName(ToolKind Kind) {
     return "AFL";
   case ToolKind::Klee:
     return "KLEE";
-  case ToolKind::Random:
-    return "Random";
   }
   return "?";
 }
@@ -60,8 +55,6 @@ uint64_t CampaignBudgets::executionsFor(ToolKind Kind) const {
     return AflExecs;
   case ToolKind::Klee:
     return KleeExecs;
-  case ToolKind::Random:
-    return RandomExecs;
   }
   return 0;
 }
@@ -78,7 +71,6 @@ void CampaignBudgets::scale(uint64_t Factor) {
   PFuzzerExecs = mulSaturating(PFuzzerExecs, Factor);
   AflExecs = mulSaturating(AflExecs, Factor);
   KleeExecs = mulSaturating(KleeExecs, Factor);
-  RandomExecs = mulSaturating(RandomExecs, Factor);
 }
 
 namespace {

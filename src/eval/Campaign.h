@@ -36,7 +36,6 @@ enum class ToolKind {
   PFuzzer,
   Afl,
   Klee,
-  Random,
 };
 
 /// Per-tool configuration the campaign runners thread through to the
@@ -76,7 +75,7 @@ struct ToolOptions {
 std::unique_ptr<Fuzzer> makeFuzzer(ToolKind Kind,
                                    const ToolOptions &Tools = {});
 
-/// Display name ("pFuzzer", "AFL", "KLEE", "Random").
+/// Display name ("pFuzzer", "AFL", "KLEE").
 std::string_view toolName(ToolKind Kind);
 
 /// Per-tool execution budgets. AFL gets a larger budget than pFuzzer,
@@ -86,7 +85,6 @@ struct CampaignBudgets {
   uint64_t PFuzzerExecs = 100000;
   uint64_t AflExecs = 1000000;
   uint64_t KleeExecs = 50000;
-  uint64_t RandomExecs = 1000000;
 
   uint64_t executionsFor(ToolKind Kind) const;
 

@@ -19,8 +19,8 @@
 /// RunResult::expected(E) / RunResult::actual(E).
 ///
 /// A ComparisonEvent is 40 bytes and trivially copyable: it keeps the
-/// compared value's taint as TaintBounds, not as a TaintSet, so recording
-/// one is a plain store and clearing a run's events is O(1).
+/// compared value's taint hull (TaintBounds) as the value carried it, so
+/// recording one is a plain store and clearing a run's events is O(1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +55,7 @@ struct EventSlice {
 
 /// One tracked comparison between a tainted value and an expected operand.
 struct ComparisonEvent {
-  /// Bounds of the input indices the compared value derives from. Empty
+  /// Hull of the input indices the compared value derives from. Empty
   /// when the subject compared a value whose taint was lost (implicit
   /// flow).
   TaintBounds Taint;

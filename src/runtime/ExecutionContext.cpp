@@ -68,10 +68,10 @@ TChar ExecutionContext::peekChar(uint32_t Lookahead) {
     }
     // The EOF sentinel still carries the accessed index as taint so that
     // comparisons against it can be attributed to a position.
-    return TChar(EofChar, TaintSet::forIndex(static_cast<uint32_t>(Index)));
+    return TChar(EofChar, TaintBounds::forIndex(static_cast<uint32_t>(Index)));
   }
   return TChar(static_cast<unsigned char>(Input[Index]),
-               TaintSet::forIndex(static_cast<uint32_t>(Index)));
+               TaintBounds::forIndex(static_cast<uint32_t>(Index)));
 }
 
 void ExecutionContext::ungetChar() {
@@ -92,7 +92,7 @@ void ExecutionContext::recordComparison(const TChar &C, CompareKind Kind,
   if (!recordsComparisons())
     return;
   ComparisonEvent &Event = Result.Comparisons.emplace_back();
-  Event.Taint = C.taint().bounds();
+  Event.Taint = C.taint();
   Event.Kind = Kind;
   Event.Expected = internEventChars(Expected);
   // The compared character is pushed, not appended through a call into
@@ -145,7 +145,7 @@ bool ExecutionContext::cmpStr(const TString &S, std::string_view Expected) {
   bool Matched = S.view() == Expected;
   if (recordsComparisons()) {
     ComparisonEvent &Event = Result.Comparisons.emplace_back();
-    Event.Taint = S.taint().bounds();
+    Event.Taint = S.taint();
     Event.Kind = CompareKind::StrEq;
     Event.Expected = internEventChars(Expected);
     if (mode() == InstrumentationMode::Full)

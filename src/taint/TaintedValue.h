@@ -25,29 +25,31 @@
 
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace pfuzz {
 
 /// The sentinel value a read past the end of input yields (EOF).
 constexpr int EofChar = -1;
 
-/// A character (or EOF) together with the input indices it derives from.
+/// A character (or EOF) together with the hull of the input indices it
+/// derives from.
 class TChar {
 public:
   TChar() = default;
-  TChar(int Value, TaintSet Taint) : Value(Value), Taint(std::move(Taint)) {}
+  TChar(int Value, TaintBounds Taint) : Value(Value), Taint(Taint) {}
 
   /// Creates an untainted constant (e.g. a literal in the subject).
-  static TChar constant(int Value) { return TChar(Value, TaintSet()); }
+  static TChar constant(int Value) { return TChar(Value, TaintBounds()); }
 
   int value() const { return Value; }
   bool isEof() const { return Value == EofChar; }
   char ch() const { return static_cast<char>(Value); }
-  const TaintSet &taint() const { return Taint; }
+  const TaintBounds &taint() const { return Taint; }
 
   /// Returns a copy whose taint has been discarded — models implicit flow
   /// through control dependences, which the prototype does not track.
-  TChar dropTaint() const { return TChar(Value, TaintSet()); }
+  TChar dropTaint() const { return TChar(Value, TaintBounds()); }
 
   /// Derives a new value from this one (keeps the taint). Used for case
   /// folding and arithmetic on characters.
@@ -55,8 +57,11 @@ public:
 
 private:
   int Value = EofChar;
-  TaintSet Taint;
+  TaintBounds Taint;
 };
+
+static_assert(std::is_trivially_copyable_v<TChar>,
+              "TChar is copied on every character read; keep it a plain value");
 
 /// A string whose bytes carry taints; mirrors the paper's wrapped C string
 /// functions which "propagate taints automatically".
@@ -66,7 +71,7 @@ public:
 
   void clear() {
     Bytes.clear();
-    Taint = TaintSet();
+    Taint = TaintBounds();
   }
 
   bool empty() const { return Bytes.empty(); }
@@ -85,14 +90,14 @@ public:
   const std::string &str() const { return Bytes; }
   std::string_view view() const { return Bytes; }
 
-  /// Union of the taints of all bytes.
-  const TaintSet &taint() const { return Taint; }
+  /// Hull of the taints of all bytes.
+  const TaintBounds &taint() const { return Taint; }
 
   bool operator==(std::string_view Other) const { return Bytes == Other; }
 
 private:
   std::string Bytes;
-  TaintSet Taint;
+  TaintBounds Taint;
 };
 
 } // namespace pfuzz

@@ -80,7 +80,7 @@ TEST(CampaignParallelTest, GridMatchesPerCellCampaigns) {
   std::vector<CampaignCell> Cells = {
       {ToolKind::PFuzzer, &dyckSubject(), 2000},
       {ToolKind::Afl, &jsonSubject(), 6000},
-      {ToolKind::Random, &arithSubject(), 5000},
+      {ToolKind::Afl, &arithSubject(), 5000},
   };
   std::vector<CampaignResult> Grid = runCampaignGrid(Cells, 1, 2, /*Jobs=*/4);
   ASSERT_EQ(Grid.size(), Cells.size());
@@ -94,7 +94,7 @@ TEST(CampaignParallelTest, GridMatchesPerCellCampaigns) {
 
 TEST(CampaignParallelTest, GridTracksTimingPerCell) {
   std::vector<CampaignCell> Cells = {
-      {ToolKind::Random, &arithSubject(), 4000},
+      {ToolKind::Afl, &arithSubject(), 4000},
   };
   std::vector<CampaignResult> Grid = runCampaignGrid(Cells, 1, 2, /*Jobs=*/2);
   ASSERT_EQ(Grid.size(), 1u);
@@ -111,7 +111,6 @@ TEST(CampaignParallelTest, BudgetScaleSaturatesInsteadOfWrapping) {
   EXPECT_EQ(B.PFuzzerExecs, UINT64_MAX);
   EXPECT_EQ(B.AflExecs, UINT64_MAX);
   EXPECT_EQ(B.KleeExecs, UINT64_MAX);
-  EXPECT_EQ(B.RandomExecs, UINT64_MAX);
   // Scaling by zero still works exactly.
   CampaignBudgets Z;
   Z.scale(0);

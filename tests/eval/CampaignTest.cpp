@@ -11,8 +11,7 @@
 using namespace pfuzz;
 
 TEST(CampaignTest, FactoryProducesAllTools) {
-  for (ToolKind Kind : {ToolKind::PFuzzer, ToolKind::Afl, ToolKind::Klee,
-                        ToolKind::Random}) {
+  for (ToolKind Kind : {ToolKind::PFuzzer, ToolKind::Afl, ToolKind::Klee}) {
     auto Tool = makeFuzzer(Kind);
     ASSERT_NE(Tool, nullptr);
     EXPECT_FALSE(Tool->name().empty());
@@ -23,7 +22,6 @@ TEST(CampaignTest, ToolNames) {
   EXPECT_EQ(toolName(ToolKind::PFuzzer), "pFuzzer");
   EXPECT_EQ(toolName(ToolKind::Afl), "AFL");
   EXPECT_EQ(toolName(ToolKind::Klee), "KLEE");
-  EXPECT_EQ(toolName(ToolKind::Random), "Random");
 }
 
 TEST(CampaignTest, BudgetsScaleUniformly) {

@@ -1,4 +1,4 @@
-//===- tests/taint/TaintTest.cpp - TaintSet unit tests --------------------===//
+//===- tests/taint/TaintTest.cpp - Taint hull unit tests ------------------===//
 //
 // Part of the pfuzz project. Distributed under the MIT license.
 //
@@ -8,185 +8,84 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <vector>
+
 using namespace pfuzz;
 
-TEST(TaintSetTest, EmptyByDefault) {
-  TaintSet T;
+TEST(TaintBoundsTest, EmptyByDefault) {
+  TaintBounds T;
   EXPECT_TRUE(T.empty());
-  EXPECT_EQ(T.size(), 0u);
-  EXPECT_FALSE(T.contains(0));
+  EXPECT_EQ(T, TaintBounds::forRange(0, 0));
 }
 
-TEST(TaintSetTest, Singleton) {
-  TaintSet T = TaintSet::forIndex(5);
-  EXPECT_EQ(T.size(), 1u);
-  EXPECT_TRUE(T.contains(5));
-  EXPECT_FALSE(T.contains(4));
+TEST(TaintBoundsTest, Singleton) {
+  TaintBounds T = TaintBounds::forIndex(5);
+  EXPECT_FALSE(T.empty());
   EXPECT_EQ(T.minIndex(), 5u);
   EXPECT_EQ(T.maxIndex(), 5u);
+  EXPECT_EQ(T, TaintBounds::forRange(5, 6));
 }
 
-TEST(TaintSetTest, RangeConstruction) {
-  TaintSet T = TaintSet::forRange(2, 6);
-  EXPECT_EQ(T.size(), 4u);
-  for (uint32_t I = 2; I < 6; ++I)
-    EXPECT_TRUE(T.contains(I));
-  EXPECT_FALSE(T.contains(6));
+TEST(TaintBoundsTest, RangeConstruction) {
+  TaintBounds T = TaintBounds::forRange(2, 6);
   EXPECT_EQ(T.minIndex(), 2u);
   EXPECT_EQ(T.maxIndex(), 5u);
 }
 
-TEST(TaintSetTest, EmptyRange) {
-  TaintSet T = TaintSet::forRange(3, 3);
+TEST(TaintBoundsTest, EmptyRangesCompareEqual) {
+  TaintBounds T = TaintBounds::forRange(3, 3);
   EXPECT_TRUE(T.empty());
+  EXPECT_EQ(T, TaintBounds());
+  EXPECT_EQ(T, TaintBounds::forRange(9, 9));
+  EXPECT_FALSE(T == TaintBounds::forIndex(3));
 }
 
-TEST(TaintSetTest, MergeDisjoint) {
-  TaintSet A = TaintSet::forIndex(1);
-  A.mergeWith(TaintSet::forIndex(9));
-  EXPECT_EQ(A.size(), 2u);
+TEST(TaintBoundsTest, MergeSpansTheGap) {
+  TaintBounds A = TaintBounds::forIndex(1);
+  A.mergeWith(TaintBounds::forIndex(9));
   EXPECT_EQ(A.minIndex(), 1u);
   EXPECT_EQ(A.maxIndex(), 9u);
+  EXPECT_EQ(A, TaintBounds::forRange(1, 10));
 }
 
-TEST(TaintSetTest, MergeDeduplicates) {
-  TaintSet A = TaintSet::forRange(0, 4);
-  A.mergeWith(TaintSet::forRange(2, 6));
-  EXPECT_EQ(A.size(), 6u);
-  EXPECT_EQ(A.maxIndex(), 5u);
+TEST(TaintBoundsTest, MergeOverlapping) {
+  TaintBounds A = TaintBounds::forRange(0, 4);
+  A.mergeWith(TaintBounds::forRange(2, 6));
+  EXPECT_EQ(A, TaintBounds::forRange(0, 6));
 }
 
-TEST(TaintSetTest, MergeWithEmptyIsIdentity) {
-  TaintSet A = TaintSet::forIndex(3);
-  TaintSet Before = A;
-  A.mergeWith(TaintSet());
-  EXPECT_TRUE(A == Before);
-  TaintSet Empty;
+TEST(TaintBoundsTest, MergeWithEmptyIsIdentity) {
+  TaintBounds A = TaintBounds::forIndex(3);
+  TaintBounds Before = A;
+  A.mergeWith(TaintBounds());
+  EXPECT_EQ(A, Before);
+  // An empty range away from the hull does not stretch it.
+  A.mergeWith(TaintBounds::forRange(50, 50));
+  EXPECT_EQ(A, Before);
+  TaintBounds Empty = TaintBounds::forRange(50, 50);
   Empty.mergeWith(A);
-  EXPECT_TRUE(Empty == A);
+  EXPECT_EQ(Empty, A);
 }
 
-TEST(TaintSetTest, MergedIsCommutative) {
-  TaintSet A = TaintSet::forRange(0, 3);
-  TaintSet B = TaintSet::forRange(5, 8);
-  EXPECT_TRUE(TaintSet::merged(A, B) == TaintSet::merged(B, A));
+static TaintBounds merged(TaintBounds A, const TaintBounds &B) {
+  A.mergeWith(B);
+  return A;
 }
 
-TEST(TaintSetTest, MergedIsAssociative) {
-  TaintSet A = TaintSet::forIndex(1);
-  TaintSet B = TaintSet::forIndex(2);
-  TaintSet C = TaintSet::forIndex(3);
-  EXPECT_TRUE(TaintSet::merged(TaintSet::merged(A, B), C) ==
-              TaintSet::merged(A, TaintSet::merged(B, C)));
+TEST(TaintBoundsTest, MergeIsCommutative) {
+  TaintBounds A = TaintBounds::forRange(0, 3);
+  TaintBounds B = TaintBounds::forRange(5, 8);
+  EXPECT_EQ(merged(A, B), merged(B, A));
 }
 
-TEST(TaintSetTest, IndicesStaySorted) {
-  TaintSet A = TaintSet::forIndex(9);
-  A.mergeWith(TaintSet::forIndex(1));
-  A.mergeWith(TaintSet::forIndex(5));
-  ASSERT_EQ(A.indices().size(), 3u);
-  EXPECT_EQ(A.indices()[0], 1u);
-  EXPECT_EQ(A.indices()[1], 5u);
-  EXPECT_EQ(A.indices()[2], 9u);
-}
-
-// Representation transitions. The three canonical forms (Interval, Pair,
-// Spill) must switch exactly at the documented boundaries, and any merge
-// whose result is contiguous must collapse back to Interval — operator==
-// relies on that canonicality.
-
-TEST(TaintSetRepTest, SingletonAndRangeAreIntervals) {
-  EXPECT_TRUE(TaintSet().isInterval());
-  EXPECT_TRUE(TaintSet::forIndex(7).isInterval());
-  EXPECT_TRUE(TaintSet::forRange(2, 9).isInterval());
-}
-
-TEST(TaintSetRepTest, AdjacentSingletonsStayInterval) {
-  TaintSet A = TaintSet::forIndex(4);
-  A.mergeWith(TaintSet::forIndex(5));
-  EXPECT_TRUE(A.isInterval());
-  EXPECT_EQ(A.size(), 2u);
-}
-
-TEST(TaintSetRepTest, DisjointSingletonsBecomePair) {
-  TaintSet A = TaintSet::forIndex(9);
-  A.mergeWith(TaintSet::forIndex(2));
-  EXPECT_TRUE(A.isPair());
-  EXPECT_EQ(A.size(), 2u);
-  EXPECT_EQ(A.minIndex(), 2u);
-  EXPECT_EQ(A.maxIndex(), 9u);
-}
-
-TEST(TaintSetRepTest, PairAbsorbsMemberSingleton) {
-  TaintSet A = TaintSet::forIndex(1);
-  A.mergeWith(TaintSet::forIndex(5));
-  ASSERT_TRUE(A.isPair());
-  A.mergeWith(TaintSet::forIndex(1));
-  EXPECT_TRUE(A.isPair());
-  A.mergeWith(TaintSet::forIndex(5));
-  EXPECT_TRUE(A.isPair());
-  EXPECT_EQ(A.size(), 2u);
-}
-
-TEST(TaintSetRepTest, PairPlusNewIndexSpills) {
-  TaintSet A = TaintSet::forIndex(0);
-  A.mergeWith(TaintSet::forIndex(4));
-  ASSERT_TRUE(A.isPair());
-  A.mergeWith(TaintSet::forIndex(8));
-  EXPECT_TRUE(A.isSpilled());
-  EXPECT_EQ(A.size(), 3u);
-  EXPECT_EQ(A.minIndex(), 0u);
-  EXPECT_EQ(A.maxIndex(), 8u);
-}
-
-TEST(TaintSetRepTest, PairFillingGapCollapsesToInterval) {
-  TaintSet A = TaintSet::forIndex(3);
-  A.mergeWith(TaintSet::forIndex(5));
-  ASSERT_TRUE(A.isPair());
-  A.mergeWith(TaintSet::forIndex(4));
-  EXPECT_TRUE(A.isInterval());
-  EXPECT_EQ(A.size(), 3u);
-}
-
-TEST(TaintSetRepTest, SpillFillingGapsCollapsesToInterval) {
-  TaintSet A = TaintSet::forIndex(0);
-  A.mergeWith(TaintSet::forIndex(2));
-  A.mergeWith(TaintSet::forIndex(4));
-  ASSERT_TRUE(A.isSpilled());
-  A.mergeWith(TaintSet::forIndex(1));
-  ASSERT_TRUE(A.isSpilled());
-  A.mergeWith(TaintSet::forIndex(3));
-  // {0,1,2,3,4} is contiguous; canonical form is the interval [0, 5).
-  EXPECT_TRUE(A.isInterval());
-  EXPECT_TRUE(A == TaintSet::forRange(0, 5));
-}
-
-TEST(TaintSetRepTest, CanonicalFormsCompareEqual) {
-  // Same set reached through different merge orders must compare equal.
-  TaintSet A = TaintSet::forIndex(6);
-  A.mergeWith(TaintSet::forIndex(2));
-  A.mergeWith(TaintSet::forRange(3, 6));
-  TaintSet B = TaintSet::forRange(2, 7);
-  EXPECT_TRUE(A == B);
-}
-
-TEST(TaintSetRepTest, OverlappingRangeMergesStayInterval) {
-  TaintSet A = TaintSet::forRange(0, 10);
-  A.mergeWith(TaintSet::forRange(5, 15));
-  EXPECT_TRUE(A.isInterval());
-  A.mergeWith(TaintSet::forRange(15, 20)); // touching
-  EXPECT_TRUE(A.isInterval());
-  EXPECT_EQ(A.size(), 20u);
-}
-
-TEST(TaintSetRepTest, SpillAbsorbsContainedInterval) {
-  TaintSet A = TaintSet::forIndex(0);
-  A.mergeWith(TaintSet::forIndex(10));
-  A.mergeWith(TaintSet::forRange(4, 7));
-  ASSERT_TRUE(A.isSpilled());
-  TaintSet Before = A;
-  A.mergeWith(TaintSet::forRange(4, 7)); // fully contained: no change
-  EXPECT_TRUE(A == Before);
+TEST(TaintBoundsTest, MergeIsAssociative) {
+  TaintBounds A = TaintBounds::forIndex(7);
+  TaintBounds B = TaintBounds::forIndex(2);
+  TaintBounds C = TaintBounds::forIndex(4);
+  EXPECT_EQ(merged(merged(A, B), C), merged(A, merged(B, C)));
 }
 
 /// Property sweep: merge of arbitrary ranges has min/max of the union.
@@ -195,15 +94,68 @@ class TaintMergeProperty
 
 TEST_P(TaintMergeProperty, MinMaxOfUnion) {
   auto [A, B] = GetParam();
-  TaintSet X = TaintSet::forRange(A, A + 3);
-  TaintSet Y = TaintSet::forRange(B, B + 2);
-  TaintSet M = TaintSet::merged(X, Y);
+  TaintBounds X = TaintBounds::forRange(A, A + 3);
+  TaintBounds Y = TaintBounds::forRange(B, B + 2);
+  TaintBounds M = merged(X, Y);
   EXPECT_EQ(M.minIndex(), std::min(A, B));
   EXPECT_EQ(M.maxIndex(), std::max(A + 2, B + 1));
-  EXPECT_EQ(M.size(), TaintSet::merged(Y, X).size());
+  EXPECT_EQ(M, merged(Y, X));
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranges, TaintMergeProperty,
                          ::testing::Combine(::testing::Values(0u, 2u, 7u,
                                                               100u),
                                             ::testing::Values(0u, 3u, 50u)));
+
+/// The hull must track the min and max of the index set the paper's taint
+/// accumulates, whatever the derivation order: checked against a
+/// std::set union over seeded random merge sequences that mix scattered
+/// single indices, contiguous runs and merges of separately built values.
+TEST(TaintHullProperty, MatchesMinMaxOfIndexSetUnion) {
+  struct Value {
+    TaintBounds Hull;
+    std::set<uint32_t> Indices;
+  };
+  auto ExpectMatches = [](const Value &V) {
+    ASSERT_EQ(V.Hull.empty(), V.Indices.empty());
+    if (V.Indices.empty())
+      return;
+    EXPECT_EQ(V.Hull.minIndex(), *V.Indices.begin());
+    EXPECT_EQ(V.Hull.maxIndex(), *V.Indices.rbegin());
+  };
+  for (uint32_t Seed = 1; Seed <= 20; ++Seed) {
+    std::mt19937 Rng(Seed);
+    std::vector<Value> Values(4);
+    for (int Step = 0; Step != 200; ++Step) {
+      Value &Into = Values[Rng() % Values.size()];
+      Value From;
+      switch (Rng() % 4) {
+      case 0: { // a scattered single index anywhere in a long input
+        uint32_t I = Rng() % 100000;
+        From.Hull = TaintBounds::forIndex(I);
+        From.Indices = {I};
+        break;
+      }
+      case 1: { // a token-shaped run, possibly empty
+        uint32_t Begin = Rng() % 1000, Len = Rng() % 8;
+        From.Hull = TaintBounds::forRange(Begin, Begin + Len);
+        for (uint32_t I = Begin; I != Begin + Len; ++I)
+          From.Indices.insert(I);
+        break;
+      }
+      case 2: // another accumulated value
+        From = Values[Rng() % Values.size()];
+        break;
+      case 3: // an untainted value (implicit flow dropped the taint)
+        break;
+      }
+      Into.Hull.mergeWith(From.Hull);
+      Into.Indices.insert(From.Indices.begin(), From.Indices.end());
+      ExpectMatches(Into);
+      if (Rng() % 16 == 0)
+        Into = Value();
+    }
+    for (const Value &V : Values)
+      ExpectMatches(V);
+  }
+}
